@@ -2,7 +2,7 @@
 
 .PHONY: all build test bench bench-check experiments examples fuzz-smoke \
 	profile-smoke vmspeed-smoke adversarial-smoke serve-smoke \
-	schemes-smoke elim-smoke coverage verify clean
+	schemes-smoke elim-smoke elim-golden coverage verify clean
 
 all: build
 
@@ -169,6 +169,12 @@ elim-smoke:
 	diff /tmp/affine_on.txt /tmp/affine_off.txt
 	@echo "elim-smoke: widening active, jobs-independent, on/off identical"
 
+# regenerate the instrumented-IR digests pinned by the elim golden test
+# (test/golden/elim_ir.digests).  Run it only after reviewing that an IR
+# change is intentional: the test exists to catch unintended ones.
+elim-golden:
+	dune exec test/golden/gen_elim_digests.exe
+
 # quick profiler pass over two kernels: exercises the observability
 # layer end to end (site attribution, JSON export, trace ring)
 profile-smoke:
@@ -190,6 +196,10 @@ coverage:
 	  echo "coverage: bisect_ppx not installed; skipping (opam install bisect_ppx)"; \
 	fi
 
+# Golden files under test/golden/ have regenerators that verify never
+# runs: `dune exec test/golden/gen_golden.exe` (observability metrics
+# JSON and trap traces) and `make elim-golden` (instrumented-IR digests).
+#
 # what CI runs: build, the whole test suite, schema validation of the
 # committed benchmark artifacts, a smoke pass of the check-elimination
 # ablation (quick workload sizes), the profiler smoke run, and both

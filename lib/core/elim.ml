@@ -120,6 +120,83 @@ let hoistable_pure = function
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
+(* Shared analyses and the loop sweep                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The loop sub-passes rewrite one loop at a time and, after every
+   rewrite, look again for the first loop (innermost first) with work:
+   hoisting out of an outer loop can make an inner loop's instruction
+   invariant.  What each loop's decision reads is built once and kept:
+
+   - dominators and natural loops depend only on terminators, so one
+     [cfg] serves every rewrite that moves or adds instructions; only
+     [insert_preheader] changes the CFG and forces a rebuild;
+   - a loop's decision depends only on its own blocks, the dominator
+     tree and (for hoisting) the function's per-register use counts,
+     so a loop found to have no work is not examined again until a
+     rewrite touches one of its blocks. *)
+
+type cfg = {
+  dom : Dom.t;
+  loops : Dom.loop array;  (* smallest first, as [Dom.natural_loops] *)
+  blocks : int list array;  (* each loop's body blocks, ascending *)
+}
+
+let cfg_of (f : func) : cfg =
+  let dom = Dom.compute f in
+  let loops = Array.of_list (Dom.natural_loops dom) in
+  let blocks =
+    Array.map
+      (fun (l : Dom.loop) ->
+        List.filter (Array.get l.Dom.body)
+          (List.init (Array.length l.Dom.body) Fun.id))
+      loops
+  in
+  { dom; loops; blocks }
+
+(** What one loop sub-pass did to one loop. *)
+type step =
+  | Unchanged
+  | Rewritten of func * int
+      (** instructions moved or added within the loop body and the
+          given preheader; the CFG is unchanged *)
+  | Split of func  (** a preheader was inserted: the CFG changed *)
+
+(** Apply [step] to the first loop, smallest first, it changes; repeat
+    until no loop changes or [budget] steps are spent. *)
+let sweep ~budget (step : func -> cfg -> int -> step) (f : func) (cfg : cfg)
+    : func * cfg =
+  let rec go f cfg stale budget =
+    let n = Array.length cfg.loops in
+    let rec first i =
+      if i = n then (i, Unchanged)
+      else if not stale.(i) then first (i + 1)
+      else
+        match step f cfg i with
+        | Unchanged ->
+            stale.(i) <- false;
+            first (i + 1)
+        | s -> (i, s)
+    in
+    if budget = 0 then (f, cfg)
+    else
+      match first 0 with
+      | _, Unchanged -> (f, cfg)
+      | _, Split f' ->
+          let cfg' = cfg_of f' in
+          go f' cfg' (Array.make (Array.length cfg'.loops) true) (budget - 1)
+      | i, Rewritten (f', pre) ->
+          let touched = cfg.blocks.(i) in
+          Array.iteri
+            (fun j (l : Dom.loop) ->
+              if l.Dom.body.(pre) || List.exists (Array.get l.Dom.body) touched
+              then stale.(j) <- true)
+            cfg.loops;
+          go f' cfg stale (budget - 1)
+  in
+  go f cfg (Array.make (Array.length cfg.loops) true) budget
+
+(* ------------------------------------------------------------------ *)
 (* Pass 1: loop-invariant hoisting                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -130,9 +207,11 @@ let hoistable_pure = function
 type loop_ctx = {
   dom : Dom.t;
   loop : Dom.loop;
+  blocks : int list;  (* the loop's body blocks, ascending *)
   def_count : (reg, int) Hashtbl.t;  (* defs within the loop *)
   def_pos : (reg, int * int) Hashtbl.t;  (* meaningful when count = 1 *)
-  uses : (reg, (int * int) list) Hashtbl.t;  (* function-wide *)
+  uses : (reg, (int * int) list) Hashtbl.t;  (* uses within the loop *)
+  use_count : int array;  (* uses function-wide, by register *)
   meta_clobbered : bool;  (* MetaStore / Call / SetBoundMark in loop *)
   has_stop : bool;  (* TRet / TUnreachable terminator in loop *)
   calls : (int * int) list;  (* in-loop call positions *)
@@ -140,7 +219,21 @@ type loop_ctx = {
 
 let dcount ctx r = try Hashtbl.find ctx.def_count r with Not_found -> 0
 
-let build_loop_ctx (f : func) (dom : Dom.t) (loop : Dom.loop) : loop_ctx =
+(** Register operand occurrences per register, function-wide.  Hoisting
+    only moves instructions and inserting a preheader adds only a bare
+    jump, so the counts hold for the whole hoisting sweep. *)
+let use_counts (f : func) : int array =
+  let n = Array.make f.fnregs 0 in
+  let add r = n.(r) <- n.(r) + 1 in
+  Array.iter
+    (fun blk ->
+      List.iter (fun inst -> List.iter add (reg_ops (ops_of inst))) blk.insts;
+      List.iter add (reg_ops (term_ops blk.term)))
+    f.fblocks;
+  n
+
+let build_loop_ctx (f : func) (dom : Dom.t) (loop : Dom.loop)
+    (blocks : int list) (use_count : int array) : loop_ctx =
   let def_count = Hashtbl.create 32 in
   let def_pos = Hashtbl.create 32 in
   let uses = Hashtbl.create 64 in
@@ -151,39 +244,38 @@ let build_loop_ctx (f : func) (dom : Dom.t) (loop : Dom.loop) : loop_ctx =
   let meta_clobbered = ref false in
   let has_stop = ref false in
   let calls = ref [] in
-  Array.iteri
-    (fun b blk ->
-      List.iteri
-        (fun i inst -> List.iter (fun r -> add_use r (b, i)) (reg_ops (ops_of inst)))
-        blk.insts;
+  List.iter
+    (fun b ->
+      let blk = f.fblocks.(b) in
       List.iter (fun r -> add_use r (b, max_int)) (reg_ops (term_ops blk.term));
-      if loop.Dom.body.(b) then begin
-        (match blk.term with
-        | TRet _ | TUnreachable -> has_stop := true
-        | _ -> ());
-        List.iteri
-          (fun i inst ->
-            (match inst with
-            | MetaStore _ | SetBoundMark _ -> meta_clobbered := true
-            | Call _ ->
-                meta_clobbered := true;
-                calls := (b, i) :: !calls
-            | _ -> ());
-            List.iter
-              (fun r ->
-                Hashtbl.replace def_count r
-                  (1 + (try Hashtbl.find def_count r with Not_found -> 0));
-                Hashtbl.replace def_pos r (b, i))
-              (defs_of inst))
-          blk.insts
-      end)
-    f.fblocks;
+      (match blk.term with
+      | TRet _ | TUnreachable -> has_stop := true
+      | _ -> ());
+      List.iteri
+        (fun i inst ->
+          List.iter (fun r -> add_use r (b, i)) (reg_ops (ops_of inst));
+          (match inst with
+          | MetaStore _ | SetBoundMark _ -> meta_clobbered := true
+          | Call _ ->
+              meta_clobbered := true;
+              calls := (b, i) :: !calls
+          | _ -> ());
+          List.iter
+            (fun r ->
+              Hashtbl.replace def_count r
+                (1 + (try Hashtbl.find def_count r with Not_found -> 0));
+              Hashtbl.replace def_pos r (b, i))
+            (defs_of inst))
+        blk.insts)
+    blocks;
   {
     dom;
     loop;
+    blocks;
     def_count;
     def_pos;
     uses;
+    use_count;
     meta_clobbered = !meta_clobbered;
     has_stop = !has_stop;
     calls = !calls;
@@ -200,9 +292,18 @@ let dominated_by ctx ((b, i) : int * int) ((b', i') : int * int) : bool =
     zero-trip loop entry leaves no reader of the speculatively computed
     value). *)
 let uses_ok ctx r pos =
-  List.for_all
-    (fun (b', _ as q) -> ctx.loop.Dom.body.(b') && dominated_by ctx pos q)
-    (try Hashtbl.find ctx.uses r with Not_found -> [])
+  let inside = try Hashtbl.find ctx.uses r with Not_found -> [] in
+  List.length inside = ctx.use_count.(r)
+  && List.for_all (dominated_by ctx pos) inside
+
+(** Apply [g] to each reachable body block's instructions with their
+    positions. *)
+let iter_body ctx (f : func) (g : int * int -> inst -> unit) : unit =
+  List.iter
+    (fun b ->
+      if Dom.reachable ctx.dom b then
+        List.iteri (fun i inst -> g (b, i) inst) f.fblocks.(b).insts)
+    ctx.blocks
 
 (** The set of hoistable pure/[MetaLoad] definitions of the loop, as a
     growing fixpoint: an instruction joins once all its register
@@ -224,32 +325,25 @@ let hoistable_defs (f : func) (ctx : loop_ctx) : ((int * int), inst) Hashtbl.t =
   let changed = ref true in
   while !changed do
     changed := false;
-    Array.iteri
-      (fun b blk ->
-        if ctx.loop.Dom.body.(b) && Dom.reachable ctx.dom b then
-          List.iteri
-            (fun i inst ->
-              let pos = (b, i) in
-              if not (Hashtbl.mem h pos) then
-                let candidate =
-                  hoistable_pure inst
-                  ||
-                  match inst with
-                  | MetaLoad _ -> not ctx.meta_clobbered
-                  | _ -> false
-                in
-                if
-                  candidate
-                  && List.for_all
-                       (fun r -> dcount ctx r = 1 && uses_ok ctx r pos)
-                       (defs_of inst)
-                  && List.for_all (invariant pos) (ops_of inst)
-                then begin
-                  Hashtbl.add h pos inst;
-                  changed := true
-                end)
-            blk.insts)
-      f.fblocks
+    iter_body ctx f (fun pos inst ->
+        if not (Hashtbl.mem h pos) then
+          let candidate =
+            hoistable_pure inst
+            ||
+            match inst with
+            | MetaLoad _ -> not ctx.meta_clobbered
+            | _ -> false
+          in
+          if
+            candidate
+            && List.for_all
+                 (fun r -> dcount ctx r = 1 && uses_ok ctx r pos)
+                 (defs_of inst)
+            && List.for_all (invariant pos) (ops_of inst)
+          then begin
+            Hashtbl.add h pos inst;
+            changed := true
+          end)
   done;
   h
 
@@ -274,36 +368,26 @@ let hoist_candidates (f : func) (ctx : loop_ctx) ~(meta_floor : int) :
   in
   let loop = ctx.loop in
   let roots = ref [] in
-  Array.iteri
-    (fun b blk ->
-      if loop.Dom.body.(b) && Dom.reachable ctx.dom b then
-        List.iteri
-          (fun i inst ->
-            let pos = (b, i) in
-            match inst with
-            | Check _ | CheckFptr _ ->
-                (* Sound only when loop entry implies this check runs:
-                   see the module header. *)
-                if
-                  (not ctx.has_stop)
-                  && List.for_all (invariant pos) (ops_of inst)
-                  && List.for_all
-                       (fun l -> Dom.dominates ctx.dom b l)
-                       (loop.Dom.latches @ loop.Dom.exits)
-                  && List.for_all
-                       (fun (cb, ci) -> cb = b && ci > i)
-                       ctx.calls
-                then roots := (pos, inst) :: !roots
-            | MetaLoad _ ->
-                if Hashtbl.mem h pos then roots := (pos, inst) :: !roots
-            | _ ->
-                if
-                  Hashtbl.mem h pos
-                  && defs_of inst <> []
-                  && List.for_all (fun r -> r >= meta_floor) (defs_of inst)
-                then roots := (pos, inst) :: !roots)
-          blk.insts)
-    f.fblocks;
+  iter_body ctx f (fun ((b, i) as pos) inst ->
+      match inst with
+      | Check _ | CheckFptr _ ->
+          (* Sound only when loop entry implies this check runs: see the
+             module header. *)
+          if
+            (not ctx.has_stop)
+            && List.for_all (invariant pos) (ops_of inst)
+            && List.for_all
+                 (fun l -> Dom.dominates ctx.dom b l)
+                 (loop.Dom.latches @ loop.Dom.exits)
+            && List.for_all (fun (cb, ci) -> cb = b && ci > i) ctx.calls
+          then roots := (pos, inst) :: !roots
+      | MetaLoad _ -> if Hashtbl.mem h pos then roots := (pos, inst) :: !roots
+      | _ ->
+          if
+            Hashtbl.mem h pos
+            && defs_of inst <> []
+            && List.for_all (fun r -> r >= meta_floor) (defs_of inst)
+          then roots := (pos, inst) :: !roots);
   let chosen = Hashtbl.create 16 in
   let rec need pos inst =
     if not (Hashtbl.mem chosen pos) then begin
@@ -400,39 +484,27 @@ let apply_hoist (f : func) (dom : Dom.t) (pre : int)
   in
   { f with fblocks }
 
-(** One round: find the innermost loop with hoisting candidates and
-    either hoist them (preheader present) or create its preheader (the
-    next round hoists).  Returns [None] when no loop has candidates. *)
-let hoist_round ~meta_floor (f : func) : func option =
-  let dom = Dom.compute f in
-  let loops = Dom.natural_loops dom in
-  let rec try_loops = function
-    | [] -> None
-    | loop :: rest -> (
-        let ctx = build_loop_ctx f dom loop in
-        match hoist_candidates f ctx ~meta_floor with
-        | [] -> try_loops rest
-        | chosen -> (
-            match find_preheader dom loop with
-            | Some pre -> Some (apply_hoist f dom pre chosen)
-            | None -> Some (insert_preheader f loop)))
-  in
-  try_loops loops
+(** Hoist the candidates of loop [i], or create its preheader first
+    (the next step hoists). *)
+let hoist_step ~meta_floor ~use_count (f : func) (cfg : cfg) (i : int) : step
+    =
+  let loop = cfg.loops.(i) in
+  let ctx = build_loop_ctx f cfg.dom loop cfg.blocks.(i) use_count in
+  match hoist_candidates f ctx ~meta_floor with
+  | [] -> Unchanged
+  | chosen -> (
+      match find_preheader cfg.dom loop with
+      | Some pre -> Rewritten (apply_hoist f cfg.dom pre chosen, pre)
+      | None -> Split (insert_preheader f loop))
 
-let hoist_loops ~meta_floor (f : func) : func =
-  (* Each round either inserts one preheader or strictly shrinks some
+let hoist_loops ~meta_floor (f : func) (cfg : cfg) : func * cfg =
+  (* Each step either inserts one preheader or strictly shrinks some
      loop body; instructions re-hoist at most once per enclosing loop,
      so the budget is never the binding constraint in practice. *)
-  let budget = ref (16 + (4 * Array.length f.fblocks)) in
-  let f = ref f in
-  let continue_ = ref true in
-  while !continue_ && !budget > 0 do
-    decr budget;
-    match hoist_round ~meta_floor !f with
-    | Some f' -> f := f'
-    | None -> continue_ := false
-  done;
-  !f
+  sweep
+    ~budget:(16 + (4 * Array.length f.fblocks))
+    (hoist_step ~meta_floor ~use_count:(use_counts f))
+    f cfg
 
 (* ------------------------------------------------------------------ *)
 (* Pass 1b: induction-variable check widening                           *)
@@ -453,24 +525,24 @@ let hoist_loops ~meta_floor (f : func) : func =
    match the unwidened run's exactly; see DESIGN.md section 12 for the
    argument and the store-only-mode caveat. *)
 
-let widen_one (f : func) (dom : Dom.t) (loops : Dom.loop list)
-    (loop : Dom.loop) : func option =
+let widen_step (f : func) (cfg : cfg) (li : int) : step =
+  let dom = cfg.dom and loop = cfg.loops.(li) in
   (* innermost loops only: a block of a multi-loop nest can execute
      many times per iteration of the outer loop, breaking the
      exactly-once-per-iteration accounting *)
   if
-    List.exists
+    Array.exists
       (fun l' -> l' != loop && loop.Dom.body.(l'.Dom.header))
-      loops
-  then None
+      cfg.loops
+  then Unchanged
   else
     match Scev.analyze f dom loop with
-    | None -> None
+    | None -> Unchanged
     | Some sc ->
         let cands = ref [] in
-        Array.iteri
-          (fun b blk ->
-            if loop.Dom.body.(b) && Dom.reachable dom b then
+        List.iter
+          (fun b ->
+            if Dom.reachable dom b then
               List.iteri
                 (fun i inst ->
                   match inst with
@@ -488,13 +560,13 @@ let widen_one (f : func) (dom : Dom.t) (loops : Dom.loop list)
                             :: !cands
                       | None -> ())
                   | _ -> ())
-                blk.insts)
-          f.fblocks;
+                f.fblocks.(b).insts)
+          cfg.blocks.(li);
         let cands = List.rev !cands in
-        if cands = [] then None
+        if cands = [] then Unchanged
         else
           match find_preheader dom loop with
-          | None -> Some (insert_preheader f loop)
+          | None -> Split (insert_preheader f loop)
           | Some pre ->
               let nregs = ref f.fnregs in
               let fresh () =
@@ -548,33 +620,12 @@ let widen_one (f : func) (dom : Dom.t) (loops : Dom.loop list)
                     { blk with insts })
                   f.fblocks
               in
-              Some { f with fblocks; fnregs = !nregs }
+              Rewritten ({ f with fblocks; fnregs = !nregs }, pre)
 
-let widen_round (f : func) : func option =
-  let dom = Dom.compute f in
-  let loops = Dom.natural_loops dom in
-  let rec go = function
-    | [] -> None
-    | loop :: rest -> (
-        match widen_one f dom loops loop with
-        | Some f' -> Some f'
-        | None -> go rest)
-  in
-  go loops
-
-let widen_loops (f : func) : func =
-  (* Each round either inserts one preheader or removes every widenable
+let widen_loops (f : func) (cfg : cfg) : func * cfg =
+  (* Each step either inserts one preheader or removes every widenable
      check of one loop, so this terminates well inside the budget. *)
-  let budget = ref (16 + (4 * Array.length f.fblocks)) in
-  let f = ref f in
-  let continue_ = ref true in
-  while !continue_ && !budget > 0 do
-    decr budget;
-    match widen_round !f with
-    | Some f' -> f := f'
-    | None -> continue_ := false
-  done;
-  !f
+  sweep ~budget:(16 + (4 * Array.length f.fblocks)) widen_step f cfg
 
 (* ------------------------------------------------------------------ *)
 (* Pass 1c: within-block check coalescing                               *)
@@ -824,7 +875,19 @@ let coalesce_block (blk : block) : block =
     { blk with insts }
 
 let coalesce_blocks (f : func) : func =
-  { f with fblocks = Array.map coalesce_block f.fblocks }
+  (* a span needs two member checks: blocks with fewer stay as they are *)
+  let rec two_checks = function
+    | [] -> false
+    | Check _ :: rest -> List.exists (function Check _ -> true | _ -> false) rest
+    | _ :: rest -> two_checks rest
+  in
+  {
+    f with
+    fblocks =
+      Array.map
+        (fun blk -> if two_checks blk.insts then coalesce_block blk else blk)
+        f.fblocks;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Pass 2: within-block metadata-lookup CSE                             *)
@@ -878,118 +941,126 @@ let local_metaload_cse (f : func) : func =
 (* Pass 3: available-checks dataflow and elimination                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Facts are interned per function: [Avail (id, w)] makes fact [id]
+   available with width [w] ([CheckFptr] facts use width 0, so any
+   available instance covers a later identical one), and the facts a
+   register definition kills are listed per register, so the kill step
+   touches only the facts that mention a redefined register. *)
+
 type fact =
   | FCheck of operand * operand * operand
   | FFptr of operand * operand * operand * int option
 
-module FM = Map.Make (struct
-  type t = fact
+module IM = Map.Make (Int)
 
-  let compare = Stdlib.compare
-end)
+type event = Avail of int * int | Kill of reg list
 
-let fact_mentions_reg r = function
-  | FCheck (a, b, c) | FFptr (a, b, c, _) ->
-      let m = equal_operand (Reg r) in
-      m a || m b || m c
-
-let kill_defs defs m =
-  if defs = [] then m
-  else
-    FM.filter
-      (fun k _ -> not (List.exists (fun r -> fact_mentions_reg r k) defs))
-      m
-
-let transfer_inst m inst =
-  match inst with
-  | Check (p, b, e, w, _) ->
-      (* facts key on operands only: the site id names the instruction,
-         it is not part of the checked predicate *)
-      let key = FCheck (p, b, e) in
-      let w' = match FM.find_opt key m with Some x -> max x w | None -> w in
-      FM.add key w' m
-  | CheckFptr (p, b, e, h, _) -> FM.add (FFptr (p, b, e, h)) 0 m
-  | _ -> kill_defs (defs_of inst) m
+let transfer kills m = function
+  | Avail (id, w) ->
+      let w' = match IM.find_opt id m with Some x -> max x w | None -> w in
+      IM.add id w' m
+  | Kill defs ->
+      List.fold_left
+        (fun m r -> List.fold_left (fun m id -> IM.remove id m) m kills.(r))
+        m defs
 
 (* Intersection meet: a fact is available with the weakest width any
    predecessor guarantees. *)
 let meet a b =
-  FM.merge
+  IM.merge
     (fun _ x y ->
       match (x, y) with Some x, Some y -> Some (min x y) | _ -> None)
     a b
 
-let check_cse (f : func) : func =
-  let dom = Dom.compute f in
-  let n = Array.length f.fblocks in
-  (* [None] is the optimistic top element (not yet computed); the meet
-     ignores top predecessors, which is what makes back edges converge
-     from above. *)
-  let out = Array.make n None in
-  let in_of b =
-    if b = 0 then Some FM.empty
-    else
-      List.fold_left
-        (fun acc p ->
-          match out.(p) with
-          | None -> acc
-          | Some m -> (
-              match acc with None -> Some m | Some a -> Some (meet a m)))
-        None dom.Dom.preds.(b)
+let check_cse (f : func) (dom : Dom.t) : func =
+  let ids = Hashtbl.create 16 in
+  let kills = Array.make f.fnregs [] in
+  let intern key ops =
+    match Hashtbl.find_opt ids key with
+    | Some id -> id
+    | None ->
+        let id = Hashtbl.length ids in
+        Hashtbl.add ids key id;
+        List.iter (fun r -> kills.(r) <- id :: kills.(r)) (reg_ops ops);
+        id
   in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iter
-      (fun b ->
-        match in_of b with
-        | None -> ()
-        | Some m ->
-            let m' = List.fold_left transfer_inst m f.fblocks.(b).insts in
-            let same =
-              match out.(b) with
-              | Some prev -> FM.equal Int.equal prev m'
-              | None -> false
-            in
-            if not same then begin
-              out.(b) <- Some m';
-              changed := true
-            end)
-      dom.Dom.rpo
-  done;
-  let rewrite b blk =
-    match if Dom.reachable dom b then in_of b else None with
-    | None -> blk
-    | Some m0 ->
-        let _, rev =
-          List.fold_left
-            (fun (m, acc) inst ->
-              match inst with
-              | Check (p, b_, e, w, _) -> (
-                  match FM.find_opt (FCheck (p, b_, e)) m with
-                  | Some w' when w' >= w -> (m, acc)
-                  | _ -> (transfer_inst m inst, inst :: acc))
-              | CheckFptr (p, b_, e, h, _) ->
-                  if FM.mem (FFptr (p, b_, e, h)) m then (m, acc)
-                  else (transfer_inst m inst, inst :: acc)
-              | _ -> (transfer_inst m inst, inst :: acc))
-            (m0, []) blk.insts
-        in
-        { blk with insts = List.rev rev }
+  (* facts key on operands only: the site id names the instruction, it
+     is not part of the checked predicate *)
+  let event_of = function
+    | Check (p, b, e, w, _) -> Avail (intern (FCheck (p, b, e)) [ p; b; e ], w)
+    | CheckFptr (p, b, e, h, _) ->
+        Avail (intern (FFptr (p, b, e, h)) [ p; b; e ], 0)
+    | inst -> Kill (defs_of inst)
   in
-  { f with fblocks = Array.mapi rewrite f.fblocks }
+  let events = Array.map (fun blk -> List.map event_of blk.insts) f.fblocks in
+  if Hashtbl.length ids = 0 then f
+  else
+    let n = Array.length f.fblocks in
+    (* [None] is the optimistic top element (not yet computed); the meet
+       ignores top predecessors, which is what makes back edges converge
+       from above. *)
+    let out = Array.make n None in
+    let in_of b =
+      if b = 0 then Some IM.empty
+      else
+        List.fold_left
+          (fun acc p ->
+            match out.(p) with
+            | None -> acc
+            | Some m -> (
+                match acc with None -> Some m | Some a -> Some (meet a m)))
+          None dom.Dom.preds.(b)
+    in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      Array.iter
+        (fun b ->
+          match in_of b with
+          | None -> ()
+          | Some m ->
+              let m' = List.fold_left (transfer kills) m events.(b) in
+              let same =
+                match out.(b) with
+                | Some prev -> IM.equal Int.equal prev m'
+                | None -> false
+              in
+              if not same then begin
+                out.(b) <- Some m';
+                changed := true
+              end)
+        dom.Dom.rpo
+    done;
+    let rewrite b blk =
+      match if Dom.reachable dom b then in_of b else None with
+      | None -> blk
+      | Some m0 ->
+          let _, rev =
+            List.fold_left2
+              (fun (m, acc) inst ev ->
+                match ev with
+                | Avail (id, w) when
+                    (match IM.find_opt id m with
+                    | Some w' -> w' >= w
+                    | None -> false) ->
+                    (m, acc)
+                | _ -> (transfer kills m ev, inst :: acc))
+              (m0, []) blk.insts events.(b)
+          in
+          { blk with insts = List.rev rev }
+    in
+    { f with fblocks = Array.mapi rewrite f.fblocks }
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let elim_func ~(meta_floor : int) ?(widen = true) (f : func) : func =
-  let f = hoist_loops ~meta_floor f in
-  let f = if widen then widen_loops f else f in
+  let f, cfg = hoist_loops ~meta_floor f (cfg_of f) in
+  let f, cfg = if widen then widen_loops f cfg else (f, cfg) in
   let f = if widen then coalesce_blocks f else f in
   let f = local_metaload_cse f in
-  let f = check_cse f in
-  f
+  check_cse f cfg.dom
 
 (** Static instrumentation census, for tests and reporting. *)
 let count_insts (p : inst -> bool) (f : func) : int =

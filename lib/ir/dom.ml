@@ -56,8 +56,12 @@ let compute (f : func) : t =
   (* Depth-first postorder from the entry; reversed = RPO. *)
   let visited = Array.make n false in
   let post = ref [] in
-  (* Explicit stack: blocks can chain deeply (long straight-line
-     functions lower to many blocks) and we must not overflow. *)
+  (* Recursive: the depth is at most the block count.  OCaml 5 runs
+     OCaml code on stacks that grow on demand up to the runtime's limit
+     (OCAMLRUNPARAM l, 128M words by default), far beyond the blocks of
+     any lowered function, so long straight-line chains cannot overflow.
+     Successors are visited in list order: the resulting RPO positions
+     order the instructions [Elim] hoists into a preheader. *)
   let rec dfs b =
     if not visited.(b) then begin
       visited.(b) <- true;
@@ -157,7 +161,8 @@ let natural_loops (d : t) : loop list =
         let body = Array.make d.nblocks false in
         body.(header) <- true;
         (* Blocks that reach a latch without passing through the header:
-           walk predecessors backwards from each latch. *)
+           walk predecessors backwards from each latch (recursively, like
+           [compute]'s depth-first search). *)
         let rec add b =
           if not body.(b) then begin
             body.(b) <- true;

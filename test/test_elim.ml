@@ -132,6 +132,232 @@ let agrees name src =
                (Interp.State.string_of_outcome y)));
       Alcotest.(check string) "stdout agrees" b.stdout_text a.stdout_text)
 
+(* ---- golden: instrumented-IR digests ---- *)
+(* The pass rewrites IR only where the paper's argument allows it, and
+   any change to how it searches (sweep order, analysis reuse) must
+   leave that IR byte-identical.  One MD5 of [Pretty_ir.dump_module] per
+   program and option set is pinned in golden/elim_ir.digests;
+   regenerate with [make elim-golden] after reviewing an intentional IR
+   change.  The corpus mirrors test/golden/gen_elim_digests.ml. *)
+
+let elim_corpus : (string * Softbound.Config.options * string) list =
+  List.concat_map
+    (fun (w : Workloads.workload) ->
+      [
+        ("kernel:" ^ w.name ^ ":default", on, w.source);
+        ("kernel:" ^ w.name ^ ":store-only", store_on, w.source);
+        ("kernel:" ^ w.name ^ ":no-widen", no_widen, w.source);
+      ])
+    Workloads.all
+  @ List.map
+      (fun (a : Attacks.Wilander.attack) ->
+        (Printf.sprintf "wilander:%02d" a.id, on, a.source))
+      Attacks.Wilander.all
+  @ List.map
+      (fun (p : Attacks.Bugbench.program) ->
+        ("bugbench:" ^ p.name, on, p.source))
+      Attacks.Bugbench.all
+  @ List.init 200 (fun index ->
+        let case = Fuzz.case_of ~seed:1 ~index in
+        ( Printf.sprintf "fuzz:1:%d" index,
+          on,
+          Cminus.Pretty.program_string case.Fuzz.Gen.prog ))
+
+let ir_digest opts src =
+  let m, _ = Softbound.instrument_with_sites ~opts (Softbound.compile src) in
+  Digest.to_hex (Digest.string (Sbir.Pretty_ir.dump_module m))
+
+let golden_digests () =
+  let ic = open_in_bin (Filename.concat "golden" "elim_ir.digests") in
+  let expected =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> In_channel.input_all ic)
+  in
+  let actual =
+    String.concat ""
+      (List.map
+         (fun (label, opts, src) ->
+           Printf.sprintf "%s %s\n" (ir_digest opts src) label)
+         elim_corpus)
+  in
+  Alcotest.(check string) "elim_ir.digests" expected actual
+
+(* ---- deep-nest hoisting ---- *)
+(* Eight nested do-while loops (a do-while body runs on every loop entry,
+   so a check there may leave the loop); the innermost body dereferences
+   [pp] twice.  The check on [pp] itself and the metadata lookup of the
+   pointer it reads are invariant in every loop: the sweep must carry
+   them, one loop at a time, out to the outermost preheader.  The check
+   on [*pp] reads a loaded value and stays in the innermost loop. *)
+let deep_nest =
+  {|int main(void) {
+  int x = 5;
+  int *p = &x;
+  int **pp = &p;
+  int a = 0; int b; int c; int d; int e; int g; int h; int k;
+  int s = 0;
+  do { b = 0; do { c = 0; do { d = 0; do { e = 0; do { g = 0; do {
+    h = 0; do { k = 0; do {
+      s += **pp;
+      k = k + 1; } while (k < 2);
+    h = h + 1; } while (h < 2);
+    g = g + 1; } while (g < 2); e = e + 1; } while (e < 2);
+    d = d + 1; } while (d < 2); c = c + 1; } while (c < 2);
+    b = b + 1; } while (b < 2); a = a + 1; } while (a < 2);
+  printf("%d\n", s);
+  return s % 251;
+}|}
+
+let sb_main opts =
+  let m = Softbound.instrument ~opts (Softbound.compile deep_nest) in
+  Hashtbl.find m.Sbir.Ir.mfuncs (Softbound.Transform.sb_name "main")
+
+(* instrumentation site ids in a block *)
+let block_sites (blk : Sbir.Ir.block) =
+  List.filter_map
+    (function
+      | Sbir.Ir.Check (_, _, _, _, s) -> Some (`Check, s)
+      | Sbir.Ir.MetaLoad (_, _, _, s) -> Some (`MetaLoad, s)
+      | _ -> None)
+    blk.Sbir.Ir.insts
+
+let loops_of f =
+  let dom = Sbir.Dom.compute f in
+  (dom, Sbir.Dom.natural_loops dom)
+
+let deep_nest_hoists () =
+  (* where the instrumentation starts: the innermost loop, elim off *)
+  let f_off = sb_main off in
+  let _, loops_off = loops_of f_off in
+  Alcotest.(check int) "eight loops" 8 (List.length loops_off);
+  let inner = List.hd loops_off in
+  let inner_sites =
+    List.concat
+      (List.filteri (fun b _ -> inner.Sbir.Dom.body.(b))
+         (Array.to_list (Array.map block_sites f_off.Sbir.Ir.fblocks)))
+  in
+  let count kind l = List.length (List.filter (fun (k, _) -> k = kind) l) in
+  Alcotest.(check int) "innermost metadata lookups (elim off)" 1
+    (count `MetaLoad inner_sites);
+  Alcotest.(check int) "innermost checks (elim off)" 2
+    (count `Check inner_sites);
+  (* where it ends: the outermost preheader, elim on *)
+  let f = sb_main on in
+  let dom, loops = loops_of f in
+  Alcotest.(check int) "still eight loops" 8 (List.length loops);
+  let outer = List.nth loops 7 in
+  let in_loop b = List.exists (fun l -> l.Sbir.Dom.body.(b)) loops in
+  let pre =
+    match
+      List.filter
+        (fun p -> not outer.Sbir.Dom.body.(p))
+        dom.Sbir.Dom.preds.(outer.Sbir.Dom.header)
+    with
+    | [ p ] -> p
+    | _ -> Alcotest.fail "outermost loop has no unique preheader"
+  in
+  let where site =
+    let found = ref [] in
+    Array.iteri
+      (fun b blk ->
+        if List.exists (fun (_, s) -> s = site) (block_sites blk) then
+          found := b :: !found)
+      f.Sbir.Ir.fblocks;
+    !found
+  in
+  let hoisted, kept =
+    List.partition (fun (_, s) -> where s = [ pre ]) inner_sites
+  in
+  Alcotest.(check int) "metadata lookup in the outermost preheader" 1
+    (count `MetaLoad hoisted);
+  Alcotest.(check int) "check on pp in the outermost preheader" 1
+    (count `Check hoisted);
+  (match kept with
+  | [ (`Check, s) ] ->
+      Alcotest.(check bool) "check on *pp stays in the innermost loop" true
+        (List.for_all (fun b -> inner.Sbir.Dom.body.(b)) (where s))
+  | _ -> Alcotest.fail "expected exactly the check on *pp to stay");
+  Alcotest.(check bool) "no metadata lookup left in any loop" true
+    (Array.for_all Fun.id
+       (Array.mapi
+          (fun b blk -> (not (in_loop b)) || count `MetaLoad (block_sites blk) = 0)
+          f.Sbir.Ir.fblocks));
+  let a = runs on deep_nest and b = runs off deep_nest in
+  Alcotest.(check string) "outcome agrees"
+    (Interp.State.string_of_outcome b.outcome)
+    (Interp.State.string_of_outcome a.outcome);
+  Alcotest.(check string) "stdout agrees" b.stdout_text a.stdout_text;
+  Alcotest.(check string) "expected stdout" "1280\n" a.stdout_text
+
+(* ---- available-checks CSE: what kills a fact ---- *)
+(* Hand-built functions, so nothing but the rule under test decides.
+   r0 = pointer, r1 = base, r2 = bound, r3 = a spare value. *)
+let cse_func blocks =
+  {
+    Sbir.Ir.fname = "t";
+    fparams = [ (0, Sbir.Ir.P); (1, Sbir.Ir.P); (2, Sbir.Ir.P); (3, Sbir.Ir.P) ];
+    frets = [];
+    fvariadic = false;
+    fva_regs = None;
+    fslots = [||];
+    fframe_size = 0;
+    fblocks = Array.of_list blocks;
+    fnregs = 4;
+  }
+
+let chk site = Sbir.Ir.Check (Reg 0, Reg 1, Reg 2, 4, site)
+
+let checks_after blocks =
+  Softbound.Elim.count_checks
+    (Softbound.Elim.elim_func ~meta_floor:0 (cse_func blocks))
+
+let cse_kills =
+  let open Sbir.Ir in
+  [
+    tc "check CSE: redefining the bound register keeps both checks"
+      (fun () ->
+        Alcotest.(check int) "checks" 2
+          (checks_after
+             [
+               {
+                 insts = [ chk 1; Mov (2, P, Reg 3); chk 2 ];
+                 term = TRet [];
+               };
+             ]));
+    tc "check CSE: a store and a call do not kill a check" (fun () ->
+        Alcotest.(check int) "checks" 1
+          (checks_after
+             [
+               {
+                 insts =
+                   [
+                     chk 1;
+                     Store (I32, Reg 0, ImmI 7);
+                     Call
+                       {
+                         rets = [];
+                         callee = Func "f";
+                         sg = { cargs = []; crets = []; cvariadic = false };
+                         hints = [];
+                         args = [];
+                       };
+                     chk 2;
+                   ];
+                 term = TRet [];
+               };
+             ]));
+    tc "check CSE: a check on one arm does not cover the join" (fun () ->
+        Alcotest.(check int) "checks" 2
+          (checks_after
+             [
+               { insts = []; term = TBr (Reg 3, 1, 2) };
+               { insts = [ chk 1 ]; term = TJmp 3 };
+               { insts = []; term = TJmp 3 };
+               { insts = [ chk 2 ]; term = TRet [] };
+             ]));
+  ]
+
 let suite =
   [
     (* ---------------- the pass actually fires ---------------- *)
@@ -324,3 +550,9 @@ let suite =
            Softbound.detected (runs on src)
            && Softbound.detected (runs off src)));
   ]
+  @ [
+      tc "golden: instrumented IR is byte-identical" golden_digests;
+      tc "deep nest: invariant lookup and check reach the outermost preheader"
+        deep_nest_hoists;
+    ]
+  @ cse_kills
