@@ -241,7 +241,7 @@ let scratch_sz = 96
 let needle_off = 80
 
 let global_value ctx name =
-  match Hashtbl.find_opt ctx.st.St.globals name with
+  match Hashtbl.find_opt ctx.ld.Vm.img.Vm.im_globals name with
   | Some (a, _) -> Mem.read_int ctx.st.St.mem a 8
   | None -> raise (Skip_scenario ("missing protected global " ^ name))
 
@@ -392,9 +392,9 @@ let wrapper ctx name (args : (int * (int * int) option) list) : St.value list =
   Builtins.dispatch ctx.st ~name:("_sb_" ^ name) ~args:(plain @ metas)
 
 let call_protected ctx name (args : St.value list) : St.value list =
-  match Hashtbl.find_opt ctx.ld.Vm.resolved ("_sb_" ^ name) with
-  | Some (Vm.RFunc fe) -> Vm.call_boundary ctx.ld fe args
-  | _ -> raise (Skip_scenario ("protected function missing: _sb_" ^ name))
+  match Vm.find_func ctx.ld.Vm.img ("_sb_" ^ name) with
+  | Some fe -> Vm.call_boundary ctx.ld fe args
+  | None -> raise (Skip_scenario ("protected function missing: _sb_" ^ name))
 
 let show_rets (rets : St.value list) : string =
   String.concat ","

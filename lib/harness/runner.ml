@@ -244,8 +244,8 @@ let compile_workload (w : Workloads.workload) : Ir.modul =
 (* Source text -> compiled module, keyed by content digest.  Returning
    the SAME module value for identical text is what lets every
    physical-identity fast path downstream (the digest memo above, the
-   closure engine's compiled-module cache) hit when the serve daemon
-   sees the same program again, request after request. *)
+   VM's module image) hit when the serve daemon sees the same program
+   again, request after request. *)
 let source_cache_capacity = 64
 let source_compile_count = ref 0
 let source_cache : (string * Ir.modul) list ref = ref []

@@ -311,12 +311,14 @@ let scan_double (s : string) : float * int =
     (float_of_string (String.sub s mstart (!i - mstart)), !i)
   end
 
-(** Names of all builtins (both plain and wrapper forms resolve here). *)
-let table : (string, unit) Hashtbl.t = Hashtbl.create 128
+(** C prototypes of all builtins, keyed by base name (both plain and
+    wrapper forms resolve here).  Built once per process and read-only
+    afterwards, so every VM and domain shares it. *)
+let table : (string, C.fsig) Hashtbl.t = Hashtbl.create 128
 
 let () =
   List.iter
-    (fun (n, _) -> Hashtbl.replace table n ())
+    (fun (n, sg) -> Hashtbl.replace table n sg)
     Cminus.Builtins.functions
 
 let is_builtin_name name =
@@ -397,14 +399,9 @@ let dispatch st ~(name : string) ~(args : value list) : value list =
     | b -> (`Plain, b)
   in
   let sg =
-    match Hashtbl.find_opt st.builtins base_name with
+    match Hashtbl.find_opt table base_name with
     | Some sg -> sg
-    | None -> (
-        (* [st.builtins] is filled at module load; fall back to the
-           prototype list for states created without the loader *)
-        match List.assoc_opt base_name Cminus.Builtins.functions with
-        | Some sg -> sg
-        | None -> raise (Trap (Runtime_error ("unknown builtin " ^ name))))
+    | None -> raise (Trap (Runtime_error ("unknown builtin " ^ name)))
   in
   (* split plain args from metadata args *)
   let n_fixed =

@@ -1,5 +1,5 @@
-(* Threaded-code engine: a load-time compiler from each basic block of
-   the pre-decoded IR to a chain of OCaml closures.
+(* Threaded-code engine: a compiler, run once per module image, from
+   each basic block of the pre-decoded IR to a chain of OCaml closures.
 
    Executing a block is a tail-call chain with no constructor dispatch:
    each closure captures its resolved operands, call-target resolution,
@@ -24,8 +24,8 @@
    metadata cells — is either immutable or race-safe (a metadata cell
    can only produce a verified hit whose replayed accounting is
    identical to a full probe, see {!State.meta_load_cell}).  Artifacts
-   are therefore cached in a module-keyed LRU and shared across runs,
-   configurations, and domains. *)
+   are therefore attached to the module image ({!Vm.image}) and shared
+   across runs, configurations, and domains. *)
 
 module Ir = Sbir.Ir
 open State
@@ -48,10 +48,9 @@ type func_chains = k array array
     frame after every call return costs no hash lookup. *)
 type resume += Chains of func_chains
 
-type compiled = {
-  c_modul : Ir.modul;  (** cache key, compared physically *)
-  c_funcs : (string, func_chains) Hashtbl.t;
-}
+type compiled = { c_funcs : (string, func_chains) Hashtbl.t }
+
+type Vm.attached += Compiled of compiled
 
 (* ------------------------------------------------------------------ *)
 (* Per-step accounting                                                  *)
@@ -155,7 +154,7 @@ let[@inline] fetchf fr sel imm = if sel >= 0 then ureg_float fr sel else imm
 
 (** Compile one instruction at [(blk, idx)] of [f], given the closure
     for the rest of the block. *)
-let compile_inst cld (c_funcs : (string, func_chains) Hashtbl.t) (f : Ir.func)
+let compile_inst img (c_funcs : (string, func_chains) Hashtbl.t) (f : Ir.func)
     ~blk ~idx (next : k) (inst : Ir.inst) : k =
   match inst with
   | Ir.Mov (r, _, Ir.Reg ra) ->
@@ -664,7 +663,7 @@ let compile_inst cld (c_funcs : (string, func_chains) Hashtbl.t) (f : Ir.func)
       match callee with
       | Ir.Func name -> (
           (* direct call: classify the target once, at compile time *)
-          match Vm.resolve cld name with
+          match Vm.resolve img name with
           | Vm.RFunc fe ->
               (* interpreted target: push directly and seed the new
                  frame's chain pointer, so neither the dispatch
@@ -709,7 +708,7 @@ let compile_inst cld (c_funcs : (string, func_chains) Hashtbl.t) (f : Ir.func)
             fr.fr_inst <- nexti;
             let argvals = eval_args fr in
             let v = ic fr in
-            (match Vm.describe_code_value st v with
+            (match Vm.describe_code_value ld v with
             | Some name -> Vm.dispatch_call ld ~name ~argvals ~rets
             | None ->
                 raise
@@ -777,7 +776,7 @@ let compile_term (f : Ir.func) (entries : k array) (term : Ir.terminator) : k =
 
 let dummy_k : k = fun _ _ -> assert false
 
-let compile_func cld c_funcs (fe : Vm.fentry) : func_chains =
+let compile_func img c_funcs (fe : Vm.fentry) : func_chains =
   let f = fe.Vm.fe_func in
   let nblocks = Array.length fe.Vm.fe_code in
   let entries = Array.make nblocks dummy_k in
@@ -786,11 +785,11 @@ let compile_func cld c_funcs (fe : Vm.fentry) : func_chains =
         let insts = fe.Vm.fe_code.(b) in
         let n = Array.length insts in
         let arr = Array.make (n + 1) dummy_k in
-        arr.(n) <- compile_term f entries f.Ir.fblocks.(b).Ir.term;
+        arr.(n) <- compile_term f entries fe.Vm.fe_terms.(b);
         (* fill backward so each closure captures its successor
            directly — the common case never touches an array *)
         for i = n - 1 downto 0 do
-          arr.(i) <- compile_inst cld c_funcs f ~blk:b ~idx:i arr.(i + 1) insts.(i)
+          arr.(i) <- compile_inst img c_funcs f ~blk:b ~idx:i arr.(i + 1) insts.(i)
         done;
         arr)
   in
@@ -836,59 +835,36 @@ let reenter comp (ld : Vm.loaded) (fe : Vm.fentry) (args : value list) :
   st.last_rets
 
 (* ------------------------------------------------------------------ *)
-(* Compile cache                                                        *)
+(* Compiled code on the module image                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* Compiled artifacts are pure with respect to the run (see the header
-   comment), so they are cached per module and shared across runs,
-   schemes, and domains.  Keyed by physical equality of the (immutable)
-   module value — the same key discipline as Runner's transform cache,
-   which this composes with: Runner memoizes the transformed module per
-   (module, opts), and each distinct transformed module compiles once
-   here. *)
+   comment), so each image carries one, compiled on first use and shared
+   by every later run of the module on any scheme or domain. *)
 
-let cache_capacity = 32
-let cache_lock = Mutex.create ()
-let cache : compiled list ref = ref []
+let compile_image (img : Vm.image) : compiled =
+  let c_funcs = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun name r ->
+      match r with
+      | Vm.RFunc fe ->
+          Hashtbl.replace c_funcs name (compile_func img c_funcs fe)
+      | _ -> ())
+    img.Vm.im_resolved;
+  { c_funcs }
 
 let compiled_for (ld : Vm.loaded) : compiled =
-  let m = ld.Vm.st.modul in
-  Mutex.lock cache_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock cache_lock)
-    (fun () ->
-      match List.find_opt (fun c -> c.c_modul == m) !cache with
-      | Some c ->
-          (* move to front *)
-          cache := c :: List.filter (fun c' -> c' != c) !cache;
-          c
-      | None ->
-          let c_funcs = Hashtbl.create 64 in
-          (* snapshot first: compiling resolves callees, which memoizes
-             into [ld.resolved] *)
-          let fes =
-            Hashtbl.fold
-              (fun name r acc ->
-                match r with Vm.RFunc fe -> (name, fe) :: acc | _ -> acc)
-              ld.Vm.resolved []
-          in
-          List.iter
-            (fun (name, fe) ->
-              Hashtbl.replace c_funcs name (compile_func ld c_funcs fe))
-            fes;
-          let c = { c_modul = m; c_funcs } in
-          cache := c :: !cache;
-          (if List.length !cache > cache_capacity then
-             match List.rev !cache with
-             | last :: _ -> cache := List.filter (fun c' -> c' != last) !cache
-             | [] -> ());
-          c)
+  match
+    Vm.attached_code ld.Vm.img (fun () -> Compiled (compile_image ld.Vm.img))
+  with
+  | Compiled c -> c
+  | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(** Attach the compiled code for [ld]'s module (compiling on first
+(** Attach the compiled code for [ld]'s module image (compiling on first
     sight) and install the re-entry hook. *)
 let attach (ld : Vm.loaded) : compiled =
   let comp = compiled_for ld in

@@ -132,6 +132,7 @@ type resume += No_resume
 type frame = {
   fr_func : Ir.func;
   fr_code : Ir.inst array array;  (** per-block instruction arrays *)
+  fr_terms : Ir.terminator array;  (** per-block terminators *)
   (* The register file is stored unboxed: parallel int/float payload
      arrays plus a one-byte-per-register tag ('\001' = the register
      currently holds a float).  Writing an integer result is then two
@@ -324,21 +325,17 @@ let mk_stats () =
     ck_cycles = 0;
   }
 
+(** The state of one run.  Everything derived from the module alone —
+    the code-address table, the global layout, the pre-decoded code —
+    lives in the shared, read-only module image ({!Vm.image}); this
+    record holds only what the run itself can change. *)
 type t = {
   cfg : config;
-  modul : Ir.modul;
   mem : Mem.t;
   heap : Machine.Heap.t;
   cache : Machine.Cache.t;
   stats : stats;
   obs : Obs.t;
-  globals : (string, int * int) Hashtbl.t;  (** name -> (addr, size) *)
-  func_names : string array;  (** index -> name, for code addresses *)
-  func_index : (string, int) Hashtbl.t;
-  builtins : (string, Cminus.Ctypes.fsig) Hashtbl.t;
-      (** C prototypes of the builtins, keyed by base name — built once
-          at load so dispatch and signature hashing never walk the
-          prototype association list *)
   mutable sp : int;
   mutable frames : frame list;
   mutable n_frames : int;
@@ -368,9 +365,10 @@ type t = {
       (** occupied hash-table slots; growth keeps this at most half of
           [ht_entries] so probe chains stay short *)
   mc_site : int array;
-      (** per-site metadata-lookup inline cache, direct-mapped on the
-          site id: the instrumentation site last served by this slot
-          (-1 = empty) ... *)
+      (** per-site metadata-lookup inline cache for the hash facility,
+          direct-mapped on the site id (a power-of-two size, empty under
+          every other facility): the instrumentation site last served by
+          this slot (-1 = empty) ... *)
   mc_addr : int array;  (** ... the pointer address it looked up ... *)
   mc_disp : int array;
       (** ... the probe displacement at which the tag matched ... *)
@@ -382,7 +380,8 @@ type t = {
           the intermediate tags. *)
 }
 
-(** Inline-cache size (power of two); sites hash in by their low bits. *)
+(** Largest inline-cache size (power of two); sites hash in by their low
+    bits. *)
 let mc_size = 1024
 
 (** Register files of up to this many registers are pooled. *)
@@ -534,7 +533,7 @@ let meta_load ?(site = 0) st addr : int * int =
       charge st Cost.hash_lookup;
       let tag = addr + 1 in
       let home = ht_index st addr in
-      let mc = site land (mc_size - 1) in
+      let mc = site land (Array.length st.mc_site - 1) in
       let rec probe i n =
         (* sound cutoff: insertion keeps every live entry within
            [ht_max_probes] of its home slot *)

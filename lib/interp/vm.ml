@@ -15,16 +15,23 @@ module L = Machine.Layout
 module Cost = Machine.Cost
 
 (* ------------------------------------------------------------------ *)
-(* Setup                                                                *)
+(* The module image                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(** A module function, pre-decoded at load: per-block instruction
-    arrays (with [Glob]/[GlobEnd]/[Func] operands resolved to immediate
-    addresses) and the parameter registers as an array. *)
+(** A module function, pre-decoded at image build: per-block instruction
+    arrays and terminators (with [Glob]/[GlobEnd]/[Func] operands
+    resolved to immediate addresses) and the parameter registers as an
+    array.  An instruction or terminator with nothing to resolve is the
+    module's own, physically, so an image keeps no second copy of it. *)
 type fentry = {
-  fe_func : Ir.func;  (** the operand-resolved copy *)
+  fe_func : Ir.func;  (** the module's function itself *)
   fe_code : Ir.inst array array;
+  fe_terms : Ir.terminator array;
   fe_params : Ir.reg array;
+  fe_addr : int;  (** code address *)
+  fe_sig : int;
+      (** signature hash of the (transformed) parameter and return
+          kinds, for the dynamic function-pointer signature check *)
 }
 
 (** What a call target resolves to — computed once per distinct name
@@ -39,14 +46,337 @@ type resolution =
   | RBuiltin of bool
   | RUndefined of bool
 
+(** Engine-specific code hung off an image: the threaded-code engine
+    attaches its compiled chains here.  An extensible variant keeps this
+    module independent of the compiler's types. *)
+type attached = ..
+
+type attached += No_code
+
+(** Everything derived from a module alone, built once per physical
+    module and shared — read-only — by every run and domain that loads
+    it.  Globals are laid out as on fresh memory, so their addresses are
+    the same in every run.  The one field written after construction is
+    [im_code], exactly once, under the image lock. *)
+type image = {
+  im_modul : Ir.modul;  (** cache key, compared physically *)
+  im_func_names : string array;
+      (** code-address index -> name: the module's functions in
+          definition order, then the builtins the module does not
+          define, plain and [_sb_] form *)
+  im_globals : (string, int * int) Hashtbl.t;  (** name -> (addr, size) *)
+  im_globals_size : int;
+      (** bytes of the globals segment in use, alignment included *)
+  im_inits : (int * Ir.gval) array;
+      (** initializer writes in order, at absolute addresses; address
+          initializers are already folded to [GInt (addr, 8)] *)
+  im_resolved : (string, resolution) Hashtbl.t;
+      (** the module's functions and every direct callee; other names
+          are classified on each use, see {!resolve} *)
+  im_mc_size : int;
+      (** entries in a hash-facility run's metadata-lookup inline cache:
+          a power of two above every [MetaLoad] site, at most
+          {!State.mc_size} *)
+  im_code : attached Atomic.t;
+}
+
+(** Classify a call target that is not a module function. *)
+let classify name : resolution =
+  let checked = String.length name > 4 && String.sub name 0 4 = "_sb_" in
+  let base =
+    if checked then String.sub name 4 (String.length name - 4) else name
+  in
+  match base with
+  | "setjmp" -> RSetjmp checked
+  | "longjmp" -> RLongjmp checked
+  | "qsort" -> RQsort checked
+  | "bsearch" -> RBsearch checked
+  | _ ->
+      if Builtins.is_builtin_name name then RBuiltin checked
+      else RUndefined checked
+
+(** Signature hash of a builtin's wrapper (or plain) form, derived from
+    its C prototype; [None] for names that are not builtins. *)
+let builtin_sig_hash (name : string) : int option =
+  let checked = String.length name > 4 && String.sub name 0 4 = "_sb_" in
+  let base =
+    if checked then String.sub name 4 (String.length name - 4) else name
+  in
+  let base =
+    match base with
+    | "free_withmeta" -> "free"
+    | "memcpy_nometa" -> "memcpy"
+    | "memmove_nometa" -> "memmove"
+    | b -> b
+  in
+  match Hashtbl.find_opt Builtins.table base with
+  | None -> None
+  | Some sg ->
+      let dummy = Cminus.Ctypes.create_env () in
+      let ity_of t =
+        match Cminus.Ctypes.resolve dummy t with
+        | Cminus.Ctypes.Tptr _ | Cminus.Ctypes.Tarray _
+        | Cminus.Ctypes.Tfunc _ ->
+            Ir.P
+        | Cminus.Ctypes.Tfloat Cminus.Ctypes.FFloat -> Ir.F32
+        | Cminus.Ctypes.Tfloat Cminus.Ctypes.FDouble -> Ir.F64
+        | _ -> Ir.I64
+      in
+      let cargs = List.map ity_of sg.Cminus.Ctypes.params in
+      let cargs =
+        if sg.Cminus.Ctypes.variadic then cargs @ [ Ir.P; Ir.I64 ] else cargs
+      in
+      let cargs =
+        if checked then
+          cargs
+          @ List.concat_map
+              (fun t -> if t = Ir.P then [ Ir.P; Ir.P ] else [])
+              cargs
+        else cargs
+      in
+      let crets =
+        match Cminus.Ctypes.resolve dummy sg.Cminus.Ctypes.ret with
+        | Cminus.Ctypes.Tvoid -> []
+        | t -> (
+            match ity_of t with
+            | Ir.P when checked -> [ Ir.P; Ir.P; Ir.P ]
+            | t -> [ t ])
+      in
+      Some
+        (Ir.sig_hash { Ir.cargs; crets; cvariadic = sg.Cminus.Ctypes.variadic })
+
+(** Builtins get code addresses too (so &strcmp etc. are callable): every
+    builtin, plain and [_sb_] form.  Their classifications and signature
+    hashes are module-independent, so they are computed once per process
+    and shared read-only. *)
+let builtin_names : string list =
+  List.concat_map (fun (n, _) -> [ n; "_sb_" ^ n ]) Cminus.Builtins.functions
+
+let builtin_resolutions : (string, resolution) Hashtbl.t =
+  let t = Hashtbl.create 256 in
+  List.iter (fun n -> Hashtbl.replace t n (classify n)) builtin_names;
+  t
+
+let builtin_sig_hashes : (string, int option) Hashtbl.t =
+  let t = Hashtbl.create 256 in
+  List.iter (fun n -> Hashtbl.replace t n (builtin_sig_hash n)) builtin_names;
+  t
+
+(* --- pre-decode: resolve name-valued operands to addresses --- *)
+
+(* Globals are laid out (and function indices assigned) before any code
+   is decoded, so [Glob]/[GlobEnd]/[Func] operands can be folded to
+   immediate addresses once per image.  Names that don't resolve are left
+   in place: they keep trapping lazily at evaluation time. *)
+let resolve_operand globals func_index (o : Ir.operand) : Ir.operand =
+  match o with
+  | Ir.Glob g -> (
+      match Hashtbl.find_opt globals g with
+      | Some (a, _) -> Ir.ImmI a
+      | None -> o)
+  | Ir.GlobEnd g -> (
+      match Hashtbl.find_opt globals g with
+      | Some (a, s) -> Ir.ImmI (a + s)
+      | None -> o)
+  | Ir.Func f -> (
+      match Hashtbl.find_opt func_index f with
+      | Some i -> Ir.ImmI (L.func_addr i)
+      | None -> o)
+  | o -> o
+
+(** Resolve the operands of an instruction or terminator with [map],
+    returning [x] itself when none resolves. *)
+let predecode resolve map x =
+  let changed = ref false in
+  let x' =
+    map
+      (fun o ->
+        let o' = resolve o in
+        if o' != o then changed := true;
+        o')
+      x
+  in
+  if !changed then x' else x
+
+let predecode_inst resolve (i : Ir.inst) : Ir.inst =
+  match i with
+  | Ir.Call ({ callee = Ir.Func _; args; _ } as c) ->
+      (* a direct callee keeps its name — calls dispatch by name, not by
+         code address *)
+      let args' = predecode resolve List.map args in
+      if args' == args then i else Ir.Call { c with args = args' }
+  | i -> predecode resolve Ir.map_inst_operands i
+
+let build_image (m : Ir.modul) : image =
+  let n_funcs = List.length m.Ir.mfunc_order in
+  let func_index = Hashtbl.create (2 * (n_funcs + 64)) in
+  List.iteri (fun i n -> Hashtbl.replace func_index n i) m.Ir.mfunc_order;
+  let builtins =
+    List.filter (fun n -> not (Hashtbl.mem func_index n)) builtin_names
+  in
+  let func_names = Array.of_list (m.Ir.mfunc_order @ builtins) in
+  Array.iteri (fun i n -> Hashtbl.replace func_index n i) func_names;
+  (* lay out globals: addresses first, then initializers, which may
+     reference other globals' addresses *)
+  let globals = Hashtbl.create 16 in
+  let brk =
+    List.fold_left
+      (fun brk (g : Ir.global) ->
+        let a = Mem.align_up brk (max 1 g.Ir.galign) in
+        Hashtbl.replace globals g.Ir.gname (a, g.Ir.gsize);
+        a + g.Ir.gsize)
+      L.globals_base m.Ir.mglobals
+  in
+  let inits =
+    List.concat_map
+      (fun (g : Ir.global) ->
+        let base, _ = Hashtbl.find globals g.Ir.gname in
+        List.filter_map
+          (fun (off, v) ->
+            match v with
+            | Ir.GInt _ | Ir.GF32 _ | Ir.GF64 _ -> Some (base + off, v)
+            | Ir.GAddr (name, o) ->
+                let a, _ = Hashtbl.find globals name in
+                Some (base + off, Ir.GInt (a + o, 8))
+            | Ir.GFuncAddr name -> (
+                match Hashtbl.find_opt func_index name with
+                | Some i -> Some (base + off, Ir.GInt (L.func_addr i, 8))
+                | None -> None))
+          g.Ir.ginit)
+      m.Ir.mglobals
+  in
+  let resolved = Hashtbl.create (2 * n_funcs) in
+  let resolve = resolve_operand globals func_index in
+  Ir.iter_funcs m (fun f ->
+      let fe =
+        {
+          fe_func = f;
+          fe_code =
+            Array.map
+              (fun (b : Ir.block) ->
+                Array.of_list (List.map (predecode_inst resolve) b.Ir.insts))
+              f.Ir.fblocks;
+          fe_terms =
+            Array.map
+              (fun (b : Ir.block) ->
+                predecode resolve Ir.map_term_operands b.Ir.term)
+              f.Ir.fblocks;
+          fe_params = Array.of_list (List.map fst f.Ir.fparams);
+          fe_addr = L.func_addr (Hashtbl.find func_index f.Ir.fname);
+          fe_sig =
+            Ir.sig_hash
+              {
+                Ir.cargs = List.map snd f.Ir.fparams;
+                crets = f.Ir.frets;
+                cvariadic = f.Ir.fvariadic;
+              };
+        }
+      in
+      Hashtbl.replace resolved f.Ir.fname (RFunc fe));
+  (* classify the direct callees that are not module functions, and find
+     the largest [MetaLoad] site *)
+  let max_site = ref 0 in
+  Ir.iter_funcs m (fun f ->
+      Array.iter
+        (fun (b : Ir.block) ->
+          List.iter
+            (function
+              | Ir.Call { callee = Ir.Func n; _ }
+                when not (Hashtbl.mem resolved n) ->
+                  Hashtbl.replace resolved n (classify n)
+              | Ir.MetaLoad (_, _, _, site) -> max_site := max !max_site site
+              | _ -> ())
+            b.Ir.insts)
+        f.Ir.fblocks);
+  let rec pow2 n = if n > !max_site || n >= mc_size then n else pow2 (2 * n) in
+  {
+    im_modul = m;
+    im_func_names = func_names;
+    im_globals = globals;
+    im_globals_size = brk - L.globals_base;
+    im_inits = Array.of_list inits;
+    im_resolved = resolved;
+    im_mc_size = pow2 1;
+    im_code = Atomic.make No_code;
+  }
+
+(* The image cache: the one per-module cache of the VM.  Keyed by
+   physical equality of the (immutable) module value — the same key
+   discipline as Runner's transform cache, which this composes with:
+   Runner memoizes the transformed module per (module, options), and
+   each distinct transformed module gets one image here.  Images are
+   built under the lock, so a module racing into several domains is
+   built exactly once and [images_built] counts the same work a
+   sequential run does. *)
+
+let image_capacity = 32
+let image_lock = Mutex.create ()
+let images : image list ref = ref []
+let image_count = ref 0
+
+let with_image_lock f =
+  Mutex.lock image_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock image_lock) f
+
+(** Number of module images built so far in this process. *)
+let images_built () = with_image_lock (fun () -> !image_count)
+
+(** The image of [m], built on first sight.  Most recently used first;
+    past {!image_capacity} images the least recently used is dropped. *)
+let image_of (m : Ir.modul) : image =
+  with_image_lock (fun () ->
+      match !images with
+      | img :: _ when img.im_modul == m -> img
+      | cached -> (
+          match List.find_opt (fun img -> img.im_modul == m) cached with
+          | Some img ->
+              images := img :: List.filter (fun i -> i != img) cached;
+              img
+          | None ->
+              let img = build_image m in
+              incr image_count;
+              images := img :: List.filteri (fun i _ -> i < image_capacity - 1) cached;
+              img))
+
+(** The engine code attached to [img], building and attaching it with
+    [build] on first request.  The build runs under the image lock, so
+    it happens once per image however many domains ask. *)
+let attached_code (img : image) (build : unit -> attached) : attached =
+  match Atomic.get img.im_code with
+  | No_code ->
+      with_image_lock (fun () ->
+          match Atomic.get img.im_code with
+          | No_code ->
+              let c = build () in
+              Atomic.set img.im_code c;
+              c
+          | c -> c)
+  | c -> c
+
+(** A module function of the image, if [name] is one. *)
+let find_func (img : image) (name : string) : fentry option =
+  match Hashtbl.find_opt img.im_resolved name with
+  | Some (RFunc fe) -> Some fe
+  | _ -> None
+
+(** Resolve a call target.  Read-only: module functions, direct callees
+    and builtins are looked up; any other name (an indirect call to an
+    undefined function) is classified afresh. *)
+let resolve (img : image) (name : string) : resolution =
+  match Hashtbl.find_opt img.im_resolved name with
+  | Some r -> r
+  | None -> (
+      match Hashtbl.find_opt builtin_resolutions name with
+      | Some r -> r
+      | None -> classify name)
+
+(* ------------------------------------------------------------------ *)
+(* Loading                                                              *)
+(* ------------------------------------------------------------------ *)
+
 type loaded = {
-  st : t;
-  code : (string, Ir.inst array array) Hashtbl.t;
-  resolved : (string, resolution) Hashtbl.t;
-      (** module functions are installed at load; other names (builtins,
-          wrappers, undefined) are classified on first call *)
-  sig_hashes : (string, int option) Hashtbl.t;
-      (** memoized {!callee_sig_hash} results *)
+  st : t;  (** the run's own state *)
+  img : image;  (** the shared module image *)
   mutable reenter : (loaded -> fentry -> value list -> value list) option;
       (** engine hook for re-entrant builtin-to-interpreted calls (qsort
           comparators): the active engine installs its own
@@ -55,203 +385,94 @@ type loaded = {
           decoding engine's {!call_function}. *)
 }
 
-let build_code (f : Ir.func) : Ir.inst array array =
-  Array.map (fun (b : Ir.block) -> Array.of_list b.Ir.insts) f.Ir.fblocks
-
-(* --- pre-decode: resolve name-valued operands to addresses --- *)
-
-(* Globals are laid out (and function indices assigned) before any code
-   runs, so [Glob]/[GlobEnd]/[Func] operands can be folded to immediate
-   addresses at load.  Names that don't resolve are left in place: they
-   keep trapping lazily at evaluation time, exactly as before. *)
-let resolve_operand st (o : Ir.operand) : Ir.operand =
-  match o with
-  | Ir.Glob g -> (
-      match Hashtbl.find_opt st.globals g with
-      | Some (a, _) -> Ir.ImmI a
-      | None -> o)
-  | Ir.GlobEnd g -> (
-      match Hashtbl.find_opt st.globals g with
-      | Some (a, s) -> Ir.ImmI (a + s)
-      | None -> o)
-  | Ir.Func f -> (
-      match Hashtbl.find_opt st.func_index f with
-      | Some i -> Ir.ImmI (L.func_addr i)
-      | None -> o)
-  | o -> o
-
-let predecode_inst st (i : Ir.inst) : Ir.inst =
-  match i with
-  | Ir.Call ({ callee; args; _ } as c) ->
-      (* a direct callee keeps its name — calls dispatch by name, not by
-         code address *)
-      let callee =
-        match callee with Ir.Func _ as f -> f | op -> resolve_operand st op
-      in
-      Ir.Call { c with callee; args = List.map (resolve_operand st) args }
-  | i -> Ir.map_inst_operands (resolve_operand st) i
-
-let predecode_term st (t : Ir.terminator) : Ir.terminator =
-  match t with
-  | Ir.TRet ops -> Ir.TRet (List.map (resolve_operand st) ops)
-  | Ir.TBr (c, t1, t2) -> Ir.TBr (resolve_operand st c, t1, t2)
-  | Ir.TSwitch (v, cases, d) -> Ir.TSwitch (resolve_operand st v, cases, d)
-  | (Ir.TJmp _ | Ir.TUnreachable) as t -> t
-
-let predecode_func st (f : Ir.func) : Ir.func =
-  {
-    f with
-    Ir.fblocks =
-      Array.map
-        (fun (b : Ir.block) ->
-          {
-            Ir.insts = List.map (predecode_inst st) b.Ir.insts;
-            Ir.term = predecode_term st b.Ir.term;
-          })
-        f.Ir.fblocks;
-  }
-
+(** Load a module for one run: look up (or build) its image, then
+    allocate only the state the run can touch — fresh memory holding the
+    initialized globals, heap, cache simulator, counters and output. *)
 let create ?(cfg = default_config) (m : Ir.modul) : loaded =
+  let img = image_of m in
   let mem = Mem.create () in
-  let heap = Machine.Heap.create mem in
-  let cache = Machine.Cache.create () in
-  let func_names = Array.of_list m.Ir.mfunc_order in
-  let func_index = Hashtbl.create 64 in
-  Array.iteri (fun i n -> Hashtbl.replace func_index n i) func_names;
-  (* builtins get code addresses too (so &strcmp etc. are callable);
-     append them after the defined functions *)
-  let builtin_names =
-    List.concat_map
-      (fun (n, _) -> [ n; "_sb_" ^ n ])
-      Cminus.Builtins.functions
-    |> List.filter (fun n -> not (Hashtbl.mem func_index n))
-  in
-  let func_names = Array.append func_names (Array.of_list builtin_names) in
-  Array.iteri (fun i n -> Hashtbl.replace func_index n i) func_names;
+  (* the image laid the globals out from the segment base: claim the
+     same extent, then write the initializers *)
+  ignore (Mem.alloc_global mem ~size:img.im_globals_size ~align:1);
+  Array.iter
+    (fun (a, v) ->
+      match v with
+      | Ir.GInt (x, w) -> Mem.write_int mem a w x
+      | Ir.GF32 f -> Mem.write_f32 mem a f
+      | Ir.GF64 f -> Mem.write_f64 mem a f
+      | Ir.GAddr _ | Ir.GFuncAddr _ -> assert false)
+    img.im_inits;
   (* round the requested initial hash-table capacity up to a power of
      two (the probe index masks with [ht_entries - 1]) *)
   let ht_entries0 =
     let rec up n = if n >= max 64 cfg.ht_entries_init then n else up (n * 2) in
     up 64
   in
+  let mc = if cfg.meta = Some Hash_table then img.im_mc_size else 0 in
   let st =
     {
       cfg;
-      modul = m;
       mem;
-      heap;
-      cache;
+      heap = Machine.Heap.create mem;
+      cache = Machine.Cache.create ();
       stats = mk_stats ();
       obs =
         Obs.create ~enabled:cfg.obs_enabled
           ~trace_depth:(if cfg.obs_enabled then cfg.trace_depth else 0) ();
-      globals = Hashtbl.create 64;
-      func_names;
-      func_index;
-      builtins = Hashtbl.create 64;
       sp = L.stack_top;
       frames = [];
       n_frames = 0;
       next_uid = 1;
       steps = 0;
-      out = Buffer.create 4096;
+      out = Buffer.create 256;
       inputs = cfg.inputs;
       rand_state = 42;
       last_rets = [];
-      jmp_bufs = Hashtbl.create 8;
+      jmp_bufs = Hashtbl.create 1;
       reg_pool = Array.make reg_pool_buckets [];
       ht_entries = ht_entries0;
       ht_live = 0;
-      mc_site = Array.make mc_size (-1);
-      mc_addr = Array.make mc_size 0;
-      mc_disp = Array.make mc_size 0;
-      mc_gen = Array.make mc_size 0;
+      mc_site = Array.make mc (-1);
+      mc_addr = Array.make mc 0;
+      mc_disp = Array.make mc 0;
+      mc_gen = Array.make mc 0;
     }
   in
-  (* lay out globals: two passes (addresses first, then initializers,
-     which may reference other globals' addresses) *)
-  List.iter
-    (fun (g : Ir.global) ->
-      let addr = Mem.alloc_global mem ~size:g.Ir.gsize ~align:(max 1 g.Ir.galign) in
-      Hashtbl.replace st.globals g.Ir.gname (addr, g.Ir.gsize))
-    m.Ir.mglobals;
-  List.iter
-    (fun (g : Ir.global) ->
-      let base, _ = Hashtbl.find st.globals g.Ir.gname in
-      List.iter
-        (fun (off, v) ->
-          match v with
-          | Ir.GInt (x, w) -> Mem.write_int mem (base + off) w x
-          | Ir.GF32 f -> Mem.write_f32 mem (base + off) f
-          | Ir.GF64 f -> Mem.write_f64 mem (base + off) f
-          | Ir.GAddr (name, o) ->
-              let a, _ = Hashtbl.find st.globals name in
-              Mem.write_int mem (base + off) 8 (a + o)
-          | Ir.GFuncAddr name -> (
-              match Hashtbl.find_opt st.func_index name with
-              | Some i -> Mem.write_int mem (base + off) 8 (L.func_addr i)
-              | None -> ()))
-        g.Ir.ginit)
-    m.Ir.mglobals;
   (* checker sees the globals as objects *)
-  List.iter
-    (fun (g : Ir.global) ->
-      let base, size = Hashtbl.find st.globals g.Ir.gname in
-      checker_event st (Ev_alloc { base; size; kind = AGlobal }))
-    m.Ir.mglobals;
-  List.iter
-    (fun (n, sg) -> Hashtbl.replace st.builtins n sg)
-    Cminus.Builtins.functions;
-  (* pre-decode every function now that globals and function indices are
-     fixed *)
-  let code = Hashtbl.create 64 in
-  let resolved = Hashtbl.create 64 in
-  Ir.iter_funcs m (fun f ->
-      let pf = predecode_func st f in
-      let fe =
-        {
-          fe_func = pf;
-          fe_code = build_code pf;
-          fe_params = Array.of_list (List.map fst pf.Ir.fparams);
-        }
-      in
-      Hashtbl.replace code f.Ir.fname fe.fe_code;
-      Hashtbl.replace resolved f.Ir.fname (RFunc fe));
-  { st; code; resolved; sig_hashes = Hashtbl.create 64; reenter = None }
+  if Option.is_some cfg.checker then
+    List.iter
+      (fun (g : Ir.global) ->
+        let base, size = Hashtbl.find img.im_globals g.Ir.gname in
+        checker_event st (Ev_alloc { base; size; kind = AGlobal }))
+      m.Ir.mglobals;
+  { st; img; reenter = None }
 
 (* ------------------------------------------------------------------ *)
 (* Operand evaluation                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let global_addr st name =
-  match Hashtbl.find_opt st.globals name with
-  | Some (a, _) -> a
-  | None -> raise (Trap (Runtime_error ("unknown global " ^ name)))
-
-let global_end st name =
-  match Hashtbl.find_opt st.globals name with
-  | Some (a, s) -> a + s
-  | None -> raise (Trap (Runtime_error ("unknown global " ^ name)))
-
-let func_addr_of st name =
-  match Hashtbl.find_opt st.func_index name with
-  | Some i -> L.func_addr i
+let func_addr_of ld name =
+  match find_func ld.img name with
+  | Some fe -> fe.fe_addr
   | None -> raise (Trap (Runtime_error ("unknown function " ^ name)))
 
-let eval st fr (o : Ir.operand) : value =
+(* Pre-decode resolved every known [Glob]/[GlobEnd]/[Func] operand to an
+   [ImmI]; a surviving name is unknown in this module and traps here, at
+   evaluation time. *)
+let eval fr (o : Ir.operand) : value =
   match o with
   | Ir.Reg r -> reg_value fr r
   | Ir.ImmI n -> VI n
   | Ir.ImmF f -> VF f
-  | Ir.Glob g -> VI (global_addr st g)
-  | Ir.GlobEnd g -> VI (global_end st g)
-  | Ir.Func f -> VI (func_addr_of st f)
+  | Ir.Glob g | Ir.GlobEnd g ->
+      raise (Trap (Runtime_error ("unknown global " ^ g)))
+  | Ir.Func f -> raise (Trap (Runtime_error ("unknown function " ^ f)))
 
-let eval_int st fr o =
+let eval_int fr o =
   match o with
   | Ir.Reg r -> reg_int fr r
   | Ir.ImmI n -> n
-  | o -> as_int (eval st fr o)
+  | o -> as_int (eval fr o)
 
 (* ------------------------------------------------------------------ *)
 (* ALU                                                                  *)
@@ -546,6 +767,7 @@ let push_frame ld (fe : fentry) (args : value list) (ret_regs : Ir.reg list) =
     {
       fr_func = f;
       fr_code = fe.fe_code;
+      fr_terms = fe.fe_terms;
       fr_iregs = iregs;
       fr_fregs = fregs;
       fr_isf = isf;
@@ -572,12 +794,11 @@ let push_frame ld (fe : fentry) (args : value list) (ret_regs : Ir.reg list) =
           (Ev_alloc { base = slot_addr fr sl; size = sl.Ir.sl_size; kind = AStack }))
       f.Ir.fslots
 
-let describe_code_value st v =
+let describe_code_value ld v =
   if L.is_function_addr v then begin
+    let names = ld.img.im_func_names in
     let idx = L.func_index v in
-    if idx >= 0 && idx < Array.length st.func_names then
-      Some st.func_names.(idx)
-    else None
+    if idx >= 0 && idx < Array.length names then Some names.(idx) else None
   end
   else None
 
@@ -594,7 +815,7 @@ let pop_frame ld (rets : value list) : unit =
       cache_access st (fr.fr_fp - 8);
       cache_access st (fr.fr_fp - 16);
       if token <> fr.fr_expected_token then begin
-        match describe_code_value st token with
+        match describe_code_value ld token with
         | Some f ->
             raise
               (Trap
@@ -673,7 +894,7 @@ let exec_setjmp ld ~checked (args : value list) (ret_regs : Ir.reg list) =
      instruction after this setjmp call *)
   Hashtbl.replace st.jmp_bufs uid (fr, fr.fr_block, fr.fr_inst, ret_reg);
   let token = jmp_token_magic + uid in
-  let pc = func_addr_of st fr.fr_func.Ir.fname in
+  let pc = func_addr_of ld fr.fr_func.Ir.fname in
   program_write st buf 8;
   Mem.write_int st.mem buf 8 token;
   program_write st (buf + 8) 8;
@@ -699,7 +920,7 @@ let exec_longjmp ld ~checked (args : value list) =
   program_read st (buf + 8) 8;
   let pc = Mem.read_int st.mem (buf + 8) 8 in
   let hijack_diagnosis () =
-    match (describe_code_value st pc, describe_code_value st token) with
+    match (describe_code_value ld pc, describe_code_value ld token) with
     | Some f, _ | _, Some f ->
         raise
           (Trap
@@ -715,7 +936,7 @@ let exec_longjmp ld ~checked (args : value list) =
   | None -> hijack_diagnosis ()
   | Some (target, blk, inst, ret_reg) ->
       (* the stored pc must still denote the frame's own function *)
-      if pc <> func_addr_of st target.fr_func.Ir.fname then hijack_diagnosis ();
+      if pc <> func_addr_of ld target.fr_func.Ir.fname then hijack_diagnosis ();
       (* the target frame must still be live *)
       if not (List.exists (fun f -> f.fr_uid = target.fr_uid) st.frames) then
         hijack_diagnosis ();
@@ -814,7 +1035,7 @@ let exec_sortsearch ld ~checked ~is_bsearch (argvals : value list)
                 size = 0; where = "qsort/bsearch (function pointer check)" }))
   end;
   let cmp_name =
-    match describe_code_value st cmp with
+    match describe_code_value ld cmp with
     | Some name -> name
     | None ->
         raise
@@ -824,11 +1045,7 @@ let exec_sortsearch ld ~checked ~is_bsearch (argvals : value list)
   (* resolve the comparator once; _sb_-convention targets (transformed
      module functions and wrapper builtins alike) receive per-element
      bounds after the two element pointers *)
-  let cmp_func =
-    match Hashtbl.find_opt ld.resolved cmp_name with
-    | Some (RFunc fe) -> Some fe
-    | _ -> None
-  in
+  let cmp_func = find_func ld.img cmp_name in
   let wants_meta =
     match cmp_func with
     | Some fe -> Array.length fe.fe_params = 6
@@ -943,13 +1160,12 @@ let exec_sortsearch ld ~checked ~is_bsearch (argvals : value list)
   end
 
 let rec exec_call ld (fr : frame) ~rets ~callee ~args : unit =
-  let st = ld.st in
-  let argvals = List.map (eval st fr) args in
+  let argvals = List.map (eval fr) args in
   match callee with
   | Ir.Func name -> dispatch_call ld ~name ~argvals ~rets
   | op -> (
-      let v = eval_int st fr op in
-      match describe_code_value st v with
+      let v = eval_int fr op in
+      match describe_code_value ld v with
       | Some name -> dispatch_call ld ~name ~argvals ~rets
       | None ->
           raise
@@ -958,31 +1174,8 @@ let rec exec_call ld (fr : frame) ~rets ~callee ~args : unit =
                   (Printf.sprintf "indirect call to non-function address 0x%x"
                      v))))
 
-and resolve ld name : resolution =
-  match Hashtbl.find_opt ld.resolved name with
-  | Some r -> r
-  | None ->
-      (* module functions were installed at load, so this name is a
-         builtin, a special, or undefined; classify once and memoize *)
-      let checked = String.length name > 4 && String.sub name 0 4 = "_sb_" in
-      let base =
-        if checked then String.sub name 4 (String.length name - 4) else name
-      in
-      let r =
-        match base with
-        | "setjmp" -> RSetjmp checked
-        | "longjmp" -> RLongjmp checked
-        | "qsort" -> RQsort checked
-        | "bsearch" -> RBsearch checked
-        | _ ->
-            if Builtins.is_builtin_name name then RBuiltin checked
-            else RUndefined checked
-      in
-      Hashtbl.replace ld.resolved name r;
-      r
-
 and dispatch_call ld ~name ~argvals ~rets : unit =
-  dispatch_resolved ld ~name ~argvals ~rets (resolve ld name)
+  dispatch_resolved ld ~name ~argvals ~rets (resolve ld.img name)
 
 (** Dispatch a call whose target classification is already in hand — the
     threaded-code compiler resolves direct callees once at compile time
@@ -1042,75 +1235,12 @@ and dispatch_resolved ld ~name ~argvals ~rets (r : resolution) : unit =
     signature check.  Module functions hash their (transformed) parameter
     and return kinds; builtin wrappers hash the extended wrapper
     signature derived from the C prototype. *)
-let callee_sig_hash_uncached ld (name : string) : int option =
-  let st = ld.st in
-  match Hashtbl.find_opt ld.resolved name with
-  | Some (RFunc fe) ->
-      let f = fe.fe_func in
-      Some
-        (Ir.sig_hash
-           {
-             Ir.cargs = List.map snd f.Ir.fparams;
-             crets = f.Ir.frets;
-             cvariadic = f.Ir.fvariadic;
-           })
-  | _ ->
-      let checked = String.length name > 4 && String.sub name 0 4 = "_sb_" in
-      let base =
-        if checked then String.sub name 4 (String.length name - 4) else name
-      in
-      let base =
-        match base with
-        | "free_withmeta" -> "free"
-        | "memcpy_nometa" -> "memcpy"
-        | "memmove_nometa" -> "memmove"
-        | b -> b
-      in
-      (match Hashtbl.find_opt st.builtins base with
-      | None -> None
-      | Some sg ->
-          let dummy = Cminus.Ctypes.create_env () in
-          let ity_of t =
-            match Cminus.Ctypes.resolve dummy t with
-            | Cminus.Ctypes.Tptr _ | Cminus.Ctypes.Tarray _
-            | Cminus.Ctypes.Tfunc _ ->
-                Ir.P
-            | Cminus.Ctypes.Tfloat Cminus.Ctypes.FFloat -> Ir.F32
-            | Cminus.Ctypes.Tfloat Cminus.Ctypes.FDouble -> Ir.F64
-            | _ -> Ir.I64
-          in
-          let cargs = List.map ity_of sg.Cminus.Ctypes.params in
-          let cargs =
-            if sg.Cminus.Ctypes.variadic then cargs @ [ Ir.P; Ir.I64 ]
-            else cargs
-          in
-          let cargs =
-            if checked then
-              cargs
-              @ List.concat_map
-                  (fun t -> if t = Ir.P then [ Ir.P; Ir.P ] else [])
-                  cargs
-            else cargs
-          in
-          let crets =
-            match Cminus.Ctypes.resolve dummy sg.Cminus.Ctypes.ret with
-            | Cminus.Ctypes.Tvoid -> []
-            | t -> (
-                match ity_of t with
-                | Ir.P when checked -> [ Ir.P; Ir.P; Ir.P ]
-                | t -> [ t ])
-          in
-          Some
-            (Ir.sig_hash
-               { Ir.cargs; crets; cvariadic = sg.Cminus.Ctypes.variadic }))
-
 let callee_sig_hash ld (name : string) : int option =
-  match Hashtbl.find_opt ld.sig_hashes name with
-  | Some h -> h
+  match find_func ld.img name with
+  | Some fe -> Some fe.fe_sig
   | None ->
-      let h = callee_sig_hash_uncached ld name in
-      Hashtbl.replace ld.sig_hashes name h;
-      h
+      (* code addresses only name module functions and builtins *)
+      Option.join (Hashtbl.find_opt builtin_sig_hashes name)
 
 (** The [CheckFptr] dynamic check after operand evaluation, shared by
     both engines: function-pointer encoding check plus the optional
@@ -1127,7 +1257,7 @@ let check_fptr ld ~fname ~site ~expected_sig ~cy0 pv bv ev : unit =
       | None -> None
       | Some h -> (
           charge st Cost.check;
-          match describe_code_value st pv with
+          match describe_code_value ld pv with
           | Some name -> (
               match callee_sig_hash ld name with
               | Some h' when h' <> h -> Some name
@@ -1172,19 +1302,19 @@ let exec_inst ld (fr : frame) (inst : Ir.inst) : unit =
   match inst with
   | Ir.Mov (r, _, o) ->
       charge st Cost.basic;
-      reg_set fr r (eval st fr o)
+      reg_set fr r (eval fr o)
   | Ir.Bin (r, op, t, a, b) ->
-      reg_set fr r (exec_bin st op t (eval st fr a) (eval st fr b))
+      reg_set fr r (exec_bin st op t (eval fr a) (eval fr b))
   | Ir.Cmp (r, op, t, a, b) ->
-      reg_set fr r (exec_cmp st op t (eval st fr a) (eval st fr b))
+      reg_set fr r (exec_cmp st op t (eval fr a) (eval fr b))
   | Ir.Cast (r, to_, from_, o) ->
-      reg_set fr r (exec_cast st to_ from_ (eval st fr o))
-  | Ir.Load (r, t, a) -> reg_set fr r (do_load st t (eval_int st fr a))
-  | Ir.Store (t, a, v) -> do_store st t (eval_int st fr a) (eval st fr v)
+      reg_set fr r (exec_cast st to_ from_ (eval fr o))
+  | Ir.Load (r, t, a) -> reg_set fr r (do_load st t (eval_int fr a))
+  | Ir.Store (t, a, v) -> do_store st t (eval_int fr a) (eval fr v)
   | Ir.Gep (r, base, off, _) ->
       charge st Cost.basic;
-      let b = eval_int st fr base in
-      let d = b + eval_int st fr off in
+      let b = eval_int fr base in
+      let d = b + eval_int fr off in
       (match st.cfg.checker with
       | Some _ -> checker_event st (Ev_ptr_arith { src = b; dst = d })
       | None -> ());
@@ -1198,38 +1328,38 @@ let exec_inst ld (fr : frame) (inst : Ir.inst) : unit =
       exec_call ld fr ~rets ~callee ~args
   | Ir.SetBoundMark _ -> ()
   | Ir.Check (p, b, e, size, site) ->
-      sb_check st ~site ~where:fr.fr_func.Ir.fname ~ptr:(eval_int st fr p)
-        ~base:(eval_int st fr b) ~bound:(eval_int st fr e) ~size
+      sb_check st ~site ~where:fr.fr_func.Ir.fname ~ptr:(eval_int fr p)
+        ~base:(eval_int fr b) ~bound:(eval_int fr e) ~size
   | Ir.CheckFptr (p, b, e, expected_sig, site) ->
       st.stats.checks <- st.stats.checks + 1;
       let cy0 = st.stats.cycles in
       charge st Cost.check;
-      let pv = eval_int st fr p in
-      let bv = eval_int st fr b in
-      let ev = eval_int st fr e in
+      let pv = eval_int fr p in
+      let bv = eval_int fr b in
+      let ev = eval_int fr e in
       check_fptr ld ~fname:fr.fr_func.Ir.fname ~site ~expected_sig ~cy0 pv bv
         ev
   | Ir.MetaLoad (rb, re, a, site) ->
-      let b, e = meta_load st ~site (eval_int st fr a) in
+      let b, e = meta_load st ~site (eval_int fr a) in
       reg_set_int fr rb b;
       reg_set_int fr re e
   | Ir.MetaStore (a, b, e, site) ->
-      meta_store st ~site (eval_int st fr a) (eval_int st fr b)
-        (eval_int st fr e)
+      meta_store st ~site (eval_int fr a) (eval_int fr b)
+        (eval_int fr e)
   | Ir.CheckSpan sp ->
       sb_check_span st ~site:sp.Ir.sp_site ~sites:sp.Ir.sp_sites
         ~where:fr.fr_func.Ir.fname
-        ~first:(eval_int st fr sp.Ir.sp_first)
-        ~count:(eval_int st fr sp.Ir.sp_count)
+        ~first:(eval_int fr sp.Ir.sp_first)
+        ~count:(eval_int fr sp.Ir.sp_count)
         ~stride:sp.Ir.sp_stride ~width:sp.Ir.sp_width
-        ~base:(eval_int st fr sp.Ir.sp_base)
-        ~bound:(eval_int st fr sp.Ir.sp_bound)
+        ~base:(eval_int fr sp.Ir.sp_base)
+        ~bound:(eval_int fr sp.Ir.sp_bound)
 
 let exec_term ld (fr : frame) (term : Ir.terminator) : unit =
   let st = ld.st in
   match term with
   | Ir.TRet ops ->
-      let vals = List.map (eval st fr) ops in
+      let vals = List.map (eval fr) ops in
       pop_frame ld vals
   | Ir.TJmp t ->
       charge st Cost.basic;
@@ -1237,11 +1367,11 @@ let exec_term ld (fr : frame) (term : Ir.terminator) : unit =
       fr.fr_inst <- 0
   | Ir.TBr (c, t1, t2) ->
       charge st Cost.basic;
-      fr.fr_block <- (if eval_int st fr c <> 0 then t1 else t2);
+      fr.fr_block <- (if eval_int fr c <> 0 then t1 else t2);
       fr.fr_inst <- 0
   | Ir.TSwitch (v, cases, default) ->
       charge st (Cost.basic * 2);
-      let x = eval_int st fr v in
+      let x = eval_int fr v in
       (* monomorphic scan — [List.assoc_opt] is a polymorphic-compare C
          call per executed case *)
       let rec find = function
@@ -1274,7 +1404,7 @@ let step_once ld : bool =
         fr.fr_inst <- fr.fr_inst + 1;
         exec_inst ld fr i
       end
-      else exec_term ld fr fr.fr_func.Ir.fblocks.(fr.fr_block).Ir.term;
+      else exec_term ld fr fr.fr_terms.(fr.fr_block);
       true
 
 (** Main execution loop.  Equivalent to [while step_once ld do () done]
@@ -1313,8 +1443,7 @@ let run_until_done ld : int =
             end
             else begin
               straight := false;
-              exec_term ld fr
-                (Array.unsafe_get fr.fr_func.Ir.fblocks fr.fr_block).Ir.term
+              exec_term ld fr (Array.unsafe_get fr.fr_terms fr.fr_block)
             end
           done
     done;
@@ -1420,16 +1549,12 @@ let finish ld outcome : result =
 let run_main ?(exec = run_until_done) ld : outcome =
   try
     (* transformed modules carry a synthetic global-metadata initializer *)
-    (match Hashtbl.find_opt ld.resolved "__sb_global_init" with
-    | Some (RFunc fe) ->
+    (match find_func ld.img "__sb_global_init" with
+    | Some fe ->
         push_frame ld fe [] [];
         ignore (exec ld)
     | _ -> ());
-    let module_func name =
-      match Hashtbl.find_opt ld.resolved name with
-      | Some (RFunc fe) -> Some fe
-      | _ -> None
-    in
+    let module_func = find_func ld.img in
     let main =
       match module_func "_sb_main" with
       | Some fe -> fe

@@ -72,13 +72,6 @@ let create ?(cfg = default_config) () =
     misses = 0;
   }
 
-let reset c =
-  Array.fill c.tags 0 (Array.length c.tags) (-1);
-  Array.fill c.stamps 0 (Array.length c.stamps) 0;
-  c.clock <- 0;
-  c.hits <- 0;
-  c.misses <- 0
-
 (** Access one address; returns the cycle penalty (0 on hit).
     This is the hottest function in the whole simulator (it runs for
     every simulated memory access, metadata probe and control-data

@@ -25,8 +25,6 @@ val create : ?cfg:config -> unit -> t
     non-power-of-two geometries would silently mis-map addresses to
     lines. *)
 
-val reset : t -> unit
-
 val access : t -> int -> int
 (** Access one address; returns the cycle penalty (0 on a hit). *)
 

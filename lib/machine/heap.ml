@@ -46,21 +46,13 @@ let min_split = 16
 let create mem =
   {
     mem;
-    blocks = Hashtbl.create 256;
+    blocks = Hashtbl.create 16;
     free_list = [];
     live_bytes = 0;
     peak_bytes = 0;
     total_allocs = 0;
     grabbed_bytes = 0;
   }
-
-let reset h =
-  Hashtbl.reset h.blocks;
-  h.free_list <- [];
-  h.live_bytes <- 0;
-  h.peak_bytes <- 0;
-  h.total_allocs <- 0;
-  h.grabbed_bytes <- 0
 
 let round_cap size = Memory.align_up (max size 1) 16
 

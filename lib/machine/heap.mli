@@ -32,7 +32,6 @@ val gap : int
 (** Guard gap between blocks, in bytes. *)
 
 val create : Memory.t -> t
-val reset : t -> unit
 
 val malloc : t -> int -> int option
 (** Allocate; returns the payload address, or [None] when the simulated

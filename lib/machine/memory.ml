@@ -83,11 +83,6 @@ let sr_make ~base ~limit ~down =
     sr_resident = 0;
   }
 
-let sr_reset r =
-  r.sr_data <- Bytes.create 0;
-  r.sr_pages <- Bytes.create 0;
-  r.sr_resident <- 0
-
 type t = {
   pages : (int, Bytes.t) Hashtbl.t;
   tlb_tag : int array;  (** page index + 1; 0 = empty slot *)
@@ -100,7 +95,9 @@ type t = {
 
 let create () =
   {
-    pages = Hashtbl.create 1024;
+    (* starts small: a short run touches a handful of pages, and the
+       table grows with the ones a long run materializes *)
+    pages = Hashtbl.create 16;
     tlb_tag = Array.make tlb_size 0;
     tlb_page = Array.make tlb_size no_page;
     sregions =
@@ -113,15 +110,6 @@ let create () =
     heap_brk = Layout.heap_base;
     stack_low = Layout.stack_top;
   }
-
-let reset m =
-  Hashtbl.reset m.pages;
-  Array.fill m.tlb_tag 0 tlb_size 0;
-  Array.fill m.tlb_page 0 tlb_size no_page;
-  Array.iter sr_reset m.sregions;
-  m.globals_brk <- Layout.globals_base;
-  m.heap_brk <- Layout.heap_base;
-  m.stack_low <- Layout.stack_top
 
 (** Number of materialized pages — the simulated resident set.  Flat
     shadow regions count the pages the paged path would have

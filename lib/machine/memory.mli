@@ -21,7 +21,6 @@ val page_size : int
 type t
 
 val create : unit -> t
-val reset : t -> unit
 
 val resident_pages : t -> int
 (** Number of materialized pages — the simulated resident set. *)

@@ -86,6 +86,120 @@ let regressions =
 
 let fuzz_corpus_size = 200
 
+(* ------------------------------------------------------------------ *)
+(* Module images: load once, run many                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Every observable of a run, plus the fields [fingerprint] leaves out:
+   the whole statistics record and the heap allocation count. *)
+let full_fingerprint (r : Vm.result) =
+  (fingerprint r, r.Vm.stats, r.Vm.heap_allocs)
+
+(* writes its globals (scalars, an array, a string, a pointer
+   initializer), calls builtins through function pointers, and churns
+   the heap *)
+let globals_fptr_source =
+  "long total;\n\
+   long table[4] = {1, 2, 3, 4};\n\
+   char msg[8] = \"hello\";\n\
+   long *cursor = &table[1];\n\
+   int main(void) {\n\
+  \  long (*len)(char *) = strlen;\n\
+  \  int (*up)(int) = toupper;\n\
+  \  long i; long *p;\n\
+  \  for (i = 0; i < 4; i = i + 1) {\n\
+  \    table[i] = table[i] * 10 + len(msg); total += table[i];\n\
+  \    p = malloc(8 * (i + 1)); p[i] = total; total += p[i] % 7; free(p); }\n\
+  \  *cursor = total;\n\
+  \  msg[0] = up(msg[0]);\n\
+  \  printf(\"%s %ld %ld\\n\", msg, total, table[1]);\n\
+  \  return (int)(total % 100);\n\
+   }"
+
+let image_sources =
+  Array.to_list Harness.Exp_serve.run_sources @ [ globals_fptr_source ]
+
+let protected_cfg engine fac =
+  { St.default_config with St.engine; meta = Some fac }
+
+let facilities = [ ("shadow", St.Shadow_space); ("hash", St.Hash_table) ]
+let engines = [ ("closure", St.Eng_closure); ("decode", St.Eng_decode) ]
+
+let test_image_reuse () =
+  List.iteri
+    (fun pi src ->
+      let m = Softbound.instrument (Softbound.compile src) in
+      List.iter
+        (fun (fname, fac) ->
+          List.iter
+            (fun (ename, engine) ->
+              let cfg = protected_cfg engine fac in
+              let first = full_fingerprint (Interp.Engine.run ~cfg m) in
+              for k = 2 to 3 do
+                if full_fingerprint (Interp.Engine.run ~cfg m) <> first then
+                  Alcotest.failf "program %d, %s/%s: run %d differs from run 1"
+                    pi fname ename k
+              done)
+            engines)
+        facilities;
+      (* the transform does not depend on the facility, so shadow and
+         hash runs share this module's image: a hash run after the
+         shadow runs above must match one on a freshly compiled module *)
+      let fresh = Softbound.instrument (Softbound.compile src) in
+      let cfg = protected_cfg St.Eng_closure St.Hash_table in
+      if
+        full_fingerprint (Interp.Engine.run ~cfg m)
+        <> full_fingerprint (Interp.Engine.run ~cfg fresh)
+      then Alcotest.failf "program %d: hash run on a reused image differs" pi)
+    image_sources
+
+let test_image_shared_across_domains () =
+  let m = Softbound.instrument (Softbound.compile globals_fptr_source) in
+  let built = Vm.images_built () in
+  let per_domain =
+    Parutil.parmap ~jobs:4
+      (fun d ->
+        (* alternate engines across domains: both must agree anyway *)
+        let engine = if d mod 2 = 0 then St.Eng_closure else St.Eng_decode in
+        let cfg = protected_cfg engine St.Hash_table in
+        List.init 50 (fun _ -> full_fingerprint (Interp.Engine.run ~cfg m)))
+      [ 0; 1; 2; 3 ]
+  in
+  Alcotest.(check int) "image built once" (built + 1) (Vm.images_built ());
+  let first = List.hd (List.hd per_domain) in
+  List.iteri
+    (fun d runs ->
+      List.iteri
+        (fun k r ->
+          if r <> first then
+            Alcotest.failf "domain %d, run %d differs from the first run" d k)
+        runs)
+    per_domain
+
+(* Loading a module again allocates only the run's own state.  The word
+   count is deterministic, so this guards the budget where timings are
+   too noisy to.  A collection inside the measured window distorts
+   [Gc.allocated_bytes], so the least of three loads counts. *)
+let test_create_allocation_budget () =
+  let m = Softbound.instrument (Softbound.compile globals_fptr_source) in
+  List.iter
+    (fun (fname, fac) ->
+      let cfg = protected_cfg St.Eng_closure fac in
+      ignore (Vm.create ~cfg m);
+      let load_words () =
+        Gc.minor ();
+        let a0 = Gc.allocated_bytes () in
+        let ld = Vm.create ~cfg m in
+        let words = int_of_float ((Gc.allocated_bytes () -. a0) /. 8.0) in
+        ignore (Sys.opaque_identity ld);
+        words
+      in
+      let words = min (load_words ()) (min (load_words ()) (load_words ())) in
+      if words > 2_000 then
+        Alcotest.failf "%s: second Vm.create allocated %d words (budget 2000)"
+          fname words)
+    facilities
+
 let suite =
   [
     Alcotest.test_case "regressions: decode = closure (unprotected + full)"
@@ -113,4 +227,11 @@ let suite =
           check_same (label ^ " [unprot]") m;
           check_same (label ^ " [full]") ~opts:Softbound.Config.default m
         done);
+    Alcotest.test_case
+      "image reuse: 3 runs of one module agree, shadow/hash x closure/decode"
+      `Quick test_image_reuse;
+    Alcotest.test_case "image reuse: 4 domains share one image" `Quick
+      test_image_shared_across_domains;
+    Alcotest.test_case "image reuse: second Vm.create within 2000 words"
+      `Quick test_create_allocation_budget;
   ]

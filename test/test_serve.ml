@@ -326,6 +326,7 @@ let test_serve_shares_transform_cache () =
   let _, _ = serve_lines [ run_job src ] in
   let compiles = Harness.Runner.source_compiles_performed () in
   let transforms = Harness.Runner.transforms_performed () in
+  let images = Interp.Vm.images_built () in
   let st, rows = serve_lines [ run_job src; run_job src; run_job src ] in
   checki "all completed" 3 st.Serve.completed;
   List.iter
@@ -334,7 +335,9 @@ let test_serve_shares_transform_cache () =
   checki "no new source compiles across requests" compiles
     (Harness.Runner.source_compiles_performed ());
   checki "no new transforms across requests" transforms
-    (Harness.Runner.transforms_performed ())
+    (Harness.Runner.transforms_performed ());
+  checki "no new module images across requests" images
+    (Interp.Vm.images_built ())
 
 let suite =
   [
