@@ -26,10 +26,10 @@ bench:
 experiments:
 	dune exec $(RELEASE) bin/experiments.exe -- all
 
-# schema validation of the committed machine-readable artifacts
-# (BENCH_elim.json, BENCH_breakdown.json, BENCH_vmspeed.json): parses
-# each file and checks the keys downstream tooling depends on,
-# including both engines' rows and speedup summaries in vmspeed
+# schema validation of the six committed BENCH_*.json artifacts: each
+# file against the shape its experiment declares (keys, row arrays,
+# pinned cells), plus every cell two artifacts share (elim vs breakdown
+# vs schemes), so a stale sibling artifact fails
 bench-check:
 	dune exec bin/experiments.exe -- bench-check
 
@@ -39,32 +39,11 @@ fuzz-smoke:
 	dune exec bin/softbound_cli.exe -- fuzz --seed 1 --count 200
 	dune exec bin/softbound_cli.exe -- fuzz --seed 20260805 --count 100
 
-# engine-throughput artifact at tiny sizes: checks the JSON schema and
-# that everything except the host-timing fields is deterministic
-# run-to-run.  The second run fans out over 2 domains, so it also
-# proves the parallel driver emits byte-identical simulated numbers.
-# The committed full-size BENCH_vmspeed.json is preserved.
+# engine-throughput artifact at tiny sizes, run at --jobs 1 and --jobs 2
+# in fresh processes: both runs must match the artifact's declaration
+# and agree on everything except its declared host-timing fields
 vmspeed-smoke:
-	@cp -f BENCH_vmspeed.json /tmp/vmspeed.keep 2>/dev/null || true
-	dune exec bin/experiments.exe -- vmspeed --quick > /dev/null
-	@cp BENCH_vmspeed.json /tmp/vmspeed1.json
-	dune exec bin/experiments.exe -- vmspeed --quick --jobs 2 > /dev/null
-	@cp BENCH_vmspeed.json /tmp/vmspeed2.json
-	@if [ -f /tmp/vmspeed.keep ]; then mv /tmp/vmspeed.keep BENCH_vmspeed.json; \
-	  else rm -f BENCH_vmspeed.json; fi
-	grep -q '"experiment": "vmspeed"' /tmp/vmspeed1.json
-	grep -q '"baseline"' /tmp/vmspeed1.json
-	grep -q '"sim_cycles"' /tmp/vmspeed1.json
-	grep -q '"cycles_per_host_sec"' /tmp/vmspeed1.json
-	grep -q '"speedup_vs_baseline"' /tmp/vmspeed1.json
-	grep -q '"engine": "closure"' /tmp/vmspeed1.json
-	grep -q '"engine": "decode"' /tmp/vmspeed1.json
-	@grep -vE 'host_seconds|cycles_per_host_sec|speedup' /tmp/vmspeed1.json \
-	  > /tmp/vmspeed1.stable
-	@grep -vE 'host_seconds|cycles_per_host_sec|speedup' /tmp/vmspeed2.json \
-	  > /tmp/vmspeed2.stable
-	diff /tmp/vmspeed1.stable /tmp/vmspeed2.stable
-	@echo "vmspeed-smoke: deterministic modulo host timing"
+	dune exec bin/experiments.exe -- determinism vmspeed
 
 # adversarial robust-safety pass: fixed seed, a couple hundred
 # attacker/protected pairs plus the committed regression seeds (the
@@ -112,47 +91,22 @@ serve-smoke:
 	@echo "serve-smoke: protocol stable, jobs-independent modulo timing"
 
 # the N-scheme matrix end to end: the schemes experiment at quick sizes
-# under --jobs 1 and --jobs 2 (the artifact is purely simulated, so the
-# two runs must be byte-identical), schema spot checks including the
-# completeness-gap cells, and a bounded N-scheme differential-oracle
-# campaign — every scheme lock-step against the unprotected run, any
-# unexplained divergence fails.  The committed full-size
-# BENCH_schemes.json is preserved.
+# must match its declaration (including the completeness-gap cells) and
+# be identical at --jobs 1 and --jobs 2, and a bounded N-scheme
+# differential-oracle campaign — every scheme lock-step against the
+# unprotected run — must find no unexplained divergence
 schemes-smoke:
-	@cp -f BENCH_schemes.json /tmp/schemes.keep 2>/dev/null || true
-	dune exec bin/experiments.exe -- schemes --quick > /dev/null
-	@cp BENCH_schemes.json /tmp/schemes1.json
-	dune exec bin/experiments.exe -- schemes --quick --jobs 2 > /dev/null
-	@cp BENCH_schemes.json /tmp/schemes2.json
-	@if [ -f /tmp/schemes.keep ]; then mv /tmp/schemes.keep BENCH_schemes.json; \
-	  else rm -f BENCH_schemes.json; fi
-	diff /tmp/schemes1.json /tmp/schemes2.json
-	grep -q '"experiment": "schemes"' /tmp/schemes1.json
-	grep -q '"attack": "sub-object-overflow"' /tmp/schemes1.json
-	grep -q '"softbound-full-shadow": true' /tmp/schemes1.json
-	grep -q '"cguard": false' /tmp/schemes1.json
-	grep -q '"l4-pointer"' /tmp/schemes1.json
+	dune exec bin/experiments.exe -- determinism schemes
 	dune exec bin/softbound_cli.exe -- fuzz --schemes --seed 1 --count 200
 	@echo "schemes-smoke: matrix deterministic, oracle clean"
 
-# check-widening smoke: the elim ablation at quick sizes must emit the
-# widening columns, and the artifact must be byte-identical at --jobs 1
-# and --jobs 2 (its numbers are purely simulated).  A fixed affine-loop
-# program profiled through the real binary must report widened spans
-# (checks_widened > 0) and identical simulated output with widening on
-# and off.  The committed full-size BENCH_elim.json is preserved.
+# check-widening smoke: the elim ablation at quick sizes must match its
+# declaration (widening columns included) and be identical at --jobs 1
+# and --jobs 2.  A fixed affine-loop program profiled through the real
+# binary must report widened spans (checks_widened > 0) and identical
+# simulated output with widening on and off.
 elim-smoke:
-	@cp -f BENCH_elim.json /tmp/elim.keep 2>/dev/null || true
-	dune exec bin/experiments.exe -- elim --quick > /dev/null
-	@cp BENCH_elim.json /tmp/elim1.json
-	dune exec bin/experiments.exe -- elim --quick --jobs 2 > /dev/null
-	@cp BENCH_elim.json /tmp/elim2.json
-	@if [ -f /tmp/elim.keep ]; then mv /tmp/elim.keep BENCH_elim.json; \
-	  else rm -f BENCH_elim.json; fi
-	diff /tmp/elim1.json /tmp/elim2.json
-	grep -q '"checks_widened"' /tmp/elim1.json
-	grep -q '"overhead_no_widen"' /tmp/elim1.json
-	grep -q '"host_cpus"' /tmp/elim1.json
+	dune exec bin/experiments.exe -- determinism elim
 	@printf '%s\n' \
 	  'int main(void) { int a[64]; int i; int s = 0;' \
 	  'for (i = 0; i < 64; i = i + 1) a[i] = i;' \

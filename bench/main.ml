@@ -169,25 +169,22 @@ let print_artifacts () =
      record tracking the perf trajectory from PR to PR *)
   let elim_rows = Harness.Exp_elim.run () in
   print_endline (Harness.Exp_elim.render elim_rows);
-  let oc = open_out "BENCH_elim.json" in
-  output_string oc (Harness.Exp_elim.to_json elim_rows);
-  close_out oc;
+  Harness.Artifact.write_file "BENCH_elim.json"
+    (Harness.Exp_elim.to_json elim_rows);
   print_endline "wrote BENCH_elim.json";
   (* per-site overhead attribution (check vs metadata vs wrapper vs
      residual), the observability layer's headline artifact *)
   let bd_rows = Harness.Exp_breakdown.run () in
   print_endline (Harness.Exp_breakdown.render bd_rows);
-  let oc = open_out "BENCH_breakdown.json" in
-  output_string oc (Harness.Exp_breakdown.to_json bd_rows);
-  close_out oc;
+  Harness.Artifact.write_file "BENCH_breakdown.json"
+    (Harness.Exp_breakdown.to_json bd_rows);
   print_endline "wrote BENCH_breakdown.json";
   (* engine throughput vs the recorded pre-fast-path baseline; iters=2
      matches the committed artifact's convention *)
   let vs_rows = Harness.Exp_vmspeed.run ~iters:2 () in
   print_endline (Harness.Exp_vmspeed.render vs_rows);
-  let oc = open_out "BENCH_vmspeed.json" in
-  output_string oc (Harness.Exp_vmspeed.to_json ~quick:false ~iters:2 vs_rows);
-  close_out oc;
+  Harness.Artifact.write_file "BENCH_vmspeed.json"
+    (Harness.Exp_vmspeed.to_json ~quick:false ~iters:2 vs_rows);
   print_endline "wrote BENCH_vmspeed.json"
 
 let () =

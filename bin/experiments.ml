@@ -1,121 +1,123 @@
 (* Regenerate any of the paper's tables/figures by id.
 
    Usage:
-     experiments table1|table3|table4|fig1|fig2|mscc|memory|ablations|all
-       [--quick]  run workloads at reduced sizes *)
+     experiments <id>... [--quick] [--jobs N] [--iters N] [--out FILE]
+     experiments determinism <artifact id>...
+
+   A full-size run of an experiment with a committed artifact rewrites
+   BENCH_<id>.json; a --quick run writes its artifact only to --out.
+   [determinism <id>] runs [<id> --quick] at --jobs 1 and --jobs 2, each
+   in a fresh process, and compares the two artifacts without their
+   declared host-timing fields. *)
+
+open Harness
 
 let usage () =
   prerr_endline
     "usage: experiments \
      <table1|table3|table4|fig1|fig2|mscc|memory|sweep|ablations|elim|\
      breakdown|vmspeed|serve|adversarial|schemes|bench-check|all> \
-     [--quick] [--jobs N] [--iters N]";
+     [--quick] [--jobs N] [--iters N] [--out FILE]\n\
+    \       experiments determinism <artifact>";
   exit 2
+
+let determinism name =
+  let a = match Bench_check.find name with Some (a, _) -> a | None -> usage () in
+  let run ~jobs =
+    let tmp = Filename.temp_file name ".json" in
+    Fun.protect ~finally:(fun () -> Sys.remove tmp) (fun () ->
+        let cmd =
+          Printf.sprintf "%s %s --quick --jobs %d --out %s > /dev/null"
+            (Filename.quote Sys.executable_name) name jobs (Filename.quote tmp)
+        in
+        if Sys.command cmd <> 0 then failwith (cmd ^ " failed");
+        Json.parse (Artifact.read_file tmp))
+  in
+  match Bench_check.determinism a ~run with
+  | Ok report -> print_endline report
+  | Error report -> prerr_endline report; exit 1
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let quick = List.mem "--quick" args in
-  (* --jobs N / --iters N: parallel width of the experiment driver and
-     timed iterations of the vmspeed rows *)
+  (* --jobs N / --iters N / --out FILE: parallel width of the experiment
+     driver, timed iterations of the vmspeed rows, artifact path *)
+  let rec opt name = function
+    | flag :: v :: _ when flag = name -> Some v
+    | _ :: rest -> opt name rest
+    | [] -> None
+  in
   let int_opt name default =
-    let rec go = function
-      | flag :: v :: _ when flag = name -> (
-          match int_of_string_opt v with Some n -> n | None -> usage ())
-      | _ :: rest -> go rest
-      | [] -> default
-    in
-    go args
+    match opt name args with
+    | None -> default
+    | Some v -> ( match int_of_string_opt v with Some n -> n | None -> usage ())
   in
   let jobs = int_opt "--jobs" 1 in
   let iters = int_opt "--iters" 1 in
+  let out = opt "--out" args in
   let targets =
     let rec strip = function
-      | ("--jobs" | "--iters") :: _ :: rest -> strip rest
+      | ("--jobs" | "--iters" | "--out") :: _ :: rest -> strip rest
       | "--quick" :: rest -> strip rest
       | a :: rest -> a :: strip rest
       | [] -> []
     in
     strip args
   in
-  let targets = if targets = [] then usage () else targets in
   let targets =
-    if List.mem "all" targets then
-      [ "table1"; "table3"; "table4"; "fig1"; "fig2"; "mscc"; "memory";
-        "sweep"; "ablations"; "elim"; "breakdown"; "vmspeed"; "serve";
-        "adversarial"; "schemes" ]
-    else targets
+    match targets with
+    | [] | [ "determinism" ] -> usage ()
+    | "determinism" :: names -> List.iter determinism names; exit 0
+    | ts when List.mem "all" ts ->
+        [ "table1"; "table3"; "table4"; "fig1"; "fig2"; "mscc"; "memory";
+          "sweep"; "ablations"; "elim"; "breakdown"; "vmspeed"; "serve";
+          "adversarial"; "schemes" ]
+    | ts -> ts
   in
+  (* --out names the artifact of exactly one artifact experiment *)
+  if out <> None && List.length (List.filter_map Bench_check.find targets) <> 1
+  then usage ();
   List.iter
     (fun t ->
       let out =
-        match t with
-        | "table1" -> Harness.Exp_table1.(render (run ()))
-        | "table3" -> Harness.Exp_table3.(render (run ()))
-        | "table4" -> Harness.Exp_table4.(render (run ()))
-        | "fig1" -> Harness.Exp_fig1.(render (run ~quick ()))
-        | "fig2" -> Harness.Exp_fig2.(render (run ~quick ()))
-        | "mscc" -> Harness.Exp_mscc.(render (run ~quick ()))
-        | "memory" ->
-            let rows = Harness.Exp_memory.run ~quick () in
-            let oc = open_out "BENCH_memory.json" in
-            output_string oc (Harness.Exp_memory.to_json rows);
-            close_out oc;
-            Harness.Exp_memory.render rows
-        | "sweep" -> Harness.Exp_sweep.(render (run ()))
-        | "ablations" -> Harness.Exp_ablation.render ()
-        | "elim" ->
-            (* also refresh the machine-readable per-kernel record *)
-            let rows = Harness.Exp_elim.run ~quick ~jobs () in
-            let oc = open_out "BENCH_elim.json" in
-            output_string oc (Harness.Exp_elim.to_json rows);
-            close_out oc;
-            Harness.Exp_elim.render rows
-        | "breakdown" ->
-            let rows = Harness.Exp_breakdown.run ~quick ~jobs () in
-            let oc = open_out "BENCH_breakdown.json" in
-            output_string oc (Harness.Exp_breakdown.to_json rows);
-            close_out oc;
-            Harness.Exp_breakdown.render rows
-        | "schemes" ->
-            let matrix = Harness.Exp_schemes.run ~quick ~jobs () in
-            let oc = open_out "BENCH_schemes.json" in
-            output_string oc (Harness.Exp_schemes.to_json matrix);
-            close_out oc;
-            Harness.Exp_schemes.render matrix
-        | "vmspeed" ->
-            let rows = Harness.Exp_vmspeed.run ~quick ~iters ~jobs () in
-            let oc = open_out "BENCH_vmspeed.json" in
-            output_string oc (Harness.Exp_vmspeed.to_json ~quick ~iters rows);
-            close_out oc;
-            Harness.Exp_vmspeed.render rows
-        | "serve" ->
-            (* sustained-load service benchmark; --quick shrinks the
-               stream from 10k to 600 jobs *)
-            let total = if quick then Some 600 else None in
-            let rows = Harness.Exp_serve.run ~quick ?total () in
-            let oc = open_out "BENCH_serve.json" in
-            output_string oc (Harness.Exp_serve.to_json ?total rows);
-            close_out oc;
-            Harness.Exp_serve.render ?total rows
-        | "bench-check" ->
-            (* validate the committed BENCH_*.json artifacts *)
-            let report, ok = Harness.Bench_check.run () in
-            if not ok then begin
-              prerr_endline report;
-              exit 1
-            end;
-            report
-        | "adversarial" ->
-            let t = Harness.Exp_adversarial.run ~quick ~jobs () in
-            if not (Harness.Exp_adversarial.ok t) then begin
-              print_endline (Harness.Exp_adversarial.render t);
-              prerr_endline "adversarial: robust safety violated";
-              exit 1
-            end;
-            Harness.Exp_adversarial.render t
-        | other ->
-            Printf.eprintf "unknown experiment %s\n" other;
-            exit 2
+        match Bench_check.find t with
+        | Some (a, run) ->
+            let json, table = run ~quick ~jobs ~iters in
+            (match out with
+            | Some path -> Artifact.write_file path json
+            | None when not quick ->
+                Artifact.write_file (Artifact.file a) json
+            | None -> ());
+            table
+        | None -> (
+            match t with
+            | "table1" -> Exp_table1.(render (run ()))
+            | "table3" -> Exp_table3.(render (run ()))
+            | "table4" -> Exp_table4.(render (run ()))
+            | "fig1" -> Exp_fig1.(render (run ~quick ()))
+            | "fig2" -> Exp_fig2.(render (run ~quick ()))
+            | "mscc" -> Exp_mscc.(render (run ~quick ()))
+            | "sweep" -> Exp_sweep.(render (run ()))
+            | "ablations" -> Exp_ablation.render ()
+            | "bench-check" ->
+                (* validate the committed BENCH_*.json artifacts *)
+                let report, ok = Bench_check.run () in
+                if not ok then begin
+                  prerr_endline report;
+                  exit 1
+                end;
+                report
+            | "adversarial" ->
+                let t = Exp_adversarial.run ~quick ~jobs () in
+                if not (Exp_adversarial.ok t) then begin
+                  print_endline (Exp_adversarial.render t);
+                  prerr_endline "adversarial: robust safety violated";
+                  exit 1
+                end;
+                Exp_adversarial.render t
+            | other ->
+                Printf.eprintf "unknown experiment %s\n" other;
+                exit 2)
       in
       print_endline out;
       print_newline ())

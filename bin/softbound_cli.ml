@@ -382,7 +382,7 @@ let profile_cmd =
           { Interp.State.default_config with trace_depth = trace; engine }
         in
         let p = Harness.Profile.profile ~label ~opts ~cfg ~argv m in
-        if json then print_string (Harness.Profile.to_json p)
+        if json then print_string Harness.(Json.pretty (Profile.to_json p))
         else begin
           print_string (Harness.Profile.render ~top p);
           match p.Harness.Profile.result.Interp.Vm.outcome with

@@ -1,376 +1,204 @@
 (* Validator for the committed machine-readable benchmark artifacts.
 
-   The BENCH_*.json files are hand-emitted, so nothing guarantees they
-   stay well-formed as the emitters evolve.  [run] parses each file
-   with the shared {!Json} reader and checks the schema the downstream
-   tooling relies on: the experiment tag, the presence of the per-row
-   record arrays, the aggregate (geomean) fields, and — for the
-   VM-throughput artifact — that both execution engines are recorded
-   along with the baseline block and the speedup summary.  The serve
-   artifact additionally pins the width matrix (jobs/sec and latency
-   percentiles per domain count).  `make bench-check` (part of `make
-   verify`) fails on any violation. *)
+   Every BENCH_*.json is built as a {!Json.t} by its experiment and
+   declared once next to that emitter ({!Artifact.t}: tag, required
+   keys, row arrays, pinned cells, host-timing fields).  [run] parses
+   each committed file, checks it against its declaration, and then
+   checks the cells that two artifacts share — so a change that moves
+   one artifact's simulated numbers cannot leave a sibling stale.
+   `make bench-check` (part of `make verify`) fails on any violation.
 
-open Json
+   [experiments] is the one list of artifact experiments: each
+   declaration with the run that produces it, read by the validator and
+   by the `experiments` CLI alike.
 
-let parse = Json.parse
-let field = Json.field
+   [determinism] reads the same declarations: it validates two runs of
+   one experiment, drops the declared host-timing fields, and reports
+   the first path where the trees differ. *)
 
-let errs : string list ref = ref []
-let bad file msg = errs := Printf.sprintf "%s: %s" file msg :: !errs
-
-let require file obj k =
-  match field obj k with
-  | Some v -> Some v
-  | None -> bad file (Printf.sprintf "missing key %S" k); None
-
-let require_rows file obj k =
-  match require file obj k with
-  | Some (List (_ :: _ as rows)) -> Some rows
-  | Some (List []) -> bad file (Printf.sprintf "%S is empty" k); None
-  | Some _ -> bad file (Printf.sprintf "%S is not an array" k); None
-  | None -> None
-
-let require_num file obj k =
-  match require file obj k with
-  | Some (Num _) -> ()
-  | Some _ -> bad file (Printf.sprintf "%S is not a number" k)
-  | None -> ()
-
-let experiment_tag file obj expected =
-  match require file obj "experiment" with
-  | Some (Str s) when s = expected -> ()
-  | Some (Str s) ->
-      bad file (Printf.sprintf "experiment is %S, wanted %S" s expected)
-  | Some _ -> bad file "experiment is not a string"
-  | None -> ()
-
-(* every row of a record array must carry the listed numeric fields *)
-let rows_have file rows keys =
-  List.iteri
-    (fun i row ->
-      List.iter
-        (fun k ->
-          match field row k with
-          | Some (Num _) -> ()
-          | Some _ ->
-              bad file (Printf.sprintf "row %d: %S is not a number" i k)
-          | None -> bad file (Printf.sprintf "row %d: missing %S" i k))
-        keys)
-    rows
-
-let keys_num file ctx g keys =
-  List.iter
-    (fun k ->
-      match field g k with
-      | Some (Num _) -> ()
-      | _ -> bad file (Printf.sprintf "%s.%s missing" ctx k))
-    keys
-
-let on_off file ctx g = keys_num file ctx g [ "on"; "off" ]
-
-let check_elim file obj =
-  experiment_tag file obj "elim-ablation";
-  (match require file obj "geomean_overhead" with
-  | Some geo ->
-      List.iter
-        (fun grp ->
-          match field geo grp with
-          | Some g ->
-              keys_num file
-                ("geomean_overhead." ^ grp)
-                g
-                [ "on"; "no_widen"; "off" ]
-          | None -> bad file ("geomean_overhead missing " ^ grp))
-        [ "shadow_full"; "hash_full"; "shadow_store"; "hash_store" ]
-  | None -> ());
-  match require_rows file obj "kernels" with
-  | Some rows ->
-      rows_have file rows
-        [ "base_cycles"; "checks_widened"; "checks_coalesced" ];
-      List.iteri
-        (fun i row ->
-          (match field row "checks" with
-          | Some g ->
-              keys_num file
-                (Printf.sprintf "row %d: checks" i)
-                g
-                [ "on"; "no_widen"; "off" ]
-          | None -> bad file (Printf.sprintf "row %d: missing checks" i));
-          match field row "meta_loads" with
-          | Some g -> on_off file (Printf.sprintf "row %d: meta_loads" i) g
-          | None -> bad file (Printf.sprintf "row %d: missing meta_loads" i))
-        rows;
-      List.iteri
-        (fun i row ->
-          List.iter
-            (fun grp ->
-              match field row grp with
-              | Some g ->
-                  keys_num file
-                    (Printf.sprintf "row %d: %s" i grp)
-                    g
-                    [
-                      "on"; "no_widen"; "off"; "overhead_on";
-                      "overhead_no_widen"; "overhead_off";
-                    ]
-              | None -> bad file (Printf.sprintf "row %d: missing %s" i grp))
-            [ "shadow_full"; "hash_full"; "shadow_store"; "hash_store" ])
-        rows
-  | None -> ()
-
-let check_breakdown file obj =
-  experiment_tag file obj "overhead-breakdown";
-  match require_rows file obj "workloads" with
-  | Some rows ->
-      rows_have file rows [ "base_cycles" ];
-      List.iteri
-        (fun i row ->
-          match field row "configs" with
-          | Some (Obj (_ :: _ as cfgs)) ->
-              List.iter
-                (fun (cname, c) ->
-                  List.iter
-                    (fun k ->
-                      match field c k with
-                      | Some (Num _) -> ()
-                      | _ ->
-                          bad file
-                            (Printf.sprintf "row %d: configs.%s.%s missing" i
-                               cname k))
-                    [ "cycles"; "check"; "metadata"; "wrapper"; "residual" ])
-                cfgs
-          | _ -> bad file (Printf.sprintf "row %d: missing configs" i))
-        rows
-  | None -> ()
-
-let check_vmspeed file obj =
-  experiment_tag file obj "vmspeed";
-  let engines = [ "closure"; "decode" ] in
-  (* the engine axis itself *)
-  (match require file obj "engines" with
-  | Some (List names) ->
-      let names =
-        List.filter_map (function Str s -> Some s | _ -> None) names
-      in
-      List.iter
-        (fun want ->
-          if not (List.mem want names) then
-            bad file (Printf.sprintf "engine %S not recorded" want))
-        engines
-  | Some _ -> bad file "engines is not an array"
-  | None -> ());
-  (* the recorded reference the speedups are measured against *)
-  (match require file obj "baseline" with
-  | Some b -> (
-      match field b "rows" with
-      | Some (List (_ :: _ as rows)) ->
-          rows_have file rows [ "cycles_per_host_sec" ]
-      | _ -> bad file "baseline has no rows")
-  | None -> ());
-  (* the current measurement: rows tagged by engine, plus geomeans *)
-  (match require file obj "current" with
-  | Some c -> (
-      (match field c "geomean_cycles_per_host_sec" with
-      | Some _ -> ()
-      | None -> bad file "current has no geomean");
-      match field c "rows" with
-      | Some (List (_ :: _ as rows)) ->
-          rows_have file rows
-            [ "sim_cycles"; "cycles_per_host_sec"; "speedup_vs_baseline" ];
-          List.iter
-            (fun want ->
-              let covered =
-                List.exists
-                  (fun r ->
-                    match field r "engine" with
-                    | Some (Str s) -> s = want
-                    | _ -> false)
-                  rows
-              in
-              if not covered then
-                bad file (Printf.sprintf "no rows for engine %S" want))
-            engines
-      | _ -> bad file "current has no rows")
-  | None -> ());
-  (* per-engine overall speedup summary *)
-  match require file obj "speedup_vs_baseline" with
-  | Some sp ->
-      List.iter
-        (fun eng ->
-          match field sp eng with
-          | Some o -> (
-              match field o "overall" with
-              | Some (Num _) -> ()
-              | _ -> bad file (eng ^ " speedup has no overall geomean"))
-          | None -> bad file ("no speedup block for engine " ^ eng))
-        engines
-  | None -> ()
-
-(* the sustained-load service benchmark: a row per worker-pool width,
-   each carrying throughput and latency percentiles, plus the mix and
-   loss accounting the acceptance criteria quote *)
-let check_serve file obj =
-  experiment_tag file obj "serve";
-  (match require file obj "jobs_total" with
-  | Some (Num _) -> ()
-  | Some _ -> bad file "jobs_total is not a number"
-  | None -> ());
-  (match require file obj "mix" with
-  | Some (Obj (_ :: _ as kinds)) ->
-      List.iter
-        (fun (k, v) ->
-          match v with
-          | Num _ -> ()
-          | _ -> bad file (Printf.sprintf "mix.%s is not a number" k))
-        kinds
-  | Some _ -> bad file "mix is not an object"
-  | None -> ());
-  (match require_rows file obj "widths" with
-  | Some rows ->
-      rows_have file rows
-        [
-          "jobs"; "wall_seconds"; "jobs_per_sec"; "p50_ms"; "p99_ms";
-          "errors"; "lost"; "duplicated";
-        ]
-  | None -> ());
-  require_num file obj "speedup_max_vs_1"
-
-(* the N-scheme matrix: a coverage block pinning the completeness-gap
-   story (SoftBound full sees the sub-object overflow, the
-   object-granularity schemes must not), plus per-workload per-scheme
-   cost records with the attribution buckets *)
-let check_schemes file obj =
-  experiment_tag file obj "schemes";
-  let bool_cell ctx det k =
-    match field det k with
-    | Some (Bool b) -> Some b
-    | Some _ ->
-        bad file (Printf.sprintf "%s.%s is not a bool" ctx k);
-        None
-    | None ->
-        bad file (Printf.sprintf "%s: missing cell %s" ctx k);
-        None
-  in
-  (match require_rows file obj "coverage" with
-  | Some rows ->
-      let cell attack k =
-        List.find_map
-          (fun row ->
-            match (field row "attack", field row "detected") with
-            | Some (Str a), Some det when a = attack ->
-                bool_cell ("coverage." ^ attack) det k
-            | _ -> None)
-          rows
-      in
-      let expect attack k want =
-        match cell attack k with
-        | Some b when b = want -> ()
-        | Some _ ->
-            bad file
-              (Printf.sprintf "coverage: %s/%s should be %b" attack k want)
-        | None ->
-            bad file (Printf.sprintf "coverage: no cell %s/%s" attack k)
-      in
-      (* SoftBound's completeness edge: full checking detects every
-         attack class, including the intra-object one... *)
-      List.iter
-        (fun attack -> expect attack "softbound-full-shadow" true)
-        [
-          "sub-object-overflow"; "adjacent-heap-overflow"; "heap-underflow";
-          "off-by-one-read";
-        ];
-      (* ...which every whole-object-bounds scheme must miss *)
-      List.iter
-        (fun k -> expect "sub-object-overflow" k false)
-        [ "mscc"; "cguard"; "framer"; "l4-pointer"; "jones-kelly";
-          "memcheck-like"; "mudflap-like" ];
-      (* store-only checking is blind to the read attack by design *)
-      expect "off-by-one-read" "softbound-store-shadow" false
-  | None -> ());
-  match require_rows file obj "workloads" with
-  | Some rows ->
-      rows_have file rows [ "base_cycles" ];
-      List.iteri
-        (fun i row ->
-          match field row "schemes" with
-          | Some (Obj (_ :: _ as srows)) ->
-              List.iter
-                (fun (sname, s) ->
-                  List.iter
-                    (fun k ->
-                      match field s k with
-                      | Some (Num _) -> ()
-                      | _ ->
-                          bad file
-                            (Printf.sprintf "row %d: schemes.%s.%s missing" i
-                               sname k))
-                    [
-                      "cycles"; "overhead"; "check"; "metadata"; "wrapper";
-                      "residual";
-                    ];
-                  match field s "clean" with
-                  | Some (Bool _) -> ()
-                  | _ ->
-                      bad file
-                        (Printf.sprintf "row %d: schemes.%s.clean missing" i
-                           sname))
-                srows
-          | _ -> bad file (Printf.sprintf "row %d: missing schemes" i))
-        rows
-  | None -> ()
-
-(* the memory artifact: measured resident sets for the paper's two
-   facilities plus the related-work schemes' analytic metadata bytes *)
-let check_memory file obj =
-  experiment_tag file obj "memory";
-  match require_rows file obj "workloads" with
-  | Some rows ->
-      rows_have file rows
-        [
-          "base_resident"; "hash_resident"; "shadow_resident"; "heap_allocs";
-          "cguard_meta_bytes"; "framer_meta_bytes"; "l4_ptr_meta_bytes";
-        ]
-  | None -> ()
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let targets =
+(* Every experiment that writes a committed artifact: its declaration,
+   and how to run it — the artifact's tree and the rendered table. *)
+let experiments :
+    (Artifact.t * (quick:bool -> jobs:int -> iters:int -> Json.t * string))
+    list =
   [
-    ("BENCH_elim.json", check_elim);
-    ("BENCH_breakdown.json", check_breakdown);
-    ("BENCH_vmspeed.json", check_vmspeed);
-    ("BENCH_serve.json", check_serve);
-    ("BENCH_schemes.json", check_schemes);
-    ("BENCH_memory.json", check_memory);
+    ( Exp_elim.artifact,
+      fun ~quick ~jobs ~iters:_ ->
+        let rows = Exp_elim.run ~quick ~jobs () in
+        (Exp_elim.to_json rows, Exp_elim.render rows) );
+    ( Exp_breakdown.artifact,
+      fun ~quick ~jobs ~iters:_ ->
+        let rows = Exp_breakdown.run ~quick ~jobs () in
+        (Exp_breakdown.to_json rows, Exp_breakdown.render rows) );
+    ( Exp_vmspeed.artifact,
+      fun ~quick ~jobs ~iters ->
+        let rows = Exp_vmspeed.run ~quick ~iters ~jobs () in
+        (Exp_vmspeed.to_json ~quick ~iters rows, Exp_vmspeed.render rows) );
+    ( Exp_serve.artifact,
+      fun ~quick ~jobs:_ ~iters:_ ->
+        (* --quick shrinks the stream from 10k to 600 jobs *)
+        let total = if quick then Some 600 else None in
+        let rows = Exp_serve.run ~quick ?total () in
+        (Exp_serve.to_json ?total rows, Exp_serve.render ?total rows) );
+    ( Exp_schemes.artifact,
+      fun ~quick ~jobs ~iters:_ ->
+        let matrix = Exp_schemes.run ~quick ~jobs () in
+        (Exp_schemes.to_json matrix, Exp_schemes.render matrix) );
+    ( Exp_memory.artifact,
+      fun ~quick ~jobs:_ ~iters:_ ->
+        let rows = Exp_memory.run ~quick () in
+        (Exp_memory.to_json rows, Exp_memory.render rows) );
   ]
 
-(** Validate every committed benchmark artifact; returns the report and
-    whether all checks passed. *)
+let artifacts : Artifact.t list = List.map fst experiments
+
+(** The artifact experiment [name]: its declaration and its run. *)
+let find (name : string) =
+  List.find_opt (fun ((a : Artifact.t), _) -> a.name = name) experiments
+
+(* ------------------------------------------------------------------ *)
+(* Cells shared between artifacts                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Per workload, each pair of (artifact, path in the workload's row)
+   cells that must hold the same value: elim's "on" / "off" cycles are
+   breakdown's "-elim" / "-noelim" configurations, and the schemes
+   matrix's SoftBound rows are breakdown configurations. *)
+let shared : ((string * string list) * (string * string list)) list =
+  [
+    (("elim", [ "base_cycles" ]), ("breakdown", [ "base_cycles" ]));
+    (("elim", [ "base_cycles" ]), ("schemes", [ "base_cycles" ]));
+  ]
+  @ List.concat_map
+      (fun (group, config) ->
+        [
+          ( ("elim", [ group; "on" ]),
+            ("breakdown", [ "configs"; config ^ "-elim"; "cycles" ]) );
+          ( ("elim", [ group; "off" ]),
+            ("breakdown", [ "configs"; config ^ "-noelim"; "cycles" ]) );
+        ])
+      [
+        ("shadow_full", "shadow-full");
+        ("hash_full", "hash-full");
+        ("shadow_store", "shadow-store");
+        ("hash_store", "hash-store");
+      ]
+  @ List.concat_map
+      (fun (scheme, config) ->
+        List.map
+          (fun k ->
+            ( ("schemes", [ "schemes"; scheme; k ]),
+              ("breakdown", [ "configs"; config; k ]) ))
+          [ "cycles"; "check"; "metadata"; "wrapper"; "residual" ])
+      [
+        ("softbound-full-shadow", "shadow-full-elim");
+        ("softbound-store-shadow", "shadow-store-elim");
+      ]
+
+(** Disagreements between the cells that elim, breakdown and schemes
+    share; [docs] maps artifact names to parsed trees, and a pair is
+    compared only when both artifacts are present. *)
+let cross (docs : (string * Json.t) list) : string list =
+  let rows name =
+    match (List.assoc_opt name docs, Option.bind (find name) (fun (a, _) -> Artifact.row_array a)) with
+    | Some d, Some key -> Option.value ~default:[] (Json.list_field d key)
+    | _ -> []
+  in
+  let cell name workload path =
+    List.find_opt (fun r -> Json.str_field r "name" = Some workload) (rows name)
+    |> Option.map (fun r ->
+           List.fold_left (fun v k -> Option.bind v (fun v -> Json.field v k))
+             (Some r) path)
+    |> Option.join
+  in
+  let workloads =
+    List.concat_map (fun name -> rows name) [ "elim"; "breakdown"; "schemes" ]
+    |> List.filter_map (fun r -> Json.str_field r "name")
+    |> List.sort_uniq compare
+  in
+  let show (name, path) w v =
+    Printf.sprintf "BENCH_%s.json %s.%s = %s" name w (String.concat "." path)
+      (match v with Some v -> Json.to_string v | None -> "missing")
+  in
+  List.concat_map
+    (fun w ->
+      List.filter_map
+        (fun (((a, pa) as x), ((b, pb) as y)) ->
+          if not (List.mem_assoc a docs && List.mem_assoc b docs) then None
+          else
+            let va = cell a w pa and vb = cell b w pb in
+            if va <> None && va = vb then None
+            else Some (show x w va ^ " but " ^ show y w vb))
+        shared)
+    workloads
+
+(* ------------------------------------------------------------------ *)
+(* Whole-set validation                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(** Every problem with a set of artifacts: each tree against its
+    declaration, then the shared cells. *)
+let check (docs : (string * Json.t) list) : string list =
+  List.concat_map
+    (fun (name, v) ->
+      match find name with
+      | Some (a, _) ->
+          List.map (fun e -> Artifact.file a ^ ": " ^ e) (Artifact.validate a v)
+      | None -> [ "no artifact named " ^ name ])
+    docs
+  @ cross docs
+
+(** Validate every committed benchmark artifact in the working
+    directory; returns the report and whether all checks passed. *)
 let run () : string * bool =
-  errs := [];
-  List.iter
-    (fun (file, check) ->
-      match read_file file with
-      | exception Sys_error m -> bad file ("unreadable: " ^ m)
-      | text -> (
-          match parse text with
-          | exception Bad m -> bad file ("malformed JSON: " ^ m)
-          | obj ->
-              (* every artifact records the host parallelism it was
-                 produced with — the context for any wall-clock or
-                 jobs-scaling figure in it *)
-              require_num file obj "host_cpus";
-              check file obj))
-    targets;
-  match List.rev !errs with
+  let loaded =
+    List.map
+      (fun (a : Artifact.t) ->
+        match Json.parse (Artifact.read_file (Artifact.file a)) with
+        | v -> Ok (a.name, v)
+        | exception Sys_error m -> Error (Artifact.file a ^ ": " ^ m)
+        | exception Json.Bad m -> Error (Artifact.file a ^ ": malformed: " ^ m))
+      artifacts
+  in
+  let docs = List.filter_map Result.to_option loaded in
+  let unreadable =
+    List.filter_map (function Error e -> Some e | Ok _ -> None) loaded
+  in
+  match unreadable @ check docs with
   | [] ->
       ( Printf.sprintf "bench-check: %d artifacts OK (%s)"
-          (List.length targets)
-          (String.concat ", " (List.map fst targets)),
+          (List.length artifacts)
+          (String.concat ", " (List.map Artifact.file artifacts)),
         true )
   | es -> (String.concat "\n" es, false)
+
+(** Run one experiment at [--jobs 1] and [--jobs 2] through [run],
+    validate both trees, and compare them without the declared
+    host-timing fields. *)
+let determinism (a : Artifact.t) ~(run : jobs:int -> Json.t) :
+    (string, string) result =
+  let side jobs =
+    let v = run ~jobs in
+    match Artifact.validate a v with
+    | [] -> Ok (Artifact.drop a.host_timing v)
+    | es ->
+        Error
+          (String.concat "\n"
+             (List.map
+                (Printf.sprintf "%s (--jobs %d): %s" (Artifact.file a) jobs)
+                es))
+  in
+  Result.bind (side 1) (fun one ->
+      Result.bind (side 2) (fun two ->
+          match Artifact.first_diff "" one two with
+          | None ->
+              Ok
+                (Printf.sprintf
+                   "determinism %s: --jobs 1 and --jobs 2 agree%s" a.name
+                   (if a.host_timing = [] then ""
+                    else " modulo host timing"))
+          | Some path ->
+              Error
+                (Printf.sprintf
+                   "determinism %s: --jobs 1 and --jobs 2 differ at %s" a.name
+                   path)))

@@ -6,7 +6,7 @@
    growth) — the attribution the paper gives in prose for its 67%
    average and that CGuard/FRAMER use to motivate their designs.
 
-   Emitted as [BENCH_breakdown.json]; byte-deterministic for a fixed
+   Emitted as [BENCH_breakdown.json]; deterministic for a fixed
    seed/workload set because site assignment, the interpreter, and the
    collector are all deterministic. *)
 
@@ -127,31 +127,35 @@ let render (rows : row list) : string =
   Buffer.add_string buf (agg "residual" (fun s -> s.residual));
   Buffer.contents buf
 
-(** Machine-readable export ([BENCH_breakdown.json]); key order and
-    formatting are fixed so two runs over the same workloads/seed are
-    byte-identical. *)
-let to_json (rows : row list) : string =
-  let buf = Buffer.create 8192 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n  \"experiment\": \"overhead-breakdown\",\n";
-  add "  \"host_cpus\": %d,\n" (Parutil.available_jobs ());
-  add "  \"unit\": \"simulated cycles\",\n";
-  add "  \"workloads\": [\n";
-  List.iteri
-    (fun i r ->
-      add "    {\n      \"name\": \"%s\",\n      \"base_cycles\": %d,\n"
-        r.workload.Workloads.name r.base_cycles;
-      add "      \"configs\": {\n";
-      List.iteri
-        (fun j s ->
-          add
-            "        \"%s\": { \"cycles\": %d, \"check\": %d, \"metadata\": \
-             %d, \"wrapper\": %d, \"residual\": %d }%s\n"
-            s.cname s.cycles s.check s.meta s.wrapper s.residual
-            (if j = List.length r.splits - 1 then "" else ","))
-        r.splits;
-      add "      }\n    }%s\n" (if i = List.length rows - 1 then "" else ",")
-    )
-    rows;
-  add "  ]\n}\n";
-  Buffer.contents buf
+let artifact : Artifact.t =
+  let open Artifact in
+  let split =
+    Fields (nums [ "cycles"; "check"; "metadata"; "wrapper"; "residual" ])
+  in
+  let configs = Fields (List.map (fun (c, _) -> (c, split)) configs) in
+  { name = "breakdown"; tag = "overhead-breakdown"; host_timing = [];
+    fields =
+      [ ( "workloads",
+          Rows
+            (Fields
+               [ ("name", Str); ("base_cycles", Num); ("configs", configs) ])
+        ) ] }
+
+(** Machine-readable export ([BENCH_breakdown.json]). *)
+let to_json (rows : row list) : Json.t =
+  let split s =
+    ( s.cname,
+      Json.Obj
+        (Json.ints
+           [ ("cycles", s.cycles); ("check", s.check); ("metadata", s.meta);
+             ("wrapper", s.wrapper); ("residual", s.residual) ]) )
+  in
+  let workload r =
+    Json.Obj
+      [ ("name", Json.Str r.workload.Workloads.name);
+        ("base_cycles", Json.int r.base_cycles);
+        ("configs", Json.Obj (List.map split r.splits)) ]
+  in
+  Artifact.document artifact
+    [ ("unit", Json.Str "simulated cycles");
+      ("workloads", Json.List (List.map workload rows)) ]

@@ -151,58 +151,65 @@ let render (rows : row list) : string =
        (Texttable.pct sf_off) (Texttable.pct sf_on));
   Buffer.contents buf
 
+let groups =
+  [
+    ("shadow_full", fun r -> r.shadow_full);
+    ("hash_full", fun r -> r.hash_full);
+    ("shadow_store", fun r -> r.shadow_store);
+    ("hash_store", fun r -> r.hash_store);
+  ]
+
+let artifact : Artifact.t =
+  let open Artifact in
+  let trio = nums [ "on"; "no_widen"; "off" ] in
+  let cell =
+    trio @ nums [ "overhead_on"; "overhead_no_widen"; "overhead_off" ]
+  in
+  let per_group s = List.map (fun (g, _) -> (g, s)) groups in
+  let kernel =
+    [ ("name", Str); ("base_cycles", Num) ]
+    @ per_group (Fields cell)
+    @ [ ("checks", Fields trio); ("meta_loads", Fields (nums [ "on"; "off" ])) ]
+    @ nums [ "checks_widened"; "checks_coalesced" ]
+  in
+  { name = "elim"; tag = "elim-ablation"; host_timing = [];
+    fields =
+      [ ("kernels", Rows (Fields kernel));
+        ("geomean_overhead", Fields (per_group (Fields trio))) ] }
+
 (** Machine-readable per-kernel cycles for the perf trajectory
     ([BENCH_elim.json]). *)
-let to_json (rows : row list) : string =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"experiment\": \"elim-ablation\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"host_cpus\": %d,\n" (Parutil.available_jobs ()));
-  Buffer.add_string buf "  \"unit\": \"simulated cycles\",\n";
-  Buffer.add_string buf "  \"kernels\": [\n";
-  List.iteri
-    (fun i r ->
-      let cell name c =
-        Printf.sprintf
-          "      \"%s\": { \"on\": %d, \"no_widen\": %d, \"off\": %d, \
-           \"overhead_on\": %.4f, \"overhead_no_widen\": %.4f, \
-           \"overhead_off\": %.4f }"
-          name c.cycles_on c.cycles_nw c.cycles_off c.ov_on c.ov_nw c.ov_off
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\n      \"name\": \"%s\",\n      \"base_cycles\": %d,\n\
-            %s,\n%s,\n%s,\n%s,\n\
-           \      \"checks\": { \"on\": %d, \"no_widen\": %d, \"off\": %d },\n\
-           \      \"meta_loads\": { \"on\": %d, \"off\": %d },\n\
-           \      \"checks_widened\": %d,\n\
-           \      \"checks_coalesced\": %d\n    }%s\n"
-           r.workload.Workloads.name r.base_cycles
-           (cell "shadow_full" r.shadow_full)
-           (cell "hash_full" r.hash_full)
-           (cell "shadow_store" r.shadow_store)
-           (cell "hash_store" r.hash_store)
-           r.checks_on r.checks_nw r.checks_off r.metaloads_on r.metaloads_off
-           r.widened r.coalesced
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  let geo cell_of =
-    Printf.sprintf
-      "{ \"on\": %.4f, \"no_widen\": %.4f, \"off\": %.4f }"
-      (geomean_ov cell_of (fun c -> c.ov_on) rows)
-      (geomean_ov cell_of (fun c -> c.ov_nw) rows)
-      (geomean_ov cell_of (fun c -> c.ov_off) rows)
+let to_json (rows : row list) : Json.t =
+  let ov = Json.decimals 4 in
+  let trio on nw off =
+    Json.ints [ ("on", on); ("no_widen", nw); ("off", off) ]
   in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"geomean_overhead\": {\n\
-       \    \"shadow_full\": %s,\n\
-       \    \"hash_full\": %s,\n\
-       \    \"shadow_store\": %s,\n\
-       \    \"hash_store\": %s\n  }\n}\n"
-       (geo (fun r -> r.shadow_full))
-       (geo (fun r -> r.hash_full))
-       (geo (fun r -> r.shadow_store))
-       (geo (fun r -> r.hash_store)));
-  Buffer.contents buf
+  let cell c =
+    Json.Obj
+      (trio c.cycles_on c.cycles_nw c.cycles_off
+      @ [ ("overhead_on", ov c.ov_on); ("overhead_no_widen", ov c.ov_nw);
+          ("overhead_off", ov c.ov_off) ])
+  in
+  let kernel r =
+    Json.Obj
+      ([ ("name", Json.Str r.workload.Workloads.name);
+         ("base_cycles", Json.int r.base_cycles) ]
+      @ List.map (fun (g, cell_of) -> (g, cell (cell_of r))) groups
+      @ [ ("checks", Json.Obj (trio r.checks_on r.checks_nw r.checks_off));
+          ( "meta_loads",
+            Json.Obj
+              (Json.ints [ ("on", r.metaloads_on); ("off", r.metaloads_off) ]) ) ]
+      @ Json.ints
+          [ ("checks_widened", r.widened); ("checks_coalesced", r.coalesced) ])
+  in
+  let geo (g, cell_of) =
+    let gm value = ov (geomean_ov cell_of value rows) in
+    ( g,
+      Json.Obj
+        [ ("on", gm (fun c -> c.ov_on)); ("no_widen", gm (fun c -> c.ov_nw));
+          ("off", gm (fun c -> c.ov_off)) ] )
+  in
+  Artifact.document artifact
+    [ ("unit", Json.Str "simulated cycles");
+      ("kernels", Json.List (List.map kernel rows));
+      ("geomean_overhead", Json.Obj (List.map geo groups)) ]

@@ -85,27 +85,29 @@ let render (rows : row list) : string =
          ])
        rows)
 
-(** Machine-readable record ([BENCH_memory.json], schema pinned by
-    {!Bench_check}). *)
-let to_json (rows : row list) : string =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"experiment\": \"memory\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"host_cpus\": %d,\n" (Parutil.available_jobs ()));
-  Buffer.add_string buf "  \"unit\": \"bytes\",\n";
-  Buffer.add_string buf "  \"workloads\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"name\": \"%s\", \"base_resident\": %d, \
-            \"hash_resident\": %d, \"shadow_resident\": %d, \
-            \"heap_allocs\": %d, \"cguard_meta_bytes\": %d, \
-            \"framer_meta_bytes\": %d, \"l4_ptr_meta_bytes\": %d }%s\n"
-           r.workload.Workloads.name r.base_resident r.hash_resident
-           r.shadow_resident r.heap_allocs r.cguard_meta r.framer_meta
-           r.l4_ptr_meta
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+let artifact : Artifact.t =
+  let open Artifact in
+  let counts =
+    [ "base_resident"; "hash_resident"; "shadow_resident"; "heap_allocs";
+      "cguard_meta_bytes"; "framer_meta_bytes"; "l4_ptr_meta_bytes" ]
+  in
+  { name = "memory"; tag = "memory"; host_timing = [];
+    fields = [ ("workloads", Rows (Fields (("name", Str) :: nums counts))) ] }
+
+(** Machine-readable record ([BENCH_memory.json]). *)
+let to_json (rows : row list) : Json.t =
+  let workload r =
+    Json.Obj
+      (("name", Json.Str r.workload.Workloads.name)
+      :: Json.ints
+           [ ("base_resident", r.base_resident);
+             ("hash_resident", r.hash_resident);
+             ("shadow_resident", r.shadow_resident);
+             ("heap_allocs", r.heap_allocs);
+             ("cguard_meta_bytes", r.cguard_meta);
+             ("framer_meta_bytes", r.framer_meta);
+             ("l4_ptr_meta_bytes", r.l4_ptr_meta) ])
+  in
+  Artifact.document artifact
+    [ ("unit", Json.Str "bytes");
+      ("workloads", Json.List (List.map workload rows)) ]

@@ -9,9 +9,8 @@
    item asks for: Figure 2's cost story and Table 4's coverage story
    over *approaches*, not just SoftBound's two metadata organizations.
 
-   Emitted as [BENCH_schemes.json]; byte-deterministic (simulated
-   cycles only, no host timing), so `--jobs N` runs emit identical
-   artifacts. *)
+   Emitted as [BENCH_schemes.json]; deterministic (simulated cycles
+   only, no host timing), so `--jobs N` runs emit identical artifacts. *)
 
 module S = Interp.State
 
@@ -175,45 +174,69 @@ let render ((rows, cov) : row list * coverage list) : string =
     schemes;
   Buffer.contents buf
 
-(** Machine-readable export ([BENCH_schemes.json]); key order and
-    formatting fixed so two runs over the same workload set are
-    byte-identical at any [--jobs] width. *)
-let to_json ((rows, cov) : row list * coverage list) : string =
-  let buf = Buffer.create 16384 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n  \"experiment\": \"schemes\",\n";
-  add "  \"host_cpus\": %d,\n" (Parutil.available_jobs ());
-  add "  \"unit\": \"simulated cycles\",\n";
-  add "  \"coverage\": [\n";
-  List.iteri
-    (fun i c ->
-      add "    { \"attack\": \"%s\", \"detected\": { " c.attack;
-      List.iteri
-        (fun j (sname, det) ->
-          add "\"%s\": %b%s" sname det
-            (if j = List.length c.cells - 1 then "" else ", "))
-        c.cells;
-      add " } }%s\n" (if i = List.length cov - 1 then "" else ","))
-    cov;
-  add "  ],\n";
-  add "  \"workloads\": [\n";
-  List.iteri
-    (fun i r ->
-      add "    {\n      \"name\": \"%s\",\n      \"base_cycles\": %d,\n"
-        r.workload.Workloads.name r.base_cycles;
-      add "      \"schemes\": {\n";
-      List.iteri
-        (fun j s ->
-          add
-            "        \"%s\": { \"cycles\": %d, \"overhead\": %.4f, \
-             \"clean\": %b, \"outcome\": \"%s\", \"check\": %d, \
-             \"metadata\": %d, \"wrapper\": %d, \"residual\": %d }%s\n"
-            s.sname s.cycles
-            (overhead_of ~base:r.base_cycles s.cycles)
-            s.clean s.outcome s.check s.meta s.wrapper s.residual
-            (if j = List.length r.srows - 1 then "" else ","))
-        r.srows;
-      add "      }\n    }%s\n" (if i = List.length rows - 1 then "" else ","))
-    rows;
-  add "  ]\n}\n";
-  Buffer.contents buf
+(* The coverage pins are the completeness-gap story: SoftBound full
+   checking detects every attack class, including the intra-object one,
+   which every whole-object-bounds scheme must miss; store-only checking
+   is blind to the read attack by design. *)
+let artifact : Artifact.t =
+  let open Artifact in
+  let detected cells = Fields [ ("detected", Fields cells) ] in
+  let pin v k = (k, Is (Json.Bool v)) in
+  let full = pin true "softbound-full-shadow" in
+  let whole_object =
+    [ "mscc"; "cguard"; "framer"; "l4-pointer"; "jones-kelly";
+      "memcheck-like"; "mudflap-like" ]
+  in
+  let per_scheme s = Fields (List.map (fun (name, _) -> (name, s)) schemes) in
+  let srow =
+    ("clean", Bool) :: ("outcome", Str)
+    :: nums [ "cycles"; "overhead"; "check"; "metadata"; "wrapper"; "residual" ]
+  in
+  let pinned =
+    [ ("sub-object-overflow",
+       detected (full :: List.map (pin false) whole_object));
+      ("adjacent-heap-overflow", detected [ full ]);
+      ("heap-underflow", detected [ full ]);
+      ("off-by-one-read",
+       detected [ full; pin false "softbound-store-shadow" ]) ]
+  in
+  { name = "schemes"; tag = "schemes"; host_timing = [];
+    fields =
+      [ ( "coverage",
+          Table
+            ( "attack", pinned,
+              Fields [ ("attack", Str); ("detected", per_scheme Bool) ] ) );
+        ( "workloads",
+          Rows
+            (Fields
+               [ ("name", Str); ("base_cycles", Num);
+                 ("schemes", per_scheme (Fields srow)) ]) ) ] }
+
+(** Machine-readable export ([BENCH_schemes.json]). *)
+let to_json ((rows, cov) : row list * coverage list) : Json.t =
+  let coverage c =
+    Json.Obj
+      [ ("attack", Json.Str c.attack);
+        ( "detected",
+          Json.Obj (List.map (fun (s, det) -> (s, Json.Bool det)) c.cells) ) ]
+  in
+  let srow ~base s =
+    ( s.sname,
+      Json.Obj
+        ([ ("cycles", Json.int s.cycles);
+           ("overhead", Json.decimals 4 (overhead_of ~base s.cycles));
+           ("clean", Json.Bool s.clean); ("outcome", Json.Str s.outcome) ]
+        @ Json.ints
+            [ ("check", s.check); ("metadata", s.meta);
+              ("wrapper", s.wrapper); ("residual", s.residual) ]) )
+  in
+  let workload r =
+    Json.Obj
+      [ ("name", Json.Str r.workload.Workloads.name);
+        ("base_cycles", Json.int r.base_cycles);
+        ("schemes", Json.Obj (List.map (srow ~base:r.base_cycles) r.srows)) ]
+  in
+  Artifact.document artifact
+    [ ("unit", Json.Str "simulated cycles");
+      ("coverage", Json.List (List.map coverage cov));
+      ("workloads", Json.List (List.map workload rows)) ]

@@ -247,42 +247,34 @@ let render ?total (rows : width_row list) : string =
        (if Parutil.available_jobs () = 1 then "" else "s"));
   Buffer.contents buf
 
-(** Machine-readable artifact.  Host-timing-dependent values all sit on
-    lines carrying one of the substrings [wall_seconds], [jobs_per_sec],
-    [p50_ms], [p99_ms] or [speedup], so a determinism filter can strip
-    them and compare the rest. *)
-let to_json ?total (rows : width_row list) : string =
+let artifact : Artifact.t =
+  let open Artifact in
+  let timing = [ "wall_seconds"; "jobs_per_sec"; "p50_ms"; "p99_ms" ] in
+  let integrity = [ "errors"; "lost"; "duplicated" ] in
+  { name = "serve"; tag = "serve";
+    host_timing = timing @ [ "speedup_max_vs_1" ];
+    fields =
+      [ ("jobs_total", Num); ("mix", Each Num);
+        ("widths", Rows (Fields (nums (("jobs" :: timing) @ integrity))));
+        ("speedup_max_vs_1", Num) ] }
+
+(** Machine-readable artifact ([BENCH_serve.json]). *)
+let to_json ?total (rows : width_row list) : Json.t =
   let total = Option.value total ~default:default_total in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"experiment\": \"serve\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"host_cpus\": %d,\n" (Parutil.available_jobs ()));
-  Buffer.add_string buf (Printf.sprintf "  \"jobs_total\": %d,\n" total);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"cores\": %d,\n" (Parutil.available_jobs ()));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"mix\": { %s },\n"
-       (String.concat ", "
-          (List.map
-             (fun (k, n) -> Printf.sprintf "%S: %d" k n)
-             (mix_counts total))));
-  Buffer.add_string buf "  \"widths\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"jobs\": %d,\n\
-           \      \"wall_seconds\": %.6f,\n\
-           \      \"jobs_per_sec\": %.3f,\n\
-           \      \"p50_ms\": %.3f,\n\
-           \      \"p99_ms\": %.3f,\n\
-           \      \"errors\": %d, \"lost\": %d, \"duplicated\": %d }%s\n"
-           r.jobs r.wall_seconds r.jobs_per_sec r.p50_ms r.p99_ms r.errors
-           r.lost r.duplicated
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"speedup_max_vs_1\": %.3f\n" (speedup_max_vs_1 rows));
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  let ms = Json.decimals 3 in
+  let width r =
+    Json.Obj
+      ([ ("jobs", Json.int r.jobs);
+         ("wall_seconds", Json.decimals 6 r.wall_seconds);
+         ("jobs_per_sec", ms r.jobs_per_sec); ("p50_ms", ms r.p50_ms);
+         ("p99_ms", ms r.p99_ms) ]
+      @ Json.ints
+          [ ("errors", r.errors); ("lost", r.lost);
+            ("duplicated", r.duplicated) ])
+  in
+  Artifact.document artifact
+    [ ("jobs_total", Json.int total);
+      ("cores", Json.int (Parutil.available_jobs ()));
+      ("mix", Json.Obj (Json.ints (mix_counts total)));
+      ("widths", Json.List (List.map width rows));
+      ("speedup_max_vs_1", Json.decimals 3 (speedup_max_vs_1 rows)) ]

@@ -9,9 +9,9 @@
    threaded code compiled at load time, the decode engine walks the
    pre-decoded instruction arrays — and reports simulated-cycles-per-
    host-second.  Simulated cycle counts are deterministic, engine-
-   independent, and golden-checked elsewhere; only the host-seconds
-   fields vary from run to run (the vmspeed smoke target compares
-   everything *except* those).
+   independent, and golden-checked elsewhere; only the fields the
+   artifact declares as host timing vary from run to run, and
+   [experiments determinism vmspeed] compares everything except those.
 
    The recorded baseline below was measured with this same harness on
    the PR 4 engine (pre-decoded dispatch, word-granular memory — the
@@ -261,99 +261,78 @@ let render (rows : row list) : string =
     engine_names;
   Buffer.contents buf
 
-(** Machine-readable artifact ([BENCH_vmspeed.json]).  Host-timing
-    dependent lines all carry one of the substrings [host_seconds],
-    [cycles_per_host_sec] or [speedup], so the smoke target can strip
-    them and byte-compare the rest across regenerations. *)
-let to_json ?(quick = false) ?(iters = 1) (rows : row list) : string =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"experiment\": \"vmspeed\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"host_cpus\": %d,\n" (Parutil.available_jobs ()));
-  Buffer.add_string buf
-    "  \"unit\": \"simulated cycles per host second\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"quick\": %b,\n  \"iters\": %d,\n" quick iters);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"engines\": [%s],\n"
-       (String.concat ", " (List.map (Printf.sprintf "%S") engine_names)));
-  (* recorded baseline (constants — deterministic) *)
-  (match baseline with
-  | [] -> Buffer.add_string buf "  \"baseline\": null,\n"
-  | b ->
-      Buffer.add_string buf
-        (Printf.sprintf "  \"baseline\": {\n    \"label\": %S,\n    \"rows\": [\n"
-           baseline_label);
-      List.iteri
-        (fun i (n, s, v) ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "      { \"name\": %S, \"scheme\": %S, \
-                \"cycles_per_host_sec\": %.6e }%s\n"
-               n s v
-               (if i = List.length b - 1 then "" else ",")))
-        b;
-      Buffer.add_string buf "    ],\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    \"geomean_cycles_per_host_sec\": { %s }\n  },\n"
-           (String.concat ", "
-              (List.map
-                 (fun s ->
-                   Printf.sprintf "%S: %.6e" s
-                     (Option.value ~default:0.0 (geomean_cps_baseline ~scheme:s)))
-                 scheme_names))));
-  Buffer.add_string buf "  \"current\": {\n    \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      { \"name\": %S, \"scheme\": %S, \"engine\": %S,\n\
-           \        \"sim_cycles\": %d, \"runs\": %d,\n\
-           \        \"host_seconds\": %.6f,\n\
-           \        \"cycles_per_host_sec\": %.6e,\n\
-           \        \"speedup_vs_baseline\": %s }%s\n"
-           r.name r.scheme r.engine r.sim_cycles r.runs r.host_seconds (cps r)
-           (match row_speedup r with
-           | Some x -> Printf.sprintf "%.3f" x
-           | None -> "null")
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "    ],\n";
-  Buffer.add_string buf
-    (* single line: the vmspeed-smoke determinism filter drops
-       host-timing-dependent lines by substring, so every value derived
-       from host time must sit on a line carrying its key *)
-    (Printf.sprintf "    \"geomean_cycles_per_host_sec\": { %s }\n  },\n"
-       (String.concat ", "
-          (List.map
-             (fun e ->
-               Printf.sprintf "%S: { %s }" e
-                 (String.concat ", "
-                    (List.map
-                       (fun s ->
-                         Printf.sprintf "%S: %.6e" s
-                           (geomean_cps_of ~engine:e ~scheme:s rows))
-                       scheme_names)))
-             engine_names)));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"speedup_vs_baseline\": { %s }\n"
-       (String.concat ", "
-          (List.map
-             (fun e ->
-               Printf.sprintf "%S: { %s }" e
-                 (String.concat ", "
-                    (List.map
-                       (fun s ->
-                         Printf.sprintf "%S: %.3f" s
-                           (Option.value ~default:0.0
-                              (speedup_of ~engine:e ~scheme:s rows)))
-                       scheme_names
-                    @ [
-                        Printf.sprintf "\"overall\": %.3f"
-                          (Option.value ~default:0.0
-                             (overall_speedup ~engine:e rows));
-                      ])))
-             engine_names)));
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+let artifact : Artifact.t =
+  let open Artifact in
+  let per_engine s = Fields (List.map (fun e -> (e, s)) engine_names) in
+  let row =
+    Fields (nums [ "sim_cycles"; "cycles_per_host_sec"; "speedup_vs_baseline" ])
+  in
+  let rows_per_engine = List.map (fun e -> (e, Any)) engine_names in
+  { name = "vmspeed"; tag = "vmspeed";
+    host_timing =
+      [ "host_seconds"; "cycles_per_host_sec"; "speedup_vs_baseline";
+        "geomean_cycles_per_host_sec" ];
+    fields =
+      [ ("engines", Is (Json.List (List.map Json.str engine_names)));
+        ( "baseline",
+          Fields
+            [ ("rows", Rows (Fields (nums [ "cycles_per_host_sec" ])));
+              ("geomean_cycles_per_host_sec", Any) ] );
+        ( "current",
+          Fields
+            [ ("rows", Table ("engine", rows_per_engine, row));
+              ("geomean_cycles_per_host_sec", Any) ] );
+        ("speedup_vs_baseline", per_engine (Fields (nums [ "overall" ]))) ] }
+
+(** Machine-readable artifact ([BENCH_vmspeed.json]). *)
+let to_json ?(quick = false) ?(iters = 1) (rows : row list) : Json.t =
+  let cps_num = Json.sig_digits 7 in
+  let speedup x = Json.decimals 3 (Option.value ~default:0.0 x) in
+  let per names f = Json.Obj (List.map (fun s -> (s, f s)) names) in
+  let baseline_json =
+    match baseline with
+    | [] -> Json.Null
+    | b ->
+        let row (n, s, v) =
+          Json.Obj
+            [ ("name", Json.Str n); ("scheme", Json.Str s);
+              ("cycles_per_host_sec", cps_num v) ]
+        in
+        Json.Obj
+          [ ("label", Json.Str baseline_label);
+            ("rows", Json.List (List.map row b));
+            ( "geomean_cycles_per_host_sec",
+              per scheme_names (fun s ->
+                  cps_num
+                    (Option.value ~default:0.0 (geomean_cps_baseline ~scheme:s)))
+            ) ]
+  in
+  let row r =
+    Json.Obj
+      [ ("name", Json.Str r.name); ("scheme", Json.Str r.scheme);
+        ("engine", Json.Str r.engine); ("sim_cycles", Json.int r.sim_cycles);
+        ("runs", Json.int r.runs);
+        ("host_seconds", Json.decimals 6 r.host_seconds);
+        ("cycles_per_host_sec", cps_num (cps r));
+        ( "speedup_vs_baseline",
+          match row_speedup r with None -> Json.Null | x -> speedup x )
+      ]
+  in
+  let geomean e s = cps_num (geomean_cps_of ~engine:e ~scheme:s rows) in
+  let speedups e =
+    Json.Obj
+      (List.map (fun s -> (s, speedup (speedup_of ~engine:e ~scheme:s rows)))
+         scheme_names
+      @ [ ("overall", speedup (overall_speedup ~engine:e rows)) ])
+  in
+  Artifact.document artifact
+    [ ("unit", Json.Str "simulated cycles per host second");
+      ("quick", Json.Bool quick); ("iters", Json.int iters);
+      ("engines", Json.List (List.map Json.str engine_names));
+      ("baseline", baseline_json);
+      ( "current",
+        Json.Obj
+          [ ("rows", Json.List (List.map row rows));
+            ( "geomean_cycles_per_host_sec",
+              per engine_names (fun e -> per scheme_names (geomean e)) ) ] );
+      ("speedup_vs_baseline", per engine_names speedups) ]

@@ -1,18 +1,21 @@
-(* Minimal JSON: a recursive-descent parser and a compact emitter.
+(* Minimal JSON: a recursive-descent parser and one deterministic
+   printer.
 
-   Grown out of the benchmark-artifact validator, this is now shared by
-   every harness component that speaks JSON — [Bench_check] (reading
-   the committed BENCH_*.json files), and the [serve] protocol (one
-   request and one response object per line).  No external dependency:
-   the toolchain image carries no JSON library, and the subset needed
-   here — objects, arrays, strings, numbers, booleans, null — is small
-   enough to keep in one file.
+   Shared by every harness component that speaks JSON: the committed
+   BENCH_*.json artifacts and [profile --json] (built as [t], printed by
+   [pretty], validated against their {!Artifact} declarations) and the
+   [serve] protocol (one request and one response object per line,
+   printed by [to_string]).  No external dependency: the toolchain image
+   carries no JSON library, and the subset needed here — objects,
+   arrays, strings, numbers, booleans, null — is small enough to keep in
+   one file.
 
-   The emitter is deterministic: keys print in the order the caller
-   lists them, numbers print integral values without a fractional part,
-   and strings escape exactly the control characters the parser
-   understands — so a parse/print round trip of emitter output is the
-   identity, which the serve smoke test relies on. *)
+   Both printing forms share escaping and number spelling and differ
+   only in layout.  Keys print in the order the caller lists them,
+   integral numbers print without a fractional part, other numbers in
+   the shortest form that reads back as the same float, and strings
+   escape exactly the characters the parser understands — so a
+   parse/print round trip of printer output is the identity. *)
 
 type t =
   | Null
@@ -63,10 +66,13 @@ let parse (s : string) : t =
           | 'r' -> Buffer.add_char b '\r'; go ()
           | 'b' -> Buffer.add_char b '\b'; go ()
           | 'f' -> Buffer.add_char b '\012'; go ()
-          | 'u' ->
-              (* keep the escape verbatim; key comparisons are ASCII *)
-              Buffer.add_string b "\\u";
-              go ()
+          | 'u' -> (
+              (* decode ASCII code points; keep other escapes verbatim *)
+              let hex = String.sub s !pos (min 4 (n - !pos)) in
+              match int_of_string_opt ("0x" ^ hex) with
+              | Some c when c < 0x80 && String.length hex = 4 ->
+                  pos := !pos + 4; Buffer.add_char b (Char.chr c); go ()
+              | _ -> Buffer.add_string b "\\u"; go ())
           | c -> Buffer.add_char b c; go ())
       | '\255' -> fail "unterminated string"
       | c -> advance (); Buffer.add_char b c; go ()
@@ -154,44 +160,66 @@ let escape (s : string) : string =
     s;
   Buffer.contents b
 
+(** Integral values print without a fractional part; anything else in
+    the shortest of [%.15g], [%.16g], [%.17g] that reads back as the same
+    float, so [parse (to_string (Num f)) = Num f] for every finite [f]. *)
 let number_string (f : float) : string =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%g" f
+  if Float.is_integer f && Float.abs f < 1e15 then string_of_int (int_of_float f)
+  else
+    let rec shortest p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p >= 17 || float_of_string s = f then s else shortest (p + 1)
+    in
+    shortest 15
 
-let to_string (v : t) : string =
+let is_scalar = function List _ | Obj _ -> false | _ -> true
+
+(* The one printer.  [compact]: a single line without spaces, the
+   [serve] protocol's row form.  Otherwise the document form: an object
+   or array whose members are all scalars prints on one line as
+   [{ "k": v, ... }] / [[v, ...]], anything else one member per line,
+   indented two spaces per level, and the text ends with a newline. *)
+let print ~compact (v : t) : string =
   let b = Buffer.create 256 in
-  let rec emit = function
-    | Null -> Buffer.add_string b "null"
-    | Bool true -> Buffer.add_string b "true"
-    | Bool false -> Buffer.add_string b "false"
-    | Num f -> Buffer.add_string b (number_string f)
-    | Str s ->
-        Buffer.add_char b '"';
-        Buffer.add_string b (escape s);
-        Buffer.add_char b '"'
+  let add = Buffer.add_string b in
+  let str s = Buffer.add_char b '"'; add (escape s); Buffer.add_char b '"' in
+  let colon = if compact then ":" else ": " in
+  let rec emit ind = function
+    | Null -> add "null"
+    | Bool x -> add (if x then "true" else "false")
+    | Num f -> add (number_string f)
+    | Str s -> str s
     | List vs ->
-        Buffer.add_char b '[';
-        List.iteri
-          (fun i v ->
-            if i > 0 then Buffer.add_char b ',';
-            emit v)
-          vs;
-        Buffer.add_char b ']'
+        seq ind (compact || List.for_all is_scalar vs) "[" "]" ""
+          (emit (ind + 2)) vs
     | Obj kvs ->
-        Buffer.add_char b '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char b ',';
-            Buffer.add_char b '"';
-            Buffer.add_string b (escape k);
-            Buffer.add_string b "\":";
-            emit v)
-          kvs;
-        Buffer.add_char b '}'
+        seq ind
+          (compact || List.for_all (fun (_, v) -> is_scalar v) kvs)
+          "{" "}" (if compact then "" else " ")
+          (fun (k, v) -> str k; add colon; emit (ind + 2) v)
+          kvs
+  and seq : 'a. int -> bool -> string -> string -> string -> ('a -> unit) ->
+      'a list -> unit =
+   fun ind flat opening closing inner each xs ->
+    add opening;
+    if xs <> [] then begin
+      let nl = if flat then inner else "\n" ^ String.make (ind + 2) ' ' in
+      let sep = if compact then "," else if flat then ", " else "," ^ nl in
+      add nl;
+      List.iteri (fun i x -> if i > 0 then add sep; each x) xs;
+      add (if flat then inner else "\n" ^ String.make ind ' ')
+    end;
+    add closing
   in
-  emit v;
+  emit 0 v;
+  if not compact then add "\n";
   Buffer.contents b
+
+(** Compact single-line form: the [serve] protocol's one row per line. *)
+let to_string (v : t) : string = print ~compact:true v
+
+(** Document form: every committed artifact and [profile --json]. *)
+let pretty (v : t) : string = print ~compact:false v
 
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                            *)
@@ -216,5 +244,20 @@ let list_field v k =
 
 (** Convenience constructors for row emission. *)
 let int (n : int) : t = Num (float_of_int n)
+
+let str (s : string) : t = Str s
+
+(** Integer members, for records of counts. *)
+let ints (kvs : (string * int) list) : (string * t) list =
+  List.map (fun (k, n) -> (k, int n)) kvs
+
+(** [x] rounded to [n] decimals, exactly as [%.nf] prints it. *)
+let decimals (n : int) (x : float) : t =
+  Num (float_of_string (Printf.sprintf "%.*f" n x))
+
+(** [x] rounded to [n] significant digits, exactly as [%.(n-1)e]
+    prints it. *)
+let sig_digits (n : int) (x : float) : t =
+  Num (float_of_string (Printf.sprintf "%.*e" (n - 1) x))
 
 let ms (seconds : float) : t = Num (Float.round (seconds *. 1e6) /. 1e3)

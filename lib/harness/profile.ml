@@ -194,69 +194,53 @@ let render ?(top = 10) (p : t) : string =
 (* JSON export                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let to_json (p : t) : string =
-  let buf = Buffer.create 4096 in
+let to_json (p : t) : Json.t =
   let o = p.result.Interp.Vm.obs in
   let st = p.result.Interp.Vm.stats in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n  \"profile\": \"%s\",\n" p.label;
-  add "  \"mode\": \"%s\",\n  \"facility\": \"%s\",\n  \"elim\": %b,\n"
-    (Softbound.Config.mode_name p.opts.Softbound.Config.mode)
-    (Softbound.Config.facility_name p.opts.Softbound.Config.facility)
-    p.opts.Softbound.Config.eliminate_checks;
-  add "  \"outcome\": \"%s\",\n"
-    (String.escaped (S.string_of_outcome p.result.Interp.Vm.outcome));
-  add "  \"cycles\": %d,\n" (total_cycles p);
-  (match base_cycles p with
-  | Some b -> add "  \"base_cycles\": %d,\n" b
-  | None -> ());
+  let opts = p.opts in
+  let ints kvs = Json.Obj (Json.ints kvs) in
+  let opt k = function Some n -> [ (k, n) ] | None -> [] in
   let surviving = List.length p.sites in
-  add
-    "  \"sites\": { \"assigned\": %d, \"surviving\": %d, \"elided\": %d },\n"
-    p.sites_assigned surviving
-    (p.sites_assigned - surviving);
-  add "  \"widening\": { \"checks_widened\": %d, \"checks_coalesced\": %d },\n"
-    p.widened p.coalesced;
-  add "  \"kinds\": {\n";
-  List.iteri
-    (fun i k ->
-      add
-        "    \"%s\": { \"ops\": %d, \"cycles\": %d, \"runtime_ops\": %d, \
-         \"runtime_cycles\": %d }%s\n"
-        (Obs.kind_name k) (site_kind_count o k) (site_kind_cycles o k)
-        (Obs.site_count o k 0) (Obs.site_cycles o k 0)
-        (if i = List.length Obs.all_kinds - 1 then "" else ","))
-    Obs.all_kinds;
-  add "  },\n";
   let site_a, wrap_a, rt_a = Obs.attribution o in
-  add
-    "  \"attribution\": { \"site\": %d, \"wrapper\": %d, \"runtime\": %d, \
-     \"fraction\": %.4f },\n"
-    site_a wrap_a rt_a (attributed_fraction p);
-  add "  \"wrappers\": [";
-  let wr = Obs.wrapper_stats o in
-  List.iteri
-    (fun i (n, c, cy) ->
-      add "%s\n    { \"name\": \"%s\", \"calls\": %d, \"cycles\": %d }"
-        (if i = 0 then "" else ",")
-        n c cy)
-    wr;
-  add "%s],\n" (if wr = [] then "" else "\n  ");
-  add "  \"hashtable\": { \"probes\": %d, \"resizes\": %d },\n" st.S.ht_probes
-    st.S.ht_resizes;
-  add "  \"cache_segments\": {\n";
-  let segs = Obs.seg_stats o in
-  List.iteri
-    (fun i (name, h, m) ->
-      add "    \"%s\": { \"hits\": %d, \"misses\": %d }%s\n" name h m
-        (if i = List.length segs - 1 then "" else ","))
-    segs;
-  add "  },\n";
-  add "  \"breakdown_cycles\": { \"check\": %d, \"metadata\": %d, \
-       \"wrapper\": %d%s }\n"
-    (check_cycles p) (meta_cycles p) (wrapper_cycles p)
-    (match residual_cycles p with
-    | Some r -> Printf.sprintf ", \"residual\": %d" r
-    | None -> "");
-  add "}\n";
-  Buffer.contents buf
+  let kind k =
+    ( Obs.kind_name k,
+      ints
+        [ ("ops", site_kind_count o k); ("cycles", site_kind_cycles o k);
+          ("runtime_ops", Obs.site_count o k 0);
+          ("runtime_cycles", Obs.site_cycles o k 0) ] )
+  in
+  let wrapper (n, c, cy) =
+    Json.Obj (("name", Json.Str n) :: Json.ints [ ("calls", c); ("cycles", cy) ])
+  in
+  let segment (name, h, m) = (name, ints [ ("hits", h); ("misses", m) ]) in
+  Json.Obj
+    ([ ("profile", Json.Str p.label);
+       ("mode", Json.Str (Softbound.Config.mode_name opts.Softbound.Config.mode));
+       ( "facility",
+         Json.Str (Softbound.Config.facility_name opts.Softbound.Config.facility)
+       );
+       ("elim", Json.Bool opts.Softbound.Config.eliminate_checks);
+       ("outcome", Json.Str (S.string_of_outcome p.result.Interp.Vm.outcome)) ]
+    @ Json.ints (("cycles", total_cycles p) :: opt "base_cycles" (base_cycles p))
+    @ [ ( "sites",
+          ints
+            [ ("assigned", p.sites_assigned); ("surviving", surviving);
+              ("elided", p.sites_assigned - surviving) ] );
+        ( "widening",
+          ints
+            [ ("checks_widened", p.widened);
+              ("checks_coalesced", p.coalesced) ] );
+        ("kinds", Json.Obj (List.map kind Obs.all_kinds));
+        ( "attribution",
+          Json.Obj
+            (Json.ints [ ("site", site_a); ("wrapper", wrap_a); ("runtime", rt_a) ]
+            @ [ ("fraction", Json.decimals 4 (attributed_fraction p)) ]) );
+        ("wrappers", Json.List (List.map wrapper (Obs.wrapper_stats o)));
+        ( "hashtable",
+          ints [ ("probes", st.S.ht_probes); ("resizes", st.S.ht_resizes) ] );
+        ("cache_segments", Json.Obj (List.map segment (Obs.seg_stats o)));
+        ( "breakdown_cycles",
+          ints
+            ([ ("check", check_cycles p); ("metadata", meta_cycles p);
+               ("wrapper", wrapper_cycles p) ]
+            @ opt "residual" (residual_cycles p)) ) ])

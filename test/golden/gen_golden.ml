@@ -44,7 +44,7 @@ let () =
       let p = Harness.Profile.profile ~label m in
       write_file
         (Filename.concat dir (name ^ ".profile.json"))
-        (Harness.Profile.to_json p);
+        (Harness.Json.pretty (Harness.Profile.to_json p));
       let cfg = { S.default_config with S.trace_depth = 16 } in
       let pt = Harness.Profile.profile ~label ~cfg ~with_baseline:false m in
       write_file
@@ -56,7 +56,7 @@ let () =
           write_file
             (Filename.concat dir
                (Printf.sprintf "%s.%s.profile.json" name sname))
-            (Harness.Profile.to_json ps);
+            (Harness.Json.pretty (Harness.Profile.to_json ps));
           let pst =
             Harness.Profile.profile ~label ~opts ~cfg ~with_baseline:false m
           in

@@ -25,4 +25,5 @@ let () =
       ("adversary", Test_adversary.suite);
       ("parallel", Test_par.suite);
       ("serve", Test_serve.suite);
+      ("artifacts", Test_artifacts.suite);
     ]

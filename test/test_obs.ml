@@ -35,7 +35,7 @@ let compile_golden name =
 
 let profile_json name =
   let p = Harness.Profile.profile ~label:name (compile_golden name) in
-  Harness.Profile.to_json p
+  Harness.Json.pretty (Harness.Profile.to_json p)
 
 (* ---- golden: trap-time trace dump ---- *)
 (* regenerate: dune exec test/gen_golden.exe (see that file) *)

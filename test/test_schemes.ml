@@ -180,7 +180,7 @@ let golden_tests =
                 in
                 golden
                   (Printf.sprintf "%s.%s.profile.json" prog sname)
-                  (Harness.Profile.to_json p));
+                  (Harness.Json.pretty (Harness.Profile.to_json p)));
             tc
               (Printf.sprintf "golden: %s trap trace under %s" prog sname)
               (fun () ->
