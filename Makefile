@@ -156,8 +156,12 @@ coverage:
 #
 # what CI runs: build, the whole test suite, schema validation of the
 # committed benchmark artifacts, a smoke pass of the check-elimination
-# ablation (quick workload sizes), the profiler smoke run, and both
-# fuzzing smoke campaigns (differential and adversarial robust-safety)
+# ablation (quick workload sizes), the profiler smoke run, --jobs
+# determinism of every facility-dependent artifact (elim, schemes and
+# vmspeed through their smoke targets; breakdown's per-facility
+# metadata attribution and memory's modeled-facility footprint rows
+# directly), and both fuzzing smoke campaigns (differential and
+# adversarial robust-safety)
 verify:
 	dune build
 	dune runtest
@@ -165,6 +169,7 @@ verify:
 	$(MAKE) elim-smoke
 	$(MAKE) profile-smoke
 	$(MAKE) vmspeed-smoke
+	dune exec bin/experiments.exe -- determinism breakdown memory
 	$(MAKE) serve-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) adversarial-smoke

@@ -38,12 +38,12 @@ let mode_arg =
 let facility_arg =
   Arg.(
     value
-    & opt (enum [ ("shadow", Softbound.Shadow_space);
-                  ("hash", Softbound.Hash_table);
-                  ("obj-header", Softbound.Obj_header);
-                  ("frame-tag", Softbound.Frame_tag);
-                  ("wide-inline", Softbound.Wide_inline) ])
-        Softbound.Shadow_space
+    & opt (enum [ ("shadow", Softbound.Config.Shadow_space);
+                  ("hash", Softbound.Config.Hash_table);
+                  ("obj-header", Softbound.Config.Obj_header);
+                  ("frame-tag", Softbound.Config.Frame_tag);
+                  ("wide-inline", Softbound.Config.Wide_inline) ])
+        Softbound.Config.Shadow_space
     & info [ "facility" ] ~docv:"F"
         ~doc:
           "Metadata organization: $(b,shadow), $(b,hash), or a \

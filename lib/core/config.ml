@@ -9,13 +9,9 @@
     much lower overhead. *)
 type mode = Full_checking | Store_only
 
-(** Metadata organization.  [Hash_table] and [Shadow_space] are the
-    paper's two organizations (section 5.1); the other three model the
-    related-work schemes' metadata placements (see {!Schemes}):
-    [Obj_header] a CGuard-style header just before the object,
-    [Frame_tag] a FRAMER-style frame tag in the pointer's top byte,
-    [Wide_inline] an L4-Pointer-style 128-bit wide pointer. *)
-type facility =
+(** Metadata organization, re-exported from
+    {!Interp.State.meta_facility} (documented there). *)
+type facility = Interp.State.meta_facility =
   | Hash_table
   | Shadow_space
   | Obj_header

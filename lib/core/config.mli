@@ -9,16 +9,12 @@
     write) at a much lower overhead. *)
 type mode = Full_checking | Store_only
 
-(** Metadata organization.  [Hash_table] (open-addressing, 24-byte
-    tagged entries, ~9 x86 instructions per lookup) and [Shadow_space]
-    (tag-less, 16 bytes per pointer-aligned word, ~5 instructions) are
-    the paper's two organizations (section 5.1).  The other three model
-    the related-work schemes' metadata placements (see {!Schemes}):
-    [Obj_header] is a CGuard-style 16-byte header just before the
-    object, [Frame_tag] a FRAMER-style frame tag carried in the
-    pointer's top byte, [Wide_inline] an L4-Pointer-style 128-bit wide
-    pointer with inline base/bound. *)
-type facility =
+(** Metadata organization (re-export of {!Interp.State.meta_facility}):
+    [Hash_table] and [Shadow_space] are the paper's two organizations
+    (section 5.1); [Obj_header] (CGuard), [Frame_tag] (FRAMER) and
+    [Wide_inline] (L4 Pointer) are related-work cost models over the
+    shadow space (see {!Schemes}). *)
+type facility = Interp.State.meta_facility =
   | Hash_table
   | Shadow_space
   | Obj_header

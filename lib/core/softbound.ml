@@ -16,12 +16,6 @@ module Transform = Transform
 module Elim = Elim
 
 type mode = Config.mode = Full_checking | Store_only
-type facility = Config.facility =
-  | Hash_table
-  | Shadow_space
-  | Obj_header
-  | Frame_tag
-  | Wide_inline
 type options = Config.options
 
 let default_options = Config.default
@@ -47,12 +41,11 @@ let instrument_with_sites ?(opts = Config.default) (m : Ir.modul) :
     Ir.modul * int =
   Transform.transform_with_sites ~opts m
 
-let facility_of = function
-  | Config.Hash_table -> Interp.State.Hash_table
-  | Config.Shadow_space -> Interp.State.Shadow_space
-  | Config.Obj_header -> Interp.State.Obj_header
-  | Config.Frame_tag -> Interp.State.Frame_tag
-  | Config.Wide_inline -> Interp.State.Wide_inline
+(** The interpreter facility for a {!Config.facility}: the identity, as
+    [Config.facility] re-exports {!Interp.State.meta_facility}.  Kept
+    only because the benchmark harness ([perfbench/pipeline.ml]) names
+    it. *)
+let facility_of (f : Config.facility) : Interp.State.meta_facility = f
 
 (** Run an *uninstrumented* module (the baseline the paper normalizes
     against). *)
@@ -67,7 +60,7 @@ let run_protected ?(opts = Config.default)
   let cfg =
     {
       cfg with
-      Interp.State.meta = Some (facility_of opts.Config.facility);
+      Interp.State.meta = Some opts.Config.facility;
       store_only = opts.Config.mode = Config.Store_only;
     }
   in

@@ -60,22 +60,39 @@ let find (name : string) =
 (* Cells shared between artifacts                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Per workload, each pair of (artifact, path in the workload's row)
-   cells that must hold the same value: elim's "on" / "off" cycles are
-   breakdown's "-elim" / "-noelim" configurations, and the schemes
-   matrix's SoftBound rows are breakdown configurations. *)
-let shared : ((string * string list) * (string * string list)) list =
+(* One side of a shared cell: an artifact, the path of its row array,
+   the row's identifying fields besides its "name", and the cell's path
+   within the row. *)
+type side = {
+  art : string;
+  rows : string list;
+  key : (string * string) list;
+  path : string list;
+}
+
+(* a cell of the row named after the workload in [art]'s declared row
+   array ({!Artifact.row_array}) *)
+let cell art path =
+  let rows = Option.bind (find art) (fun (a, _) -> Artifact.row_array a) in
+  { art; rows = Option.to_list rows; key = []; path }
+
+(* Per workload, each pair of cells that must hold the same value:
+   elim's "on" / "off" cycles are breakdown's "-elim" / "-noelim"
+   configurations, the schemes matrix's SoftBound rows are breakdown
+   configurations, and every vmspeed row's cycles are elim's (the
+   unprotected baseline, or hash-facility full checking with Elim on). *)
+let shared : (side * side) list =
   [
-    (("elim", [ "base_cycles" ]), ("breakdown", [ "base_cycles" ]));
-    (("elim", [ "base_cycles" ]), ("schemes", [ "base_cycles" ]));
+    (cell "elim" [ "base_cycles" ], cell "breakdown" [ "base_cycles" ]);
+    (cell "elim" [ "base_cycles" ], cell "schemes" [ "base_cycles" ]);
   ]
   @ List.concat_map
       (fun (group, config) ->
         [
-          ( ("elim", [ group; "on" ]),
-            ("breakdown", [ "configs"; config ^ "-elim"; "cycles" ]) );
-          ( ("elim", [ group; "off" ]),
-            ("breakdown", [ "configs"; config ^ "-noelim"; "cycles" ]) );
+          ( cell "elim" [ group; "on" ],
+            cell "breakdown" [ "configs"; config ^ "-elim"; "cycles" ] );
+          ( cell "elim" [ group; "off" ],
+            cell "breakdown" [ "configs"; config ^ "-noelim"; "cycles" ] );
         ])
       [
         ("shadow_full", "shadow-full");
@@ -87,48 +104,74 @@ let shared : ((string * string list) * (string * string list)) list =
       (fun (scheme, config) ->
         List.map
           (fun k ->
-            ( ("schemes", [ "schemes"; scheme; k ]),
-              ("breakdown", [ "configs"; config; k ]) ))
+            ( cell "schemes" [ "schemes"; scheme; k ],
+              cell "breakdown" [ "configs"; config; k ] ))
           [ "cycles"; "check"; "metadata"; "wrapper"; "residual" ])
       [
         ("softbound-full-shadow", "shadow-full-elim");
         ("softbound-store-shadow", "shadow-store-elim");
       ]
+  @ List.concat_map
+      (fun (scheme, elim) ->
+        List.map
+          (fun engine ->
+            ( cell "elim" elim,
+              {
+                art = "vmspeed";
+                rows = [ "current"; "rows" ];
+                key = [ ("scheme", scheme); ("engine", engine) ];
+                path = [ "sim_cycles" ];
+              } ))
+          Exp_vmspeed.engine_names)
+      [ ("unprotected", [ "base_cycles" ]);
+        ("softbound-full-hash", [ "hash_full"; "on" ]) ]
 
-(** Disagreements between the cells that elim, breakdown and schemes
-    share; [docs] maps artifact names to parsed trees, and a pair is
-    compared only when both artifacts are present. *)
+(** The value at [path] under [v], if there is one. *)
+let walk (path : string list) (v : Json.t) : Json.t option =
+  List.fold_left (fun v k -> Option.bind v (fun v -> Json.field v k)) (Some v) path
+
+(** The rows [side] selects from in the trees [docs]. *)
+let rows_of docs (side : side) : Json.t list =
+  match Option.bind (List.assoc_opt side.art docs) (walk side.rows) with
+  | Some (Json.List rows) -> rows
+  | _ -> []
+
+(** Whether [row] is [side]'s row for [workload]. *)
+let selects (side : side) workload (row : Json.t) =
+  List.for_all
+    (fun (k, v) -> Json.str_field row k = Some v)
+    (("name", workload) :: side.key)
+
+(** Disagreements between the cells that the artifacts share; [docs]
+    maps artifact names to parsed trees, and a pair is compared only
+    when both artifacts are present. *)
 let cross (docs : (string * Json.t) list) : string list =
-  let rows name =
-    match (List.assoc_opt name docs, Option.bind (find name) (fun (a, _) -> Artifact.row_array a)) with
-    | Some d, Some key -> Option.value ~default:[] (Json.list_field d key)
-    | _ -> []
-  in
-  let cell name workload path =
-    List.find_opt (fun r -> Json.str_field r "name" = Some workload) (rows name)
-    |> Option.map (fun r ->
-           List.fold_left (fun v k -> Option.bind v (fun v -> Json.field v k))
-             (Some r) path)
-    |> Option.join
+  let value side workload =
+    Option.bind (List.find_opt (selects side workload) (rows_of docs side))
+      (walk side.path)
   in
   let workloads =
-    List.concat_map (fun name -> rows name) [ "elim"; "breakdown"; "schemes" ]
+    List.concat_map
+      (fun art -> rows_of docs (cell art []))
+      [ "elim"; "breakdown"; "schemes" ]
     |> List.filter_map (fun r -> Json.str_field r "name")
     |> List.sort_uniq compare
   in
-  let show (name, path) w v =
-    Printf.sprintf "BENCH_%s.json %s.%s = %s" name w (String.concat "." path)
+  let show side w v =
+    Printf.sprintf "BENCH_%s.json %s%s.%s = %s" side.art w
+      (String.concat "" (List.map (fun (_, v) -> "/" ^ v) side.key))
+      (String.concat "." side.path)
       (match v with Some v -> Json.to_string v | None -> "missing")
   in
   List.concat_map
     (fun w ->
       List.filter_map
-        (fun (((a, pa) as x), ((b, pb) as y)) ->
-          if not (List.mem_assoc a docs && List.mem_assoc b docs) then None
+        (fun (x, y) ->
+          if not (List.mem_assoc x.art docs && List.mem_assoc y.art docs) then None
           else
-            let va = cell a w pa and vb = cell b w pb in
-            if va <> None && va = vb then None
-            else Some (show x w va ^ " but " ^ show y w vb))
+            let vx = value x w and vy = value y w in
+            if vx <> None && vx = vy then None
+            else Some (show x w vx ^ " but " ^ show y w vy))
         shared)
     workloads
 

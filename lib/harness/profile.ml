@@ -33,7 +33,7 @@ let profile ?(label = "program") ?(opts = Softbound.Config.default)
   let run_cfg =
     {
       cfg with
-      S.meta = Some (Softbound.facility_of opts.Softbound.Config.facility);
+      S.meta = Some opts.Softbound.Config.facility;
       store_only = opts.Softbound.Config.mode = Softbound.Config.Store_only;
     }
   in

@@ -138,7 +138,7 @@ let run ?(argv = []) ?(inputs = []) ?(max_steps = 2_000_000_000)
       {
         base with
         Interp.State.meta =
-          Some (Softbound.facility_of opts.Softbound.Config.facility);
+          Some opts.Softbound.Config.facility;
         store_only = opts.Softbound.Config.mode = Softbound.Config.Store_only;
       }
     in

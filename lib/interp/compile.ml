@@ -2,11 +2,10 @@
    each basic block of the pre-decoded IR to a chain of OCaml closures.
 
    Executing a block is a tail-call chain with no constructor dispatch:
-   each closure captures its resolved operands, call-target resolution,
-   and per-site metadata inline-cache cell as preallocated state, and
-   ends by tail-calling the next closure (a 2-argument application,
-   which the native compiler turns into a real jump through
-   [caml_apply2]).  Control flow links blocks through a per-function
+   each closure captures its resolved operands and call-target
+   resolution as preallocated state, and ends by tail-calling the next
+   closure (a 2-argument application, which the native compiler turns
+   into a real jump through [caml_apply2]).  Control flow links blocks through a per-function
    join-point array resolved at compile time; the driver loop below
    re-enters a chain only at frame boundaries (calls that push a frame,
    returns, longjmp repositioning).
@@ -20,12 +19,10 @@
 
    The compiled artifact captures no per-run state: closures take the
    [(loaded, frame)] pair as arguments, and what they close over —
-   pre-decoded [fentry] values, join-point arrays, constants, and the
-   metadata cells — is either immutable or race-safe (a metadata cell
-   can only produce a verified hit whose replayed accounting is
-   identical to a full probe, see {!State.meta_load_cell}).  Artifacts
-   are therefore attached to the module image ({!Vm.image}) and shared
-   across runs, configurations, and domains. *)
+   pre-decoded [fentry] values, join-point arrays, constants — is
+   immutable or race-safe.  Artifacts are therefore attached to the
+   module image ({!Vm.image}) and shared across runs, configurations,
+   and domains. *)
 
 module Ir = Sbir.Ir
 open State
@@ -585,23 +582,20 @@ let compile_inst img (c_funcs : (string, func_chains) Hashtbl.t) (f : Ir.func)
   | Ir.MetaLoad (rb, re, a, site) when pure_operand a ->
       let rb = vreg f rb and re = vreg f re in
       let sa, ja = pure_parts f a in
-      (* the per-site inline cache lives in the closure environment *)
-      let cell = fresh_meta_cell () in
       fun ld fr ->
         let st = ld.st in
         tick st;
-        let b, e = meta_load_cell ~site st cell (fetch fr sa ja) in
+        let b, e = meta_load ~site st (fetch fr sa ja) in
         ureg_set_int fr rb b;
         ureg_set_int fr re e;
         next ld fr
   | Ir.MetaLoad (rb, re, a, site) ->
       let rb = vreg f rb and re = vreg f re in
       let ia = ev_int f a in
-      let cell = fresh_meta_cell () in
       fun ld fr ->
         let st = ld.st in
         tick st;
-        let b, e = meta_load_cell ~site st cell (ia fr) in
+        let b, e = meta_load ~site st (ia fr) in
         ureg_set_int fr rb b;
         ureg_set_int fr re e;
         next ld fr

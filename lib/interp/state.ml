@@ -82,12 +82,16 @@ type checker = {
 (* Metadata facility (paper section 5.1)                                *)
 (* ------------------------------------------------------------------ *)
 
-(** The two SoftBound organizations from section 5.1, plus three
-    related-work facilities modeled for the scheme matrix.  The three
-    extras keep the shadow space as the physical backing store (the
-    simulated program layout is unchanged, so their correctness is
-    identical to [Shadow_space]); what differs is the charged cycle
-    cost and the cache traffic pattern of each metadata operation:
+(** The metadata organization.  [Hash_table] (open addressing, 24-byte
+    tagged entries, ~9 x86 instructions per lookup) and [Shadow_space]
+    (tag-less, 16 bytes per pointer-aligned word, ~5 instructions) are
+    the two SoftBound organizations from section 5.1; the other three
+    model related-work schemes' metadata placements for the scheme
+    matrix.  The three extras keep the shadow space as the physical
+    backing store (the simulated program layout is unchanged, so their
+    correctness is identical to [Shadow_space]); what differs is the
+    charged cycle cost and the cache traffic pattern of each metadata
+    operation:
 
     - [Obj_header] (CGuard): bounds live in a 16-byte header just
       before the object; a lookup derefs the header, an update is a
@@ -364,25 +368,7 @@ type t = {
   mutable ht_live : int;
       (** occupied hash-table slots; growth keeps this at most half of
           [ht_entries] so probe chains stay short *)
-  mc_site : int array;
-      (** per-site metadata-lookup inline cache for the hash facility,
-          direct-mapped on the site id (a power-of-two size, empty under
-          every other facility): the instrumentation site last served by
-          this slot (-1 = empty) ... *)
-  mc_addr : int array;  (** ... the pointer address it looked up ... *)
-  mc_disp : int array;
-      (** ... the probe displacement at which the tag matched ... *)
-  mc_gen : int array;
-      (** ... and the [ht_resizes] generation it was valid in.  A resize
-          rehashes every entry, so a generation mismatch invalidates the
-          cached displacement; between resizes tags never move or clear,
-          so a verified hit can replay the probe walk without re-reading
-          the intermediate tags. *)
 }
-
-(** Largest inline-cache size (power of two); sites hash in by their low
-    bits. *)
-let mc_size = 1024
 
 (** Register files of up to this many registers are pooled. *)
 let reg_pool_buckets = 64
@@ -460,224 +446,39 @@ let ht_index st addr = (addr lsr 3) land (st.ht_entries - 1)
 
 let ht_region_limit = L.shadow_base - L.hashtable_base
 
-(* The three related-work facilities (CGuard header, FRAMER frame tag,
-   L4 wide pointer) are *cost models* layered over the shadow space: the
-   base/bound words are physically stored at [L.shadow_addr addr], so
-   every lookup returns exactly what a shadow-space run would — what
-   differs is the cycles charged and where the cache traffic lands.
-   [cache_access] only consults the simulated cache (it never touches
-   memory), so pointing it at a header/frame/wide-slot address models
-   that facility's locality without perturbing program state. *)
-
-let modeled_load st fac addr : int * int =
-  let sa = L.shadow_addr addr in
-  let mb = Mem.read_int st.mem sa 8 in
-  let me = Mem.read_int st.mem (sa + 8) 8 in
-  (match fac with
-  | Obj_header ->
-      (* CGuard: deref the 16-byte header just before the object the
-         pointer's tag names; null metadata has no header to touch *)
-      charge st Cost.header_lookup;
-      if mb <> 0 then begin
-        cache_access st (mb - 16);
-        cache_access st (mb - 8)
-      end
-  | Frame_tag ->
-      (* FRAMER: decode the top-byte tag, then deref the enclosing
-         frame's header (the frame-aligned address below the base) *)
-      charge st Cost.frame_lookup;
-      if mb <> 0 then begin
-        let fh = mb land lnot 15 in
-        cache_access st fh;
-        cache_access st (fh + 8)
-      end
-  | Wide_inline ->
-      (* L4 Pointer: base/bound are the upper half of the 128-bit
-         pointer, adjacent to the slot just loaded *)
-      charge st Cost.wide_lookup;
-      cache_access st (addr + 8)
-  | Hash_table | Shadow_space -> assert false);
-  (mb, me)
-
-let modeled_store st fac addr base bound : unit =
-  (match fac with
-  | Obj_header ->
-      (* the object tag travels in the pointer's spare bits: no extra
-         memory traffic on a pointer store *)
-      charge st Cost.header_update
-  | Frame_tag -> charge st Cost.frame_update
-  | Wide_inline ->
-      (* storing a wide pointer writes the adjacent upper half too *)
-      charge st Cost.wide_update;
-      cache_access st (addr + 8)
-  | Hash_table | Shadow_space -> assert false);
-  let sa = L.shadow_addr addr in
-  Mem.write_int st.mem sa 8 base;
-  Mem.write_int st.mem (sa + 8) 8 bound
-
-let meta_load ?(site = 0) st addr : int * int =
-  st.stats.meta_loads <- st.stats.meta_loads + 1;
-  let cy0 = st.stats.cycles in
-  let (mb, me) as res =
-    match st.cfg.meta with
-  | None -> (0, 0)
-  | Some Shadow_space ->
-      let sa = L.shadow_addr addr in
-      charge st Cost.shadow_lookup;
-      cache_access st sa;
-      cache_access st (sa + 8);
-      (Mem.read_int st.mem sa 8, Mem.read_int st.mem (sa + 8) 8)
-  | Some ((Obj_header | Frame_tag | Wide_inline) as fac) ->
-      modeled_load st fac addr
-  | Some Hash_table ->
-      charge st Cost.hash_lookup;
-      let tag = addr + 1 in
-      let home = ht_index st addr in
-      let mc = site land (Array.length st.mc_site - 1) in
-      let rec probe i n =
-        (* sound cutoff: insertion keeps every live entry within
-           [ht_max_probes] of its home slot *)
-        if n > ht_max_probes then (0, 0)
-        else begin
-          let ea = ht_slot_addr st i in
-          cache_access st ea;
-          let t = Mem.read_int st.mem ea 8 in
-          if t = tag then begin
-            cache_access st (ea + 8);
-            cache_access st (ea + 16);
-            (* only successful tag matches enter the inline cache: their
-               displacement is stable until the next resize *)
-            st.mc_site.(mc) <- site;
-            st.mc_addr.(mc) <- addr;
-            st.mc_disp.(mc) <- n;
-            st.mc_gen.(mc) <- st.stats.ht_resizes;
-            (Mem.read_int st.mem (ea + 8) 8, Mem.read_int st.mem (ea + 16) 8)
-          end
-          else if t = 0 then (0, 0)
-          else begin
-            st.stats.ht_probes <- st.stats.ht_probes + 1;
-            charge st Cost.hash_probe;
-            probe (i + 1) (n + 1)
-          end
-        end
-      in
-      if
-        st.mc_site.(mc) = site
-        && st.mc_addr.(mc) = addr
-        && st.mc_gen.(mc) = st.stats.ht_resizes
-        && Mem.read_int st.mem (ht_slot_addr st (home + st.mc_disp.(mc))) 8
-           = tag
-      then begin
-        (* verified hit: the entry is still where it was, and (between
-           resizes) the intermediate tags can't have changed — replay
-           the probe walk's accounting without re-reading them.  The
-           emitted cache/charge/probe sequence is identical to the full
-           probe's, so simulated outputs don't move. *)
-        let d = st.mc_disp.(mc) in
-        for k = 0 to d - 1 do
-          cache_access st (ht_slot_addr st (home + k));
-          st.stats.ht_probes <- st.stats.ht_probes + 1;
-          charge st Cost.hash_probe
-        done;
-        let ea = ht_slot_addr st (home + d) in
-        cache_access st ea;
-        cache_access st (ea + 8);
-        cache_access st (ea + 16);
+(** Find [addr]'s entry by linear probing from its home slot: its
+    (base, bound), or (0, 0) when absent.  [account] charges the walk —
+    one cache access per slot read, one {!Cost.hash_probe} per
+    collision, the base/bound words of a match — and is false for
+    observer-only peeks. *)
+let ht_find st ~account addr : int * int =
+  let tag = addr + 1 in
+  let rec probe i n =
+    (* sound cutoff: insertion keeps every live entry within
+       [ht_max_probes] of its home slot *)
+    if n > ht_max_probes then (0, 0)
+    else begin
+      let ea = ht_slot_addr st i in
+      if account then cache_access st ea;
+      let t = Mem.read_int st.mem ea 8 in
+      if t = tag then begin
+        if account then begin
+          cache_access st (ea + 8);
+          cache_access st (ea + 16)
+        end;
         (Mem.read_int st.mem (ea + 8) 8, Mem.read_int st.mem (ea + 16) 8)
       end
-      else probe home 0
+      else if t = 0 then (0, 0)
+      else begin
+        if account then begin
+          st.stats.ht_probes <- st.stats.ht_probes + 1;
+          charge st Cost.hash_probe
+        end;
+        probe (i + 1) (n + 1)
+      end
+    end
   in
-  if st.cfg.obs_enabled then begin
-    Obs.record_op st.obs Obs.KMetaLoad ~site ~cycles:(st.stats.cycles - cy0);
-    if Obs.trace_on st.obs then
-      Obs.trace_event st.obs
-        (Obs.E_meta_load { site; addr; base = mb; bound = me })
-  end;
-  res
-
-(** Per-site inline-cache cell owned by the caller: the threaded-code
-    engine preallocates one per instrumented site and threads it through
-    the closure environment, replacing the direct-mapped [mc_*] arrays
-    (no site hashing, no collisions).  [mcc_addr = min_int] is empty. *)
-type meta_cell = { mutable mcc_addr : int; mutable mcc_disp : int }
-
-let fresh_meta_cell () = { mcc_addr = min_int; mcc_disp = 0 }
-
-(** [meta_load] against a caller-owned cell.  A hit is verified purely by
-    re-reading the tag at the cached displacement: the insertion
-    invariant (a live entry at displacement [d] implies slots
-    [home..home+d-1] are occupied) plus the fact that tags never clear
-    between resizes make the replayed accounting identical to the full
-    probe's whenever the tag matches — no generation check needed, which
-    also makes stale cells (cached compiled code reused across runs, or
-    shared between domains) safe: a wrong cell can only miss, never
-    mis-account.  Simulated outputs are bit-identical to [meta_load];
-    only host-side hit rates differ. *)
-let meta_load_cell ?(site = 0) st (cell : meta_cell) addr : int * int =
-  st.stats.meta_loads <- st.stats.meta_loads + 1;
-  let cy0 = st.stats.cycles in
-  let (mb, me) as res =
-    match st.cfg.meta with
-    | None -> (0, 0)
-    | Some Shadow_space ->
-        let sa = L.shadow_addr addr in
-        charge st Cost.shadow_lookup;
-        cache_access st sa;
-        cache_access st (sa + 8);
-        (Mem.read_int st.mem sa 8, Mem.read_int st.mem (sa + 8) 8)
-    | Some ((Obj_header | Frame_tag | Wide_inline) as fac) ->
-        modeled_load st fac addr
-    | Some Hash_table ->
-        charge st Cost.hash_lookup;
-        let tag = addr + 1 in
-        let home = ht_index st addr in
-        let rec probe i n =
-          if n > ht_max_probes then (0, 0)
-          else begin
-            let ea = ht_slot_addr st i in
-            cache_access st ea;
-            let t = Mem.read_int st.mem ea 8 in
-            if t = tag then begin
-              cache_access st (ea + 8);
-              cache_access st (ea + 16);
-              cell.mcc_addr <- addr;
-              cell.mcc_disp <- n;
-              (Mem.read_int st.mem (ea + 8) 8, Mem.read_int st.mem (ea + 16) 8)
-            end
-            else if t = 0 then (0, 0)
-            else begin
-              st.stats.ht_probes <- st.stats.ht_probes + 1;
-              charge st Cost.hash_probe;
-              probe (i + 1) (n + 1)
-            end
-          end
-        in
-        if
-          cell.mcc_addr = addr
-          && Mem.read_int st.mem (ht_slot_addr st (home + cell.mcc_disp)) 8
-             = tag
-        then begin
-          let d = cell.mcc_disp in
-          for k = 0 to d - 1 do
-            cache_access st (ht_slot_addr st (home + k));
-            st.stats.ht_probes <- st.stats.ht_probes + 1;
-            charge st Cost.hash_probe
-          done;
-          let ea = ht_slot_addr st (home + d) in
-          cache_access st ea;
-          cache_access st (ea + 8);
-          cache_access st (ea + 16);
-          (Mem.read_int st.mem (ea + 8) 8, Mem.read_int st.mem (ea + 16) 8)
-        end
-        else probe home 0
-  in
-  if st.cfg.obs_enabled then begin
-    Obs.record_op st.obs Obs.KMetaLoad ~site ~cycles:(st.stats.cycles - cy0);
-    if Obs.trace_on st.obs then
-      Obs.trace_event st.obs
-        (Obs.E_meta_load { site; addr; base = mb; bound = me })
-  end;
-  res
+  probe (ht_index st addr) 0
 
 (** Insert (or update/clear) one entry; grows the table instead of
     failing when the probe chain or the load factor is exhausted.
@@ -752,54 +553,112 @@ and ht_grow st : unit =
       ht_insert st ~addr ~base ~bound ~account:false)
     !live
 
+(* Shadow space, and the three related-work facilities (CGuard header,
+   FRAMER frame tag, L4 wide pointer) modeled over it: all four store a
+   pointer's base/bound words at [L.shadow_addr addr], so every lookup
+   returns exactly what a shadow-space run would.  What a facility
+   changes is the cycles charged and where the cache traffic lands.
+   [cache_access] only consults the simulated cache (it never touches
+   memory), so pointing it at a header/frame/wide-slot address models
+   that facility's locality without perturbing program state. *)
+
+let shadow_read st addr : int * int =
+  let sa = L.shadow_addr addr in
+  (Mem.read_int st.mem sa 8, Mem.read_int st.mem (sa + 8) 8)
+
+let shadow_write st addr base bound : unit =
+  let sa = L.shadow_addr addr in
+  Mem.write_int st.mem sa 8 base;
+  Mem.write_int st.mem (sa + 8) 8 bound
+
+(** One cache access for each of the two words at [a] and [a + 8]. *)
+let touch_pair st a =
+  cache_access st a;
+  cache_access st (a + 8)
+
+let meta_load ?(site = 0) st addr : int * int =
+  st.stats.meta_loads <- st.stats.meta_loads + 1;
+  let cy0 = st.stats.cycles in
+  let (mb, me) as res =
+    match st.cfg.meta with
+    | None -> (0, 0)
+    | Some Hash_table ->
+        charge st Cost.hash_lookup;
+        ht_find st ~account:true addr
+    | Some Shadow_space ->
+        charge st Cost.shadow_lookup;
+        touch_pair st (L.shadow_addr addr);
+        shadow_read st addr
+    | Some Obj_header ->
+        (* CGuard: deref the 16-byte header just before the object the
+           pointer's tag names; null metadata has no header to touch *)
+        charge st Cost.header_lookup;
+        let ((mb, _) as m) = shadow_read st addr in
+        if mb <> 0 then touch_pair st (mb - 16);
+        m
+    | Some Frame_tag ->
+        (* FRAMER: decode the top-byte tag, then deref the enclosing
+           frame's header (the frame-aligned address below the base) *)
+        charge st Cost.frame_lookup;
+        let ((mb, _) as m) = shadow_read st addr in
+        if mb <> 0 then touch_pair st (mb land lnot 15);
+        m
+    | Some Wide_inline ->
+        (* L4 Pointer: base/bound are the upper half of the 128-bit
+           pointer, adjacent to the slot just loaded *)
+        charge st Cost.wide_lookup;
+        cache_access st (addr + 8);
+        shadow_read st addr
+  in
+  if st.cfg.obs_enabled then begin
+    Obs.record_op st.obs Obs.KMetaLoad ~site ~cycles:(st.stats.cycles - cy0);
+    if Obs.trace_on st.obs then
+      Obs.trace_event st.obs
+        (Obs.E_meta_load { site; addr; base = mb; bound = me })
+  end;
+  res
+
 let meta_store ?(site = 0) st addr base bound : unit =
   st.stats.meta_stores <- st.stats.meta_stores + 1;
   let cy0 = st.stats.cycles in
   (match st.cfg.meta with
   | None -> ()
-  | Some Shadow_space ->
-      let sa = L.shadow_addr addr in
-      charge st Cost.shadow_update;
-      cache_access st sa;
-      cache_access st (sa + 8);
-      Mem.write_int st.mem sa 8 base;
-      Mem.write_int st.mem (sa + 8) 8 bound
-  | Some ((Obj_header | Frame_tag | Wide_inline) as fac) ->
-      modeled_store st fac addr base bound
   | Some Hash_table ->
       charge st Cost.hash_update;
-      ht_insert st ~addr ~base ~bound ~account:true);
+      ht_insert st ~addr ~base ~bound ~account:true
+  | Some Shadow_space ->
+      charge st Cost.shadow_update;
+      touch_pair st (L.shadow_addr addr);
+      shadow_write st addr base bound
+  | Some Obj_header ->
+      (* the object tag travels in the pointer's spare bits: no extra
+         memory traffic on a pointer store *)
+      charge st Cost.header_update;
+      shadow_write st addr base bound
+  | Some Frame_tag ->
+      charge st Cost.frame_update;
+      shadow_write st addr base bound
+  | Some Wide_inline ->
+      (* storing a wide pointer writes the adjacent upper half too *)
+      charge st Cost.wide_update;
+      cache_access st (addr + 8);
+      shadow_write st addr base bound);
   if st.cfg.obs_enabled then begin
     Obs.record_op st.obs Obs.KMetaStore ~site ~cycles:(st.stats.cycles - cy0);
     if Obs.trace_on st.obs then
       Obs.trace_event st.obs (Obs.E_meta_store { site; addr; base; bound })
   end
 
-(** Observer-only metadata read: no cycle accounting, no cache traffic,
-    no inline-cache updates and no observability events.  For harness-side
-    integrity oracles (e.g. the adversarial robust-safety snapshots) that
-    must inspect the facility without perturbing the simulated run. *)
+(** Observer-only metadata read: no cycle accounting, no cache traffic
+    and no observability events.  For harness-side integrity oracles
+    (e.g. the adversarial robust-safety snapshots) that must inspect the
+    facility without perturbing the simulated run. *)
 let meta_peek st addr : int * int =
   match st.cfg.meta with
   | None -> (0, 0)
+  | Some Hash_table -> ht_find st ~account:false addr
   | Some (Shadow_space | Obj_header | Frame_tag | Wide_inline) ->
-      (* the modeled facilities are shadow-backed, so peeking reads the
-         same words *)
-      let sa = L.shadow_addr addr in
-      (Mem.read_int st.mem sa 8, Mem.read_int st.mem (sa + 8) 8)
-  | Some Hash_table ->
-      let tag = addr + 1 in
-      let rec probe i n =
-        if n > ht_max_probes then (0, 0)
-        else
-          let ea = ht_slot_addr st i in
-          let t = Mem.read_int st.mem ea 8 in
-          if t = tag then
-            (Mem.read_int st.mem (ea + 8) 8, Mem.read_int st.mem (ea + 16) 8)
-          else if t = 0 then (0, 0)
-          else probe (i + 1) (n + 1)
-      in
-      probe (ht_index st addr) 0
+      shadow_read st addr
 
 (* ------------------------------------------------------------------ *)
 (* The SoftBound check (paper section 3.1)                              *)

@@ -73,10 +73,6 @@ type image = {
   im_resolved : (string, resolution) Hashtbl.t;
       (** the module's functions and every direct callee; other names
           are classified on each use, see {!resolve} *)
-  im_mc_size : int;
-      (** entries in a hash-facility run's metadata-lookup inline cache:
-          a power of two above every [MetaLoad] site, at most
-          {!State.mc_size} *)
   im_code : attached Atomic.t;
 }
 
@@ -273,9 +269,7 @@ let build_image (m : Ir.modul) : image =
         }
       in
       Hashtbl.replace resolved f.Ir.fname (RFunc fe));
-  (* classify the direct callees that are not module functions, and find
-     the largest [MetaLoad] site *)
-  let max_site = ref 0 in
+  (* classify the direct callees that are not module functions *)
   Ir.iter_funcs m (fun f ->
       Array.iter
         (fun (b : Ir.block) ->
@@ -284,11 +278,9 @@ let build_image (m : Ir.modul) : image =
               | Ir.Call { callee = Ir.Func n; _ }
                 when not (Hashtbl.mem resolved n) ->
                   Hashtbl.replace resolved n (classify n)
-              | Ir.MetaLoad (_, _, _, site) -> max_site := max !max_site site
               | _ -> ())
             b.Ir.insts)
         f.Ir.fblocks);
-  let rec pow2 n = if n > !max_site || n >= mc_size then n else pow2 (2 * n) in
   {
     im_modul = m;
     im_func_names = func_names;
@@ -296,7 +288,6 @@ let build_image (m : Ir.modul) : image =
     im_globals_size = brk - L.globals_base;
     im_inits = Array.of_list inits;
     im_resolved = resolved;
-    im_mc_size = pow2 1;
     im_code = Atomic.make No_code;
   }
 
@@ -408,7 +399,6 @@ let create ?(cfg = default_config) (m : Ir.modul) : loaded =
     let rec up n = if n >= max 64 cfg.ht_entries_init then n else up (n * 2) in
     up 64
   in
-  let mc = if cfg.meta = Some Hash_table then img.im_mc_size else 0 in
   let st =
     {
       cfg;
@@ -432,10 +422,6 @@ let create ?(cfg = default_config) (m : Ir.modul) : loaded =
       reg_pool = Array.make reg_pool_buckets [];
       ht_entries = ht_entries0;
       ht_live = 0;
-      mc_site = Array.make mc (-1);
-      mc_addr = Array.make mc 0;
-      mc_disp = Array.make mc 0;
-      mc_gen = Array.make mc 0;
     }
   in
   (* checker sees the globals as objects *)

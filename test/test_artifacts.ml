@@ -172,36 +172,41 @@ let named_mutations () =
          .coverage[attack=sub-object-overflow].detected.cguard" );
     ]
 
-(* the cell [path] of the row named [w] in artifact [name], moved by 1 *)
-let bump docs (name, path) w =
-  let key =
-    Option.get (Option.bind (Bench_check.find name) (fun (a, _) -> A.row_array a))
+(* [v] with the member at [path] replaced by [f] of it *)
+let rec update path f v =
+  match (path, v) with
+  | [], v -> f v
+  | k :: rest, Json.Obj kvs ->
+      Json.Obj (replace k (update rest f (List.assoc k kvs)) kvs)
+  | _ -> Alcotest.failf "no member %s" (String.concat "." path)
+
+(* [side]'s cell of workload [w]'s row, moved by 1 *)
+let bump docs (side : Bench_check.side) w =
+  let incr = function
+    | Json.Num f -> Json.Num (f +. 1.0)
+    | _ -> Alcotest.failf "%s: not a number" (String.concat "." side.path)
   in
-  let rec at path v =
-    match (path, v) with
-    | [], Json.Num f -> Json.Num (f +. 1.0)
-    | k :: rest, Json.Obj kvs -> Json.Obj (replace k (at rest (List.assoc k kvs)) kvs)
-    | _ -> Alcotest.failf "no cell %s" (String.concat "." path)
+  let in_row r =
+    if Bench_check.selects side w r then update side.path incr r else r
   in
-  let doc = List.assoc name docs in
-  let rows = Option.get (Json.list_field doc key) in
-  let rows =
-    List.map (fun r -> if Json.str_field r "name" = Some w then at path r else r) rows
+  let rows = function
+    | Json.List rs -> Json.List (List.map in_row rs)
+    | _ -> Alcotest.failf "%s: not an array" (String.concat "." side.rows)
   in
-  let doc =
-    match doc with Json.Obj kvs -> Json.Obj (replace key (Json.List rows) kvs) | d -> d
-  in
-  (name, doc) :: List.remove_assoc name docs
+  (side.art, update side.rows rows (List.assoc side.art docs))
+  :: List.remove_assoc side.art docs
 
 let cross_rejects () =
   let docs = committed () in
+  checkb "vmspeed cells shared" true
+    (List.exists (fun (_, y) -> y.Bench_check.art = "vmspeed") Bench_check.shared);
   List.iter
     (fun (x, y) ->
       List.iter
-        (fun side ->
+        (fun (side : Bench_check.side) ->
           let docs' = bump docs side "go" in
           checkb
-            (Printf.sprintf "%s.%s moved" (fst side) (String.concat "." (snd side)))
+            (Printf.sprintf "%s.%s moved" side.art (String.concat "." side.path))
             true
             (Bench_check.check docs' <> []))
         [ x; y ])
