@@ -124,8 +124,10 @@ elim-smoke:
 	@echo "elim-smoke: widening active, jobs-independent, on/off identical"
 
 # regenerate the instrumented-IR digests pinned by the elim golden test
-# (test/golden/elim_ir.digests).  Run it only after reviewing that an IR
-# change is intentional: the test exists to catch unintended ones.
+# (test/golden/elim_ir.digests) and the token-stream digests pinned by
+# the lexer golden test (test/golden/lex.digests).  Run it only after
+# reviewing that an IR or token change is intentional: the tests exist
+# to catch unintended ones.
 elim-golden:
 	dune exec test/golden/gen_elim_digests.exe
 
@@ -152,7 +154,8 @@ coverage:
 
 # Golden files under test/golden/ have regenerators that verify never
 # runs: `dune exec test/golden/gen_golden.exe` (observability metrics
-# JSON and trap traces) and `make elim-golden` (instrumented-IR digests).
+# JSON and trap traces) and `make elim-golden` (instrumented-IR and
+# token-stream digests).
 #
 # what CI runs: build, the whole test suite, schema validation of the
 # committed benchmark artifacts, a smoke pass of the check-elimination

@@ -1,5 +1,14 @@
 (* Hand-written lexer for MiniC.
 
+   The lexer scans the source string by index: a character is looked at
+   with [at] (NUL past the end, so every test against a real character
+   fails there), and only the scanners whose characters may be newlines
+   go through [advance], which keeps the line count.  Keywords are
+   looked up in a table built once from [Token.keyword_table], and the
+   tokens are collected in fixed chunks, so lexing allocates little
+   beyond the tokens themselves (test_lexer.ml pins a words-per-token
+   budget).
+
    Preprocessor directives (lines starting with [#]) are skipped so that
    sources carrying [#include] lines lex cleanly — MiniC has an implicit
    libc instead of a preprocessor. *)
@@ -18,6 +27,7 @@ type lexed = { tok : Token.t; loc : loc }
 
 type state = {
   src : string;
+  len : int;
   mutable pos : int;
   mutable line : int;
   mutable bol : int;  (* offset of beginning of current line *)
@@ -25,17 +35,16 @@ type state = {
 
 let cur_loc st = { line = st.line; col = st.pos - st.bol + 1 }
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+(* the character at offset [i], or NUL past the end *)
+let at st i = if i < st.len then String.unsafe_get st.src i else '\000'
+let eof st = st.pos >= st.len
 
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
-
+(* step over one character that may be a newline *)
 let advance st =
-  (match peek st with
-  | Some '\n' ->
-      st.line <- st.line + 1;
-      st.bol <- st.pos + 1
-  | _ -> ());
+  if String.unsafe_get st.src st.pos = '\n' then begin
+    st.line <- st.line + 1;
+    st.bol <- st.pos + 1
+  end;
   st.pos <- st.pos + 1
 
 let is_digit c = c >= '0' && c <= '9'
@@ -43,317 +52,296 @@ let is_hex c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || is_digit c
 
-let rec skip_trivia st =
-  match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-      advance st;
-      skip_trivia st
-  | Some '#' when st.pos = st.bol || all_blank_before st ->
-      (* preprocessor line: skip to end of line *)
-      while peek st <> None && peek st <> Some '\n' do
-        advance st
-      done;
-      skip_trivia st
-  | Some '/' when peek2 st = Some '/' ->
-      while peek st <> None && peek st <> Some '\n' do
-        advance st
-      done;
-      skip_trivia st
-  | Some '/' when peek2 st = Some '*' ->
-      let start = cur_loc st in
-      advance st;
-      advance st;
-      let rec find () =
-        match (peek st, peek2 st) with
-        | Some '*', Some '/' ->
-            advance st;
-            advance st
-        | Some _, _ ->
-            advance st;
-            find ()
-        | None, _ -> lex_error start "unterminated comment"
-      in
-      find ();
-      skip_trivia st
-  | _ -> ()
+let skip_while st p =
+  while st.pos < st.len && p (String.unsafe_get st.src st.pos) do
+    st.pos <- st.pos + 1
+  done
 
-and all_blank_before st =
+let all_blank_before st =
   let rec go i =
     if i >= st.pos then true
-    else
-      match st.src.[i] with ' ' | '\t' -> go (i + 1) | _ -> false
+    else match st.src.[i] with ' ' | '\t' -> go (i + 1) | _ -> false
   in
   go st.bol
 
-let read_escape st loc =
-  match peek st with
-  | Some 'n' -> advance st; '\n'
-  | Some 't' -> advance st; '\t'
-  | Some 'r' -> advance st; '\r'
-  | Some '0' -> advance st; '\000'
-  | Some '\\' -> advance st; '\\'
-  | Some '\'' -> advance st; '\''
-  | Some '"' -> advance st; '"'
-  | Some 'a' -> advance st; '\007'
-  | Some 'b' -> advance st; '\b'
-  | Some 'f' -> advance st; '\012'
-  | Some 'v' -> advance st; '\011'
-  | Some 'x' ->
+let rec skip_trivia st =
+  match at st st.pos with
+  | ' ' | '\t' | '\r' ->
+      st.pos <- st.pos + 1;
+      skip_trivia st
+  | '\n' ->
       advance st;
-      let v = ref 0 in
-      let n = ref 0 in
-      while (match peek st with Some c when is_hex c -> true | _ -> false) do
-        let c = Option.get (peek st) in
-        let d =
-          if is_digit c then Char.code c - Char.code '0'
-          else (Char.code (Char.lowercase_ascii c) - Char.code 'a') + 10
-        in
-        v := (!v * 16) + d;
-        incr n;
+      skip_trivia st
+  | '#' when all_blank_before st ->
+      (* preprocessor line: skip to end of line *)
+      skip_while st (fun c -> c <> '\n');
+      skip_trivia st
+  | '/' when at st (st.pos + 1) = '/' ->
+      skip_while st (fun c -> c <> '\n');
+      skip_trivia st
+  | '/' when at st (st.pos + 1) = '*' ->
+      let start = cur_loc st in
+      st.pos <- st.pos + 2;
+      while not (at st st.pos = '*' && at st (st.pos + 1) = '/') do
+        if eof st then lex_error start "unterminated comment";
         advance st
       done;
-      if !n = 0 then lex_error loc "empty hex escape";
-      Char.chr (!v land 0xff)
-  | Some c -> lex_error loc "unknown escape sequence \\%c" c
-  | None -> lex_error loc "unterminated escape"
+      st.pos <- st.pos + 2;
+      skip_trivia st
+  | _ -> ()
 
-let lex_number st =
-  let loc = cur_loc st in
-  let start = st.pos in
-  let hex =
-    peek st = Some '0' && (peek2 st = Some 'x' || peek2 st = Some 'X')
+let hex_value c =
+  if is_digit c then Char.code c - Char.code '0'
+  else Char.code (Char.lowercase_ascii c) - Char.code 'a' + 10
+
+(* the character an escape sequence (after its backslash) stands for *)
+let read_escape st loc =
+  if eof st then lex_error loc "unterminated escape";
+  let c = st.src.[st.pos] in
+  let simple v =
+    st.pos <- st.pos + 1;
+    v
   in
-  if hex then begin
-    advance st;
-    advance st;
-    while (match peek st with Some c when is_hex c -> true | _ -> false) do
-      advance st
-    done;
-    let text = String.sub st.src start (st.pos - start) in
+  match c with
+  | 'n' -> simple '\n'
+  | 't' -> simple '\t'
+  | 'r' -> simple '\r'
+  | '0' -> simple '\000'
+  | '\\' -> simple '\\'
+  | '\'' -> simple '\''
+  | '"' -> simple '"'
+  | 'a' -> simple '\007'
+  | 'b' -> simple '\b'
+  | 'f' -> simple '\012'
+  | 'v' -> simple '\011'
+  | 'x' ->
+      st.pos <- st.pos + 1;
+      let start = st.pos in
+      let v = ref 0 in
+      while st.pos < st.len && is_hex st.src.[st.pos] do
+        v := (!v * 16) + hex_value st.src.[st.pos];
+        st.pos <- st.pos + 1
+      done;
+      if st.pos = start then lex_error loc "empty hex escape";
+      Char.chr (!v land 0xff)
+  | c -> lex_error loc "unknown escape sequence \\%c" c
+
+let lex_number st loc =
+  let start = st.pos in
+  let text () = String.sub st.src start (st.pos - start) in
+  if at st st.pos = '0' && (at st (st.pos + 1) = 'x' || at st (st.pos + 1) = 'X')
+  then begin
+    st.pos <- st.pos + 2;
+    skip_while st is_hex;
+    let text = text () in
     let v =
       try Int64.of_string text
       with _ -> lex_error loc "bad hex literal %s" text
     in
     (* optional suffix *)
-    let kind = ref Ctypes.IInt in
-    (match peek st with
-    | Some ('l' | 'L') -> advance st; kind := Ctypes.ILong
-    | Some ('u' | 'U') -> advance st; kind := Ctypes.IUInt
-    | _ -> ());
-    Token.INT_LIT (v, !kind)
+    match at st st.pos with
+    | 'l' | 'L' ->
+        st.pos <- st.pos + 1;
+        Token.INT_LIT (v, Ctypes.ILong)
+    | 'u' | 'U' ->
+        st.pos <- st.pos + 1;
+        Token.INT_LIT (v, Ctypes.IUInt)
+    | _ -> Token.INT_LIT (v, Ctypes.IInt)
   end
   else begin
-    while (match peek st with Some c when is_digit c -> true | _ -> false) do
-      advance st
-    done;
-    let is_float =
-      (peek st = Some '.' && (match peek2 st with Some c -> is_digit c | None -> false))
-      || peek st = Some '.'
-      || (match peek st with Some ('e' | 'E') -> true | _ -> false)
-    in
-    if is_float then begin
-      if peek st = Some '.' then begin
-        advance st;
-        while (match peek st with Some c when is_digit c -> true | _ -> false) do
-          advance st
-        done
-      end;
-      (match peek st with
-      | Some ('e' | 'E') ->
-          advance st;
-          (match peek st with
-          | Some ('+' | '-') -> advance st
-          | _ -> ());
-          while (match peek st with Some c when is_digit c -> true | _ -> false) do
-            advance st
-          done
-      | _ -> ());
-      let text = String.sub st.src start (st.pos - start) in
-      let v =
-        try float_of_string text
-        with _ -> lex_error loc "bad float literal %s" text
-      in
-      match peek st with
-      | Some ('f' | 'F') ->
-          advance st;
-          Token.FLOAT_LIT (v, Ctypes.FFloat)
-      | _ -> Token.FLOAT_LIT (v, Ctypes.FDouble)
-    end
-    else begin
-      let text = String.sub st.src start (st.pos - start) in
-      let v =
-        try Int64.of_string text
-        with _ -> lex_error loc "bad int literal %s" text
-      in
-      let kind = ref Ctypes.IInt in
-      let rec suffixes () =
-        match peek st with
-        | Some ('l' | 'L') ->
-            advance st;
-            kind := (if Ctypes.ikind_signed !kind then Ctypes.ILong else Ctypes.IULong);
-            suffixes ()
-        | Some ('u' | 'U') ->
-            advance st;
-            kind := (if !kind = Ctypes.ILong then Ctypes.IULong else Ctypes.IUInt);
-            suffixes ()
-        | _ -> ()
-      in
-      suffixes ();
-      Token.INT_LIT (v, !kind)
-    end
+    skip_while st is_digit;
+    match at st st.pos with
+    | '.' | 'e' | 'E' ->
+        if at st st.pos = '.' then begin
+          st.pos <- st.pos + 1;
+          skip_while st is_digit
+        end;
+        (match at st st.pos with
+        | 'e' | 'E' ->
+            st.pos <- st.pos + 1;
+            (match at st st.pos with
+            | '+' | '-' -> st.pos <- st.pos + 1
+            | _ -> ());
+            skip_while st is_digit
+        | _ -> ());
+        let text = text () in
+        let v =
+          try float_of_string text
+          with _ -> lex_error loc "bad float literal %s" text
+        in
+        (match at st st.pos with
+        | 'f' | 'F' ->
+            st.pos <- st.pos + 1;
+            Token.FLOAT_LIT (v, Ctypes.FFloat)
+        | _ -> Token.FLOAT_LIT (v, Ctypes.FDouble))
+    | _ ->
+        let text = text () in
+        let v =
+          try Int64.of_string text
+          with _ -> lex_error loc "bad int literal %s" text
+        in
+        let rec suffixes kind =
+          match at st st.pos with
+          | 'l' | 'L' ->
+              st.pos <- st.pos + 1;
+              suffixes
+                (if Ctypes.ikind_signed kind then Ctypes.ILong else Ctypes.IULong)
+          | 'u' | 'U' ->
+              st.pos <- st.pos + 1;
+              suffixes (if kind = Ctypes.ILong then Ctypes.IULong else Ctypes.IUInt)
+          | _ -> kind
+        in
+        Token.INT_LIT (v, suffixes Ctypes.IInt)
   end
 
-let lex_one st : lexed option =
-  skip_trivia st;
-  let loc = cur_loc st in
-  match peek st with
-  | None -> None
-  | Some c ->
-      let tok =
-        if is_digit c then lex_number st
-        else if is_ident_start c then begin
-          let start = st.pos in
-          while (match peek st with Some c when is_ident_char c -> true | _ -> false) do
-            advance st
-          done;
-          let text = String.sub st.src start (st.pos - start) in
-          match List.assoc_opt text Token.keyword_table with
-          | Some kw -> kw
-          | None -> Token.IDENT text
-        end
-        else if c = '\'' then begin
-          advance st;
-          let ch =
-            match peek st with
-            | Some '\\' ->
-                advance st;
-                read_escape st loc
-            | Some c ->
-                advance st;
-                c
-            | None -> lex_error loc "unterminated char literal"
-          in
-          (match peek st with
-          | Some '\'' -> advance st
-          | _ -> lex_error loc "unterminated char literal");
-          Token.CHAR_LIT ch
-        end
-        else if c = '"' then begin
-          advance st;
-          let buf = Buffer.create 16 in
-          let rec go () =
-            match peek st with
-            | Some '"' -> advance st
-            | Some '\\' ->
-                advance st;
-                Buffer.add_char buf (read_escape st loc);
-                go ()
-            | Some c ->
-                advance st;
-                Buffer.add_char buf c;
-                go ()
-            | None -> lex_error loc "unterminated string literal"
-          in
-          go ();
-          (* adjacent string literal concatenation *)
-          let rec concat () =
-            skip_trivia st;
-            match peek st with
-            | Some '"' ->
-                advance st;
-                let rec go () =
-                  match peek st with
-                  | Some '"' -> advance st
-                  | Some '\\' ->
-                      advance st;
-                      Buffer.add_char buf (read_escape st loc);
-                      go ()
-                  | Some c ->
-                      advance st;
-                      Buffer.add_char buf c;
-                      go ()
-                  | None -> lex_error loc "unterminated string literal"
-                in
-                go ();
-                concat ()
-            | _ -> ()
-          in
-          concat ();
-          Token.STRING_LIT (Buffer.contents buf)
-        end
-        else begin
-          let two a = advance st; advance st; a in
-          let three a = advance st; advance st; advance st; a in
-          let one a = advance st; a in
-          match (c, peek2 st) with
-          | '.', Some '.'
-            when st.pos + 2 < String.length st.src && st.src.[st.pos + 2] = '.' ->
-              three Token.ELLIPSIS
-          | '+', Some '+' -> two Token.PLUSPLUS
-          | '+', Some '=' -> two Token.PLUSEQ
-          | '+', _ -> one Token.PLUS
-          | '-', Some '-' -> two Token.MINUSMINUS
-          | '-', Some '=' -> two Token.MINUSEQ
-          | '-', Some '>' -> two Token.ARROW
-          | '-', _ -> one Token.MINUS
-          | '*', Some '=' -> two Token.STAREQ
-          | '*', _ -> one Token.STAR
-          | '/', Some '=' -> two Token.SLASHEQ
-          | '/', _ -> one Token.SLASH
-          | '%', Some '=' -> two Token.PERCENTEQ
-          | '%', _ -> one Token.PERCENT
-          | '&', Some '&' -> two Token.ANDAND
-          | '&', Some '=' -> two Token.AMPEQ
-          | '&', _ -> one Token.AMP
-          | '|', Some '|' -> two Token.OROR
-          | '|', Some '=' -> two Token.PIPEEQ
-          | '|', _ -> one Token.PIPE
-          | '^', Some '=' -> two Token.CARETEQ
-          | '^', _ -> one Token.CARET
-          | '~', _ -> one Token.TILDE
-          | '!', Some '=' -> two Token.NE
-          | '!', _ -> one Token.BANG
-          | '<', Some '<' ->
-              if st.pos + 2 < String.length st.src && st.src.[st.pos + 2] = '='
-              then three Token.SHLEQ
-              else two Token.SHL
-          | '<', Some '=' -> two Token.LE
-          | '<', _ -> one Token.LT
-          | '>', Some '>' ->
-              if st.pos + 2 < String.length st.src && st.src.[st.pos + 2] = '='
-              then three Token.SHREQ
-              else two Token.SHR
-          | '>', Some '=' -> two Token.GE
-          | '>', _ -> one Token.GT
-          | '=', Some '=' -> two Token.EQEQ
-          | '=', _ -> one Token.ASSIGN
-          | '?', _ -> one Token.QUESTION
-          | ':', _ -> one Token.COLON
-          | ',', _ -> one Token.COMMA
-          | ';', _ -> one Token.SEMI
-          | '(', _ -> one Token.LPAREN
-          | ')', _ -> one Token.RPAREN
-          | '{', _ -> one Token.LBRACE
-          | '}', _ -> one Token.RBRACE
-          | '[', _ -> one Token.LBRACKET
-          | ']', _ -> one Token.RBRACKET
-          | '.', _ -> one Token.DOT
-          | c, _ -> lex_error loc "unexpected character %C" c
-        end
-      in
-      Some { tok; loc }
+module Keywords = Hashtbl.Make (String)
+
+let keywords =
+  let h = Keywords.create 64 in
+  List.iter (fun (k, t) -> Keywords.replace h k t) Token.keyword_table;
+  h
+
+(* the body of a string literal, after its opening quote, into [buf] *)
+let rec string_body st loc buf =
+  if eof st then lex_error loc "unterminated string literal";
+  match st.src.[st.pos] with
+  | '"' -> st.pos <- st.pos + 1
+  | '\\' ->
+      st.pos <- st.pos + 1;
+      Buffer.add_char buf (read_escape st loc);
+      string_body st loc buf
+  | c ->
+      advance st;
+      Buffer.add_char buf c;
+      string_body st loc buf
+
+(* one token at a non-blank position before the end *)
+let lex_token st loc : Token.t =
+  let c = st.src.[st.pos] in
+  if is_digit c then lex_number st loc
+  else if is_ident_start c then begin
+    let start = st.pos in
+    skip_while st is_ident_char;
+    let text = String.sub st.src start (st.pos - start) in
+    match Keywords.find keywords text with
+    | kw -> kw
+    | exception Not_found -> Token.IDENT text
+  end
+  else if c = '\'' then begin
+    st.pos <- st.pos + 1;
+    if eof st then lex_error loc "unterminated char literal";
+    let ch =
+      if st.src.[st.pos] = '\\' then begin
+        st.pos <- st.pos + 1;
+        read_escape st loc
+      end
+      else begin
+        let c = st.src.[st.pos] in
+        advance st;
+        c
+      end
+    in
+    if at st st.pos = '\'' then st.pos <- st.pos + 1
+    else lex_error loc "unterminated char literal";
+    Token.CHAR_LIT ch
+  end
+  else if c = '"' then begin
+    st.pos <- st.pos + 1;
+    let buf = Buffer.create 16 in
+    string_body st loc buf;
+    (* adjacent string literal concatenation *)
+    skip_trivia st;
+    while at st st.pos = '"' do
+      st.pos <- st.pos + 1;
+      string_body st loc buf;
+      skip_trivia st
+    done;
+    Token.STRING_LIT (Buffer.contents buf)
+  end
+  else begin
+    let c1 = at st (st.pos + 1) and c2 = at st (st.pos + 2) in
+    let tok, width =
+      match c with
+      | '.' when c1 = '.' && c2 = '.' -> (Token.ELLIPSIS, 3)
+      | '+' when c1 = '+' -> (Token.PLUSPLUS, 2)
+      | '+' when c1 = '=' -> (Token.PLUSEQ, 2)
+      | '+' -> (Token.PLUS, 1)
+      | '-' when c1 = '-' -> (Token.MINUSMINUS, 2)
+      | '-' when c1 = '=' -> (Token.MINUSEQ, 2)
+      | '-' when c1 = '>' -> (Token.ARROW, 2)
+      | '-' -> (Token.MINUS, 1)
+      | '*' when c1 = '=' -> (Token.STAREQ, 2)
+      | '*' -> (Token.STAR, 1)
+      | '/' when c1 = '=' -> (Token.SLASHEQ, 2)
+      | '/' -> (Token.SLASH, 1)
+      | '%' when c1 = '=' -> (Token.PERCENTEQ, 2)
+      | '%' -> (Token.PERCENT, 1)
+      | '&' when c1 = '&' -> (Token.ANDAND, 2)
+      | '&' when c1 = '=' -> (Token.AMPEQ, 2)
+      | '&' -> (Token.AMP, 1)
+      | '|' when c1 = '|' -> (Token.OROR, 2)
+      | '|' when c1 = '=' -> (Token.PIPEEQ, 2)
+      | '|' -> (Token.PIPE, 1)
+      | '^' when c1 = '=' -> (Token.CARETEQ, 2)
+      | '^' -> (Token.CARET, 1)
+      | '~' -> (Token.TILDE, 1)
+      | '!' when c1 = '=' -> (Token.NE, 2)
+      | '!' -> (Token.BANG, 1)
+      | '<' when c1 = '<' && c2 = '=' -> (Token.SHLEQ, 3)
+      | '<' when c1 = '<' -> (Token.SHL, 2)
+      | '<' when c1 = '=' -> (Token.LE, 2)
+      | '<' -> (Token.LT, 1)
+      | '>' when c1 = '>' && c2 = '=' -> (Token.SHREQ, 3)
+      | '>' when c1 = '>' -> (Token.SHR, 2)
+      | '>' when c1 = '=' -> (Token.GE, 2)
+      | '>' -> (Token.GT, 1)
+      | '=' when c1 = '=' -> (Token.EQEQ, 2)
+      | '=' -> (Token.ASSIGN, 1)
+      | '?' -> (Token.QUESTION, 1)
+      | ':' -> (Token.COLON, 1)
+      | ',' -> (Token.COMMA, 1)
+      | ';' -> (Token.SEMI, 1)
+      | '(' -> (Token.LPAREN, 1)
+      | ')' -> (Token.RPAREN, 1)
+      | '{' -> (Token.LBRACE, 1)
+      | '}' -> (Token.RBRACE, 1)
+      | '[' -> (Token.LBRACKET, 1)
+      | ']' -> (Token.RBRACKET, 1)
+      | '.' -> (Token.DOT, 1)
+      | c -> lex_error loc "unexpected character %C" c
+    in
+    st.pos <- st.pos + width;
+    tok
+  end
+
+(* Tokens are collected in young chunks and copied into the result
+   once.  An array as long as a real program's token stream lives in the
+   major heap: creating it from a young value forces a minor collection,
+   and every store of a young token into it crosses the generations. *)
+let chunk = 128
+let no_token = { tok = Token.EOF; loc = no_loc }
 
 (** Tokenize a full source string.  The result always ends with [EOF]. *)
 let tokenize (src : string) : lexed array =
-  let st = { src; pos = 0; line = 1; bol = 0 } in
-  let acc = ref [] in
+  let st = { src; len = String.length src; pos = 0; line = 1; bol = 0 } in
+  let full = ref [] and cur = ref (Array.make chunk no_token) and n = ref 0 in
+  let push l =
+    if !n = chunk then begin
+      full := !cur :: !full;
+      cur := Array.make chunk no_token;
+      n := 0
+    end;
+    Array.unsafe_set !cur !n l;
+    incr n
+  in
   let rec go () =
-    match lex_one st with
-    | Some l ->
-        acc := l :: !acc;
-        go ()
-    | None -> ()
+    skip_trivia st;
+    let loc = cur_loc st in
+    if eof st then push { tok = Token.EOF; loc }
+    else begin
+      push { tok = lex_token st loc; loc };
+      go ()
+    end
   in
   go ();
-  let eof = { tok = Token.EOF; loc = cur_loc st } in
-  Array.of_list (List.rev (eof :: !acc))
+  Array.concat (List.rev (Array.sub !cur 0 !n :: !full))

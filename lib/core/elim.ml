@@ -139,7 +139,7 @@ let hoistable_pure = function
 type cfg = {
   dom : Dom.t;
   loops : Dom.loop array;  (* smallest first, as [Dom.natural_loops] *)
-  blocks : int list array;  (* each loop's body blocks, ascending *)
+  blocks : int array array;  (* each loop's body blocks, ascending *)
 }
 
 let cfg_of (f : func) : cfg =
@@ -148,8 +148,11 @@ let cfg_of (f : func) : cfg =
   let blocks =
     Array.map
       (fun (l : Dom.loop) ->
-        List.filter (Array.get l.Dom.body)
-          (List.init (Array.length l.Dom.body) Fun.id))
+        let body = ref [] in
+        for b = Array.length l.Dom.body - 1 downto 0 do
+          if l.Dom.body.(b) then body := b :: !body
+        done;
+        Array.of_list !body)
       loops
   in
   { dom; loops; blocks }
@@ -189,35 +192,61 @@ let sweep ~budget (step : func -> cfg -> int -> step) (f : func) (cfg : cfg)
           let touched = cfg.blocks.(i) in
           Array.iteri
             (fun j (l : Dom.loop) ->
-              if l.Dom.body.(pre) || List.exists (Array.get l.Dom.body) touched
+              if l.Dom.body.(pre) || Array.exists (Array.get l.Dom.body) touched
               then stale.(j) <- true)
             cfg.loops;
           go f' cfg stale (budget - 1)
   in
   go f cfg (Array.make (Array.length cfg.loops) true) budget
 
+(** [f] with [moved] appended to block [pre] and, in each block [b] of
+    [shrunk], only the instructions [i] with [keep b i]; every other
+    block keeps its value. *)
+let move_to_preheader (f : func) ~(pre : int) ~(shrunk : int list)
+    ~(keep : int -> int -> bool) (moved : inst list) : func =
+  let fblocks = Array.copy f.fblocks in
+  List.iter
+    (fun b ->
+      let blk = fblocks.(b) in
+      fblocks.(b) <- { blk with insts = List.filteri (fun i _ -> keep b i) blk.insts })
+    shrunk;
+  let blk = fblocks.(pre) in
+  fblocks.(pre) <- { blk with insts = blk.insts @ moved };
+  { f with fblocks }
+
 (* ------------------------------------------------------------------ *)
 (* Pass 1: loop-invariant hoisting                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Positions are (block id, instruction index); a terminator "use"
-   position is (block id, max_int) so it is dominated by every
-   instruction of its own block. *)
+(* A loop's instructions are numbered by body position: the body blocks
+   in ascending order, each block's instructions in order.  Position
+   [n + k], past the [n] instructions, is the terminator of the [k]-th
+   body block, so every instruction of a block comes before its
+   terminator. *)
+
+(** Per-register facts of the loop being examined, in arrays allocated
+    once per function: an entry counts only while its [stamp] is the
+    current [gen], so moving to the next loop clears them all at once. *)
+type regs = {
+  stamp : int array;
+  mutable gen : int;
+  def_count : int array;  (* defs within the loop *)
+  def_pos : int array;  (* body position of the def; meaningful when count = 1 *)
+  uses : int list array;  (* body positions of the uses within the loop *)
+  use_count : int array;  (* uses function-wide *)
+}
 
 type loop_ctx = {
   dom : Dom.t;
   loop : Dom.loop;
-  blocks : int list;  (* the loop's body blocks, ascending *)
-  def_count : (reg, int) Hashtbl.t;  (* defs within the loop *)
-  def_pos : (reg, int * int) Hashtbl.t;  (* meaningful when count = 1 *)
-  uses : (reg, (int * int) list) Hashtbl.t;  (* uses within the loop *)
-  use_count : int array;  (* uses function-wide, by register *)
+  regs : regs;
+  code : inst array;  (* the body's instructions, by body position *)
+  block_of : int array;  (* block of each body position, terminators too *)
+  first : int array;  (* block id -> body position of its first instruction *)
   meta_clobbered : bool;  (* MetaStore / Call / SetBoundMark in loop *)
   has_stop : bool;  (* TRet / TUnreachable terminator in loop *)
-  calls : (int * int) list;  (* in-loop call positions *)
+  calls : int list;  (* in-loop call positions *)
 }
-
-let dcount ctx r = try Hashtbl.find ctx.def_count r with Not_found -> 0
 
 (** Register operand occurrences per register, function-wide.  Hoisting
     only moves instructions and inserting a preheader adds only a bare
@@ -232,179 +261,197 @@ let use_counts (f : func) : int array =
     f.fblocks;
   n
 
+let new_regs (f : func) : regs =
+  let n = f.fnregs in
+  {
+    stamp = Array.make n 0;
+    gen = 0;
+    def_count = Array.make n 0;
+    def_pos = Array.make n 0;
+    uses = Array.make n [];
+    use_count = use_counts f;
+  }
+
+let current ctx r = ctx.regs.stamp.(r) = ctx.regs.gen
+let dcount ctx r = if current ctx r then ctx.regs.def_count.(r) else 0
+
 let build_loop_ctx (f : func) (dom : Dom.t) (loop : Dom.loop)
-    (blocks : int list) (use_count : int array) : loop_ctx =
-  let def_count = Hashtbl.create 32 in
-  let def_pos = Hashtbl.create 32 in
-  let uses = Hashtbl.create 64 in
-  let add_use r pos =
-    Hashtbl.replace uses r
-      (pos :: (try Hashtbl.find uses r with Not_found -> []))
+    (blocks : int array) (regs : regs) : loop_ctx =
+  regs.gen <- regs.gen + 1;
+  let touch r =
+    if regs.stamp.(r) <> regs.gen then begin
+      regs.stamp.(r) <- regs.gen;
+      regs.def_count.(r) <- 0;
+      regs.uses.(r) <- []
+    end
   in
+  let add_use p = function
+    | Reg r ->
+        touch r;
+        regs.uses.(r) <- p :: regs.uses.(r)
+    | _ -> ()
+  in
+  let n =
+    Array.fold_left (fun n b -> n + List.length f.fblocks.(b).insts) 0 blocks
+  in
+  let code = Array.make n (Slotaddr (0, 0)) in
+  let block_of = Array.make (n + Array.length blocks) 0 in
+  let first = Array.make (Array.length f.fblocks) 0 in
   let meta_clobbered = ref false in
   let has_stop = ref false in
   let calls = ref [] in
-  List.iter
-    (fun b ->
+  let p = ref 0 in
+  Array.iteri
+    (fun k b ->
       let blk = f.fblocks.(b) in
-      List.iter (fun r -> add_use r (b, max_int)) (reg_ops (term_ops blk.term));
-      (match blk.term with
-      | TRet _ | TUnreachable -> has_stop := true
-      | _ -> ());
-      List.iteri
-        (fun i inst ->
-          List.iter (fun r -> add_use r (b, i)) (reg_ops (ops_of inst));
+      first.(b) <- !p;
+      List.iter
+        (fun inst ->
+          code.(!p) <- inst;
+          block_of.(!p) <- b;
+          List.iter (add_use !p) (ops_of inst);
           (match inst with
           | MetaStore _ | SetBoundMark _ -> meta_clobbered := true
           | Call _ ->
               meta_clobbered := true;
-              calls := (b, i) :: !calls
+              calls := !p :: !calls
           | _ -> ());
           List.iter
             (fun r ->
-              Hashtbl.replace def_count r
-                (1 + (try Hashtbl.find def_count r with Not_found -> 0));
-              Hashtbl.replace def_pos r (b, i))
-            (defs_of inst))
-        blk.insts)
+              touch r;
+              regs.def_count.(r) <- regs.def_count.(r) + 1;
+              regs.def_pos.(r) <- !p)
+            (defs_of inst);
+          incr p)
+        blk.insts;
+      block_of.(n + k) <- b;
+      List.iter (add_use (n + k)) (term_ops blk.term);
+      match blk.term with TRet _ | TUnreachable -> has_stop := true | _ -> ())
     blocks;
   {
     dom;
     loop;
-    blocks;
-    def_count;
-    def_pos;
-    uses;
-    use_count;
+    regs;
+    code;
+    block_of;
+    first;
     meta_clobbered = !meta_clobbered;
     has_stop = !has_stop;
     calls = !calls;
   }
 
+let live ctx p = Dom.reachable ctx.dom ctx.block_of.(p)
+
 (** Is position [q] strictly after [p] on every execution (same block
     later, or in a block [p]'s block strictly dominates)? *)
-let dominated_by ctx ((b, i) : int * int) ((b', i') : int * int) : bool =
-  if b = b' then i' > i else Dom.dominates ctx.dom b b'
+let dominated_by ctx p q =
+  let b = ctx.block_of.(p) and b' = ctx.block_of.(q) in
+  if b = b' then q > p else Dom.dominates ctx.dom b b'
 
 (** All uses of [r], function-wide, lie inside the loop and after the
     defining position — so moving the single definition to the
     preheader changes no observable register value (in particular, a
     zero-trip loop entry leaves no reader of the speculatively computed
     value). *)
-let uses_ok ctx r pos =
-  let inside = try Hashtbl.find ctx.uses r with Not_found -> [] in
-  List.length inside = ctx.use_count.(r)
-  && List.for_all (dominated_by ctx pos) inside
+let uses_ok ctx r p =
+  let inside = if current ctx r then ctx.regs.uses.(r) else [] in
+  List.length inside = ctx.regs.use_count.(r)
+  && List.for_all (dominated_by ctx p) inside
 
-(** Apply [g] to each reachable body block's instructions with their
-    positions. *)
-let iter_body ctx (f : func) (g : int * int -> inst -> unit) : unit =
-  List.iter
-    (fun b ->
-      if Dom.reachable ctx.dom b then
-        List.iteri (fun i inst -> g (b, i) inst) f.fblocks.(b).insts)
-    ctx.blocks
+(** Is operand [o] of the instruction at [p] invariant, given the set [h]
+    of positions already found hoistable?  Undefined in the loop, or
+    defined once by a member of [h] — never by [p] itself, which is how
+    inductive updates like [r <- r + 1] are excluded. *)
+let invariant ctx (h : bool array) p = function
+  | Reg r -> (
+      match dcount ctx r with
+      | 0 -> true
+      | 1 ->
+          let dp = ctx.regs.def_pos.(r) in
+          dp <> p && h.(dp)
+      | _ -> false)
+  | _ -> true
 
-(** The set of hoistable pure/[MetaLoad] definitions of the loop, as a
-    growing fixpoint: an instruction joins once all its register
-    operands are invariant (undefined in the loop, or defined once by an
-    instruction already in the set — never by itself, which is how
-    inductive updates like [r <- r + 1] are excluded). *)
-let hoistable_defs (f : func) (ctx : loop_ctx) : ((int * int), inst) Hashtbl.t =
-  let h = Hashtbl.create 16 in
-  let invariant pos = function
-    | Reg r -> (
-        match dcount ctx r with
-        | 0 -> true
-        | 1 ->
-            let dp = Hashtbl.find ctx.def_pos r in
-            dp <> pos && Hashtbl.mem h dp
-        | _ -> false)
-    | _ -> true
-  in
+(** The hoistable pure/[MetaLoad] definitions of the loop, by body
+    position, as a growing fixpoint: an instruction joins once all its
+    register operands are invariant. *)
+let hoistable_defs (ctx : loop_ctx) : bool array =
+  let n = Array.length ctx.code in
+  let h = Array.make n false in
+  (* what does not change as [h] grows: the kind of instruction and the
+     uses of what it defines *)
+  let eligible = ref [] in
+  for p = n - 1 downto 0 do
+    let inst = ctx.code.(p) in
+    if
+      live ctx p
+      && (hoistable_pure inst
+         || match inst with MetaLoad _ -> not ctx.meta_clobbered | _ -> false)
+      && List.for_all
+           (fun r -> dcount ctx r = 1 && uses_ok ctx r p)
+           (defs_of inst)
+    then eligible := p :: !eligible
+  done;
   let changed = ref true in
   while !changed do
     changed := false;
-    iter_body ctx f (fun pos inst ->
-        if not (Hashtbl.mem h pos) then
-          let candidate =
-            hoistable_pure inst
-            ||
-            match inst with
-            | MetaLoad _ -> not ctx.meta_clobbered
-            | _ -> false
-          in
-          if
-            candidate
-            && List.for_all
-                 (fun r -> dcount ctx r = 1 && uses_ok ctx r pos)
-                 (defs_of inst)
-            && List.for_all (invariant pos) (ops_of inst)
-          then begin
-            Hashtbl.add h pos inst;
-            changed := true
-          end)
+    List.iter
+      (fun p ->
+        if (not h.(p)) && List.for_all (invariant ctx h p) (ops_of ctx.code.(p))
+        then begin
+          h.(p) <- true;
+          changed := true
+        end)
+      !eligible
   done;
   h
 
-(** Positions to move to the preheader: instrumentation roots plus the
-    in-loop pure definitions they transitively need.  [meta_floor] is
-    the register count of the function {e before} instrumentation, so a
-    pure instruction writing only registers [>= meta_floor] is metadata
-    propagation introduced by the transformation; pure program
-    instructions are hoisted only as dependencies of a root. *)
-let hoist_candidates (f : func) (ctx : loop_ctx) ~(meta_floor : int) :
-    ((int * int) * inst) list =
-  let h = hoistable_defs f ctx in
-  let invariant pos = function
-    | Reg r -> (
-        match dcount ctx r with
-        | 0 -> true
-        | 1 ->
-            let dp = Hashtbl.find ctx.def_pos r in
-            dp <> pos && Hashtbl.mem h dp
-        | _ -> false)
-    | _ -> true
-  in
+(** Positions to move to the preheader, ascending: instrumentation roots
+    plus the in-loop pure definitions they transitively need.
+    [meta_floor] is the register count of the function {e before}
+    instrumentation, so a pure instruction writing only registers
+    [>= meta_floor] is metadata propagation introduced by the
+    transformation; pure program instructions are hoisted only as
+    dependencies of a root. *)
+let hoist_candidates (ctx : loop_ctx) ~(meta_floor : int) : int list =
+  let h = hoistable_defs ctx in
   let loop = ctx.loop in
-  let roots = ref [] in
-  iter_body ctx f (fun ((b, i) as pos) inst ->
-      match inst with
-      | Check _ | CheckFptr _ ->
-          (* Sound only when loop entry implies this check runs: see the
-             module header. *)
-          if
-            (not ctx.has_stop)
-            && List.for_all (invariant pos) (ops_of inst)
-            && List.for_all
-                 (fun l -> Dom.dominates ctx.dom b l)
-                 (loop.Dom.latches @ loop.Dom.exits)
-            && List.for_all (fun (cb, ci) -> cb = b && ci > i) ctx.calls
-          then roots := (pos, inst) :: !roots
-      | MetaLoad _ -> if Hashtbl.mem h pos then roots := (pos, inst) :: !roots
-      | _ ->
-          if
-            Hashtbl.mem h pos
-            && defs_of inst <> []
-            && List.for_all (fun r -> r >= meta_floor) (defs_of inst)
-          then roots := (pos, inst) :: !roots);
-  let chosen = Hashtbl.create 16 in
-  let rec need pos inst =
-    if not (Hashtbl.mem chosen pos) then begin
-      Hashtbl.add chosen pos inst;
+  let n = Array.length ctx.code in
+  let chosen = Array.make n false in
+  let rec need p =
+    if not chosen.(p) then begin
+      chosen.(p) <- true;
       List.iter
         (fun r ->
           if dcount ctx r = 1 then
-            let dp = Hashtbl.find ctx.def_pos r in
-            if dp <> pos then
-              match Hashtbl.find_opt h dp with
-              | Some dinst -> need dp dinst
-              | None -> ())
-        (reg_ops (ops_of inst))
+            let dp = ctx.regs.def_pos.(r) in
+            if dp <> p && h.(dp) then need dp)
+        (reg_ops (ops_of ctx.code.(p)))
     end
   in
-  List.iter (fun (pos, inst) -> need pos inst) !roots;
-  Hashtbl.fold (fun pos inst acc -> (pos, inst) :: acc) chosen []
+  for p = 0 to n - 1 do
+    if live ctx p then
+      let b = ctx.block_of.(p) in
+      let root =
+        match ctx.code.(p) with
+        | (Check _ | CheckFptr _) as inst ->
+            (* Sound only when loop entry implies this check runs: see the
+               module header. *)
+            (not ctx.has_stop)
+            && List.for_all (invariant ctx h p) (ops_of inst)
+            && List.for_all
+                 (fun l -> Dom.dominates ctx.dom b l)
+                 (loop.Dom.latches @ loop.Dom.exits)
+            && List.for_all (fun c -> ctx.block_of.(c) = b && c > p) ctx.calls
+        | MetaLoad _ -> h.(p)
+        | inst ->
+            h.(p)
+            && defs_of inst <> []
+            && List.for_all (fun r -> r >= meta_floor) (defs_of inst)
+      in
+      if root then need p
+  done;
+  List.filter (Array.get chosen) (List.init n Fun.id)
 
 let map_targets (g : int -> int) (t : terminator) : terminator =
   match t with
@@ -457,53 +504,49 @@ let insert_preheader (f : func) (loop : Dom.loop) : func =
     in
     { f with fblocks }
 
-(** Move [chosen] to the end of block [pre], in dependency order: a
-    definition dominates its uses, and dominators come strictly earlier
-    in reverse postorder, so sorting by (RPO position, index) is a
-    topological order of the moved instructions. *)
-let apply_hoist (f : func) (dom : Dom.t) (pre : int)
-    (chosen : ((int * int) * inst) list) : func =
+(** Move the instructions at body positions [chosen] (ascending) to the
+    end of block [pre], in dependency order: a definition dominates its
+    uses, and dominators come strictly earlier in reverse postorder, so
+    sorting by (RPO position, index) is a topological order of the
+    moved instructions.  Only [pre] and the blocks that lose
+    instructions are rebuilt. *)
+let apply_hoist (f : func) (ctx : loop_ctx) (pre : int) (chosen : int list) :
+    func =
+  let rpo_pos p = ctx.dom.Dom.rpo_pos.(ctx.block_of.(p)) in
+  (* positions of one block are ascending already: a stable sort by the
+     block's RPO position keeps them in index order *)
   let sorted =
-    List.sort
-      (fun ((b1, i1), _) ((b2, i2), _) ->
-        compare (dom.Dom.rpo_pos.(b1), i1) (dom.Dom.rpo_pos.(b2), i2))
-      chosen
+    List.stable_sort (fun p q -> compare (rpo_pos p) (rpo_pos q)) chosen
   in
-  let moved = List.map snd sorted in
-  let removed = Hashtbl.create 16 in
-  List.iter (fun (pos, _) -> Hashtbl.replace removed pos ()) chosen;
-  let fblocks =
-    Array.mapi
-      (fun b blk ->
-        let insts =
-          List.filteri (fun i _ -> not (Hashtbl.mem removed (b, i))) blk.insts
-        in
-        let insts = if b = pre then insts @ moved else insts in
-        { blk with insts })
-      f.fblocks
+  let moving = Array.make (Array.length ctx.code) false in
+  List.iter (fun p -> moving.(p) <- true) chosen;
+  let shrunk =
+    List.sort_uniq compare (List.map (Array.get ctx.block_of) chosen)
   in
-  { f with fblocks }
+  move_to_preheader f ~pre ~shrunk
+    ~keep:(fun b i -> not moving.(ctx.first.(b) + i))
+    (List.map (Array.get ctx.code) sorted)
 
 (** Hoist the candidates of loop [i], or create its preheader first
     (the next step hoists). *)
-let hoist_step ~meta_floor ~use_count (f : func) (cfg : cfg) (i : int) : step
-    =
+let hoist_step ~meta_floor ~regs (f : func) (cfg : cfg) (i : int) : step =
   let loop = cfg.loops.(i) in
-  let ctx = build_loop_ctx f cfg.dom loop cfg.blocks.(i) use_count in
-  match hoist_candidates f ctx ~meta_floor with
+  let ctx = build_loop_ctx f cfg.dom loop cfg.blocks.(i) regs in
+  match hoist_candidates ctx ~meta_floor with
   | [] -> Unchanged
   | chosen -> (
       match find_preheader cfg.dom loop with
-      | Some pre -> Rewritten (apply_hoist f cfg.dom pre chosen, pre)
+      | Some pre -> Rewritten (apply_hoist f ctx pre chosen, pre)
       | None -> Split (insert_preheader f loop))
 
 let hoist_loops ~meta_floor (f : func) (cfg : cfg) : func * cfg =
   (* Each step either inserts one preheader or strictly shrinks some
      loop body; instructions re-hoist at most once per enclosing loop,
-     so the budget is never the binding constraint in practice. *)
+     so the budget is never the binding constraint in practice.  The
+     register arrays are sized once: hoisting adds no register. *)
   sweep
     ~budget:(16 + (4 * Array.length f.fblocks))
-    (hoist_step ~meta_floor ~use_count:(use_counts f))
+    (hoist_step ~meta_floor ~regs:(new_regs f))
     f cfg
 
 (* ------------------------------------------------------------------ *)
@@ -540,7 +583,7 @@ let widen_step (f : func) (cfg : cfg) (li : int) : step =
     | None -> Unchanged
     | Some sc ->
         let cands = ref [] in
-        List.iter
+        Array.iter
           (fun b ->
             if Dom.reachable dom b then
               List.iteri
@@ -601,26 +644,14 @@ let widen_step (f : func) (cfg : cfg) (li : int) : step =
                       ])
                   cands
               in
-              let removed = Hashtbl.create 8 in
-              List.iter
-                (fun (pos, _, _, _) -> Hashtbl.replace removed pos ())
-                cands;
-              let fblocks =
-                Array.mapi
-                  (fun b blk ->
-                    let insts =
-                      List.filteri
-                        (fun i _ -> not (Hashtbl.mem removed (b, i)))
-                        blk.insts
-                    in
-                    let insts =
-                      if b = pre then insts @ cnt_insts @ hdr_insts @ spans
-                      else insts
-                    in
-                    { blk with insts })
-                  f.fblocks
+              let removed = List.map (fun (pos, _, _, _) -> pos) cands in
+              let f' =
+                move_to_preheader f ~pre
+                  ~shrunk:(List.sort_uniq compare (List.map fst removed))
+                  ~keep:(fun b i -> not (List.mem (b, i) removed))
+                  (cnt_insts @ hdr_insts @ spans)
               in
-              Rewritten ({ f with fblocks; fnregs = !nregs }, pre)
+              Rewritten ({ f' with fnregs = !nregs }, pre)
 
 let widen_loops (f : func) (cfg : cfg) : func * cfg =
   (* Each step either inserts one preheader or removes every widenable
@@ -874,18 +905,19 @@ let coalesce_block (blk : block) : block =
     in
     { blk with insts }
 
+(** Does [p] hold for at least two of [insts]? *)
+let rec two (p : inst -> bool) = function
+  | [] -> false
+  | i :: rest -> if p i then List.exists p rest else two p rest
+
 let coalesce_blocks (f : func) : func =
   (* a span needs two member checks: blocks with fewer stay as they are *)
-  let rec two_checks = function
-    | [] -> false
-    | Check _ :: rest -> List.exists (function Check _ -> true | _ -> false) rest
-    | _ :: rest -> two_checks rest
-  in
+  let check = function Check _ -> true | _ -> false in
   {
     f with
     fblocks =
       Array.map
-        (fun blk -> if two_checks blk.insts then coalesce_block blk else blk)
+        (fun blk -> if two check blk.insts then coalesce_block blk else blk)
         f.fblocks;
   }
 
@@ -935,7 +967,15 @@ let local_metaload_cse (f : func) : func =
     in
     { blk with insts = List.rev rev }
   in
-  { f with fblocks = Array.map rewrite f.fblocks }
+  (* a lookup is reused only from an earlier one in its block *)
+  let metaload = function MetaLoad _ -> true | _ -> false in
+  {
+    f with
+    fblocks =
+      Array.map
+        (fun blk -> if two metaload blk.insts then rewrite blk else blk)
+        f.fblocks;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Pass 3: available-checks dataflow and elimination                    *)
@@ -993,7 +1033,17 @@ let check_cse (f : func) (dom : Dom.t) : func =
     | inst -> Kill (defs_of inst)
   in
   let events = Array.map (fun blk -> List.map event_of blk.insts) f.fblocks in
-  if Hashtbl.length ids = 0 then f
+  (* a check is dropped only where an identical one reaches it, so a
+     function in which every fact occurs once keeps all its checks *)
+  let repeated () =
+    let seen = Array.make (Hashtbl.length ids) false in
+    Array.exists
+      (List.exists (function
+        | Avail (id, _) -> seen.(id) || (seen.(id) <- true; false)
+        | Kill _ -> false))
+      events
+  in
+  if not (repeated ()) then f
   else
     let n = Array.length f.fblocks in
     (* [None] is the optimistic top element (not yet computed); the meet

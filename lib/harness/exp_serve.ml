@@ -17,7 +17,14 @@
    Widths 1, 2 and all-cores are measured so the artifact records how
    the pool scales on the machine at hand.  On a single-core host the
    multi-domain rows measure scheduling overhead, not speedup — the
-   [speedup_max_vs_1] field simply reports what happened. *)
+   [speedup_max_vs_1] field simply reports what happened.
+
+   A separate cold pass, first in the process, serves [cold_programs]
+   distinct generated programs ([Fuzz.case_of]) as run jobs at width 1:
+   every job misses the compile, transform and module-image caches, so
+   it measures the front end, the transform and Elim per request.  Its
+   queue holds one job (capacity 1), so its latency is about two
+   service times rather than the depth of a full queue. *)
 
 type width_row = {
   jobs : int;  (** worker domains *)
@@ -34,8 +41,8 @@ type width_row = {
 (* The job stream                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Distinct tiny programs so the run stream exercises the content-keyed
-   compile/transform caches across several entries, not one hot slot. *)
+(* Distinct tiny programs so the run stream exercises the compile and
+   transform caches across several entries, not one hot slot. *)
 let run_sources =
   [|
     "int main() { int a[8]; int i; for (i = 0; i < 8; i = i + 1) a[i] = i; \
@@ -125,7 +132,19 @@ let percentile (sorted : float array) (p : float) : float =
     let idx = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
     sorted.(max 0 (min (n - 1) idx))
 
-let measure ~total ~jobs : width_row =
+(* the cold pass's stream: program [i] of one generator seed, as a run
+   job under the default full/shadow SoftBound *)
+let cold_seed = 20
+let cold_programs = 1000
+
+let cold_line i : string =
+  let case = Fuzz.case_of ~seed:cold_seed ~index:i in
+  Json.to_string
+    (Json.Obj
+       [ ("id", Json.int i); ("type", Json.Str "run");
+         ("source", Json.Str (Cminus.Pretty.program_string case.Fuzz.Gen.prog)) ])
+
+let measure ~line ~cap ~total ~jobs : width_row =
   let submit_t = Array.make total 0.0 in
   let done_t = Array.make total 0.0 in
   let seen = Array.make total 0 in
@@ -137,7 +156,7 @@ let measure ~total ~jobs : width_row =
       let i = !next in
       incr next;
       submit_t.(i) <- now ();
-      Some (job_line i)
+      Some (line i)
     end
   in
   (* [write] runs under the pool's emit lock, so plain mutation is safe *)
@@ -154,7 +173,7 @@ let measure ~total ~jobs : width_row =
         if Json.bool_field row "ok" <> Some true then incr errors
   in
   let t0 = now () in
-  let _st = Serve.serve ~jobs ~cap:256 ~read ~write () in
+  let _st = Serve.serve ~jobs ~cap ~read ~write () in
   let wall = now () -. t0 in
   let lats = ref [] and lost = ref 0 and duplicated = ref 0 in
   for i = 0 to total - 1 do
@@ -182,9 +201,22 @@ let widths () =
 
 let default_total = 10_000
 
-let run ?(quick = false) ?total () : width_row list =
+type result = {
+  widths : width_row list;
+  cold : width_row;  (** the cold pass, [cold_total] jobs at width 1 *)
+  cold_total : int;
+}
+
+let run ?(quick = false) ?total () : result =
   let total =
     match total with Some t -> t | None -> if quick then 600 else default_total
+  in
+  (* the cold lines are built before the clock starts: generating and
+     printing a program is not the service's work *)
+  let cold_total = if quick then 60 else cold_programs in
+  let lines = Array.init cold_total cold_line in
+  let cold =
+    measure ~line:(Array.get lines) ~cap:1 ~total:cold_total ~jobs:1
   in
   (* warm the compile/transform/closure caches so the width rows compare
      scheduling, not first-touch compilation *)
@@ -197,7 +229,10 @@ let run ?(quick = false) ?total () : width_row list =
            (Runner.compile_source_cached src)))
     run_sources;
   ignore (Runner.compile_source_cached profile_source);
-  List.map (fun jobs -> measure ~total ~jobs) (widths ())
+  { widths =
+      List.map (fun jobs -> measure ~line:job_line ~cap:256 ~total ~jobs)
+        (widths ());
+    cold; cold_total }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                            *)
@@ -212,7 +247,8 @@ let speedup_max_vs_1 (rows : width_row list) : float =
       in
       if base.jobs_per_sec > 0.0 then best /. base.jobs_per_sec else 0.0
 
-let render ?total (rows : width_row list) : string =
+let render ?total (res : result) : string =
+  let rows = res.widths in
   let total = Option.value total ~default:default_total in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
@@ -245,6 +281,12 @@ let render ?total (rows : width_row list) : string =
        (speedup_max_vs_1 rows)
        (Parutil.available_jobs ())
        (if Parutil.available_jobs () = 1 then "" else "s"));
+  let c = res.cold in
+  Buffer.add_string buf
+    (Printf.sprintf
+       "cold: %d distinct programs at width 1: %.0f jobs/s, p50 %.2f ms, p99 \
+        %.2f ms, %d errors\n"
+       res.cold_total c.jobs_per_sec c.p50_ms c.p99_ms c.errors);
   Buffer.contents buf
 
 let artifact : Artifact.t =
@@ -256,25 +298,26 @@ let artifact : Artifact.t =
     fields =
       [ ("jobs_total", Num); ("mix", Each Num);
         ("widths", Rows (Fields (nums (("jobs" :: timing) @ integrity))));
-        ("speedup_max_vs_1", Num) ] }
+        ("speedup_max_vs_1", Num);
+        ("cold", Fields (nums (("programs" :: timing) @ integrity))) ] }
 
 (** Machine-readable artifact ([BENCH_serve.json]). *)
-let to_json ?total (rows : width_row list) : Json.t =
+let to_json ?total (res : result) : Json.t =
+  let rows = res.widths in
   let total = Option.value total ~default:default_total in
   let ms = Json.decimals 3 in
-  let width r =
-    Json.Obj
-      ([ ("jobs", Json.int r.jobs);
-         ("wall_seconds", Json.decimals 6 r.wall_seconds);
-         ("jobs_per_sec", ms r.jobs_per_sec); ("p50_ms", ms r.p50_ms);
-         ("p99_ms", ms r.p99_ms) ]
-      @ Json.ints
-          [ ("errors", r.errors); ("lost", r.lost);
-            ("duplicated", r.duplicated) ])
+  let timing r =
+    [ ("wall_seconds", Json.decimals 6 r.wall_seconds);
+      ("jobs_per_sec", ms r.jobs_per_sec); ("p50_ms", ms r.p50_ms);
+      ("p99_ms", ms r.p99_ms) ]
+    @ Json.ints
+        [ ("errors", r.errors); ("lost", r.lost); ("duplicated", r.duplicated) ]
   in
+  let width r = Json.Obj (("jobs", Json.int r.jobs) :: timing r) in
   Artifact.document artifact
     [ ("jobs_total", Json.int total);
       ("cores", Json.int (Parutil.available_jobs ()));
       ("mix", Json.Obj (Json.ints (mix_counts total)));
       ("widths", Json.List (List.map width rows));
-      ("speedup_max_vs_1", Json.decimals 3 (speedup_max_vs_1 rows)) ]
+      ("speedup_max_vs_1", Json.decimals 3 (speedup_max_vs_1 rows));
+      ("cold", Json.Obj (("programs", Json.int res.cold_total) :: timing res.cold)) ]

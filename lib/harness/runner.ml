@@ -49,14 +49,14 @@ let sb_store_hash =
    ablation matrix (full/store × shadow/hash × elim on/off) share 4
    transforms per program.
 
-   Modules are keyed by CONTENT — a digest of the printed IR — with a
-   physical-identity memo in front so the common case (the experiments
-   compile once and re-run many schemes over the same value) never
-   re-prints the module.  Pure physical keying was a bug: two compiles
-   of identical source text (every serve request, repeated CLI calls in
-   one process) produced structurally equal but physically distinct
-   modules, and each one re-instrumented from scratch.  Options compare
-   structurally, as before. *)
+   Modules are keyed by the module VALUE (physical identity); options
+   compare structurally.  Identical programs still share one transform
+   because the module comes from a cache too: [compile_source_cached]
+   returns one module value per source text (every serve request, every
+   repeated CLI call in one process), and [compile_workload] one per
+   workload (every experiment).  A module built any other way is its
+   own entry, so a cache miss costs no more than the transform itself:
+   no key is computed from the module's contents. *)
 
 let transform_count = ref 0
 
@@ -80,36 +80,17 @@ let norm_opts (o : Softbound.Config.options) =
 
 let cache_capacity = 32
 
-(* physical value -> content digest, so the digest of a module the
-   process keeps re-using is computed exactly once.  Bounded like the
-   caches it fronts; entries beyond the cap age out FIFO. *)
-let digest_memo_capacity = 64
-let digest_memo : (Ir.modul * string) list ref = ref []
-
-let module_digest (m : Ir.modul) : string =
-  match List.find_opt (fun (m', _) -> m' == m) !digest_memo with
-  | Some (_, d) -> d
-  | None ->
-      let d = Digest.string (Sbir.Pretty_ir.dump_module m) in
-      let pruned =
-        if List.length !digest_memo >= digest_memo_capacity then
-          List.filteri (fun i _ -> i < digest_memo_capacity - 1) !digest_memo
-        else !digest_memo
-      in
-      digest_memo := (m, d) :: pruned;
-      d
-
 let cache :
-    ((string * Softbound.Config.options) * (Ir.modul * int)) list ref =
+    ((Ir.modul * Softbound.Config.options) * (Ir.modul * int)) list ref =
   ref []
 
 let instrument_cached ?(opts = Softbound.Config.default) (m : Ir.modul) :
     Ir.modul * int =
   with_lock @@ fun () ->
-  let key = (module_digest m, norm_opts opts) in
+  let opts' = norm_opts opts in
   let rec find acc = function
     | [] -> None
-    | ((k', v) as e) :: rest when k' = key ->
+    | (((m', o'), v) as e) :: rest when m' == m && o' = opts' ->
         (* move the hit to the front (LRU) *)
         cache := e :: List.rev_append acc rest;
         Some v
@@ -125,7 +106,7 @@ let instrument_cached ?(opts = Softbound.Config.default) (m : Ir.modul) :
           List.filteri (fun i _ -> i < cache_capacity - 1) !cache
         else !cache
       in
-      cache := (key, v) :: pruned;
+      cache := ((m, opts'), v) :: pruned;
       v
 
 let run ?(argv = []) ?(inputs = []) ?(max_steps = 2_000_000_000)
@@ -225,14 +206,14 @@ let overhead (r : Interp.Vm.result) (b : Interp.Vm.result) : float =
 
 (* Memoized per workload name: the experiments (fig1, fig2, elim,
    breakdown) each recompile the same kernels; one IR value per
-   workload also makes the physical-equality transform cache effective
-   across experiments within a process. *)
+   workload also makes the transform cache, keyed on the module value,
+   hit across experiments within a process. *)
 let compiled_workloads : (string, Ir.modul) Hashtbl.t = Hashtbl.create 16
 
 let compile_workload (w : Workloads.workload) : Ir.modul =
   (* under [cache_lock]: parallel drivers must agree on ONE module value
-     per workload, or the physical-equality transform cache above sees
-     distinct modules and re-instruments per domain *)
+     per workload, or the transform cache above sees distinct modules
+     and re-instruments per domain *)
   with_lock @@ fun () ->
   match Hashtbl.find_opt compiled_workloads w.Workloads.name with
   | Some m -> m
@@ -242,8 +223,8 @@ let compile_workload (w : Workloads.workload) : Ir.modul =
       m
 
 (* Source text -> compiled module, keyed by content digest.  Returning
-   the SAME module value for identical text is what lets every
-   physical-identity fast path downstream (the digest memo above, the
+   the SAME module value for identical text is what lets everything
+   keyed on the module value downstream (the transform cache above, the
    VM's module image) hit when the serve daemon sees the same program
    again, request after request. *)
 let source_cache_capacity = 64

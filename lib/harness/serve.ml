@@ -15,8 +15,8 @@
    the next poll and answered with a timeout error row.
 
    All jobs share the Runner caches: the digest-keyed source compile
-   cache and the content-keyed transform cache mean a thousand
-   submissions of the same program cost one compile and one
+   cache and the transform cache keyed on the module it returns mean a
+   thousand submissions of the same program cost one compile and one
    instrumentation, which is what makes tiny-job throughput a
    scheduling benchmark rather than a compiler benchmark. *)
 

@@ -81,23 +81,49 @@ let fold_cast (to_ : ity) (from_ : ity) (v : int) : int option =
 (* Local copy / constant propagation                                    *)
 (* ------------------------------------------------------------------ *)
 
-(** Per-block environment: register -> known operand (an immediate, a
-    global address, or another register). *)
-type penv = (reg, operand) Hashtbl.t
+(** Per-block environment, in arrays sized once per function:
+    [known.(r)] is the operand [r] is known to hold (an immediate, a
+    global address, or another register); [copies.(s)] lists the
+    registers bound to [Reg s], so a redefinition of [s] drops exactly
+    those bindings (an entry may be stale: the binding is checked before
+    it is dropped); [touched] lists the entries to clear at block end. *)
+type penv = {
+  known : operand option array;
+  copies : reg list array;
+  mutable touched : reg list;
+}
 
 let kill (env : penv) (r : reg) =
-  Hashtbl.remove env r;
+  env.known.(r) <- None;
   (* drop bindings whose *source* is r *)
-  let stale =
-    Hashtbl.fold
-      (fun k v acc -> match v with Reg s when s = r -> k :: acc | _ -> acc)
-      env []
-  in
-  List.iter (Hashtbl.remove env) stale
+  List.iter
+    (fun k ->
+      match env.known.(k) with
+      | Some (Reg s) when s = r -> env.known.(k) <- None
+      | _ -> ())
+    env.copies.(r);
+  env.copies.(r) <- []
+
+let bind (env : penv) (r : reg) (v : operand) =
+  env.known.(r) <- Some v;
+  env.touched <- r :: env.touched;
+  match v with
+  | Reg s ->
+      env.copies.(s) <- r :: env.copies.(s);
+      env.touched <- s :: env.touched
+  | _ -> ()
+
+let clear (env : penv) =
+  List.iter
+    (fun r ->
+      env.known.(r) <- None;
+      env.copies.(r) <- [])
+    env.touched;
+  env.touched <- []
 
 let subst (env : penv) (o : operand) : operand =
   match o with
-  | Reg r -> ( match Hashtbl.find_opt env r with Some o' -> o' | None -> o)
+  | Reg r -> ( match env.known.(r) with Some o' -> o' | None -> o)
   | o -> o
 
 let dst_of = function
@@ -115,8 +141,7 @@ let dst_of = function
   | CheckSpan _ ->
       []
 
-let propagate_block (b : block) : block =
-  let env : penv = Hashtbl.create 16 in
+let propagate_block (env : penv) (b : block) : block =
   let insts =
     List.map
       (fun inst ->
@@ -160,13 +185,15 @@ let propagate_block (b : block) : block =
         (match inst with
         | Mov (r, _, ((ImmI _ | ImmF _ | Glob _ | GlobEnd _ | Func _) as v))
           ->
-            Hashtbl.replace env r v
-        | Mov (r, _, (Reg s as v)) when s <> r -> Hashtbl.replace env r v
+            bind env r v
+        | Mov (r, _, (Reg s as v)) when s <> r -> bind env r v
         | _ -> ());
         inst)
       b.insts
   in
   let term = map_term_operands (subst env) b.term in
+  (* every binding dies at block end *)
+  clear env;
   (* fold constant branches *)
   let term =
     match term with
@@ -183,11 +210,18 @@ let propagate_block (b : block) : block =
 (* Global dead-code elimination                                         *)
 (* ------------------------------------------------------------------ *)
 
-(** Is this instruction removable when its destinations are dead?  Loads
-    are kept (they can fault; they are also the Figure 1 metric). *)
-let pure = function
-  | Mov _ | Bin _ | Cmp _ | Cast _ | Gep _ | Slotaddr _ -> true
-  | _ -> false
+(** The register a pure instruction writes: the instruction is removable
+    when that register is dead.  Loads are kept (they can fault; they
+    are also the Figure 1 metric). *)
+let pure_dst = function
+  | Mov (r, _, _)
+  | Bin (r, _, _, _, _)
+  | Cmp (r, _, _, _, _)
+  | Cast (r, _, _, _)
+  | Gep (r, _, _, _)
+  | Slotaddr (r, _) ->
+      r
+  | _ -> -1
 
 let dce (f : func) : func =
   let changed = ref true in
@@ -233,24 +267,18 @@ let dce (f : func) : func =
         if a < Array.length used then used.(a) <- true;
         if b < Array.length used then used.(b) <- true
     | None -> ());
+    let dead inst =
+      let r = pure_dst inst in
+      r >= 0 && (r >= Array.length used || not used.(r))
+    in
     blocks :=
       Array.map
         (fun b ->
-          let insts =
-            List.filter
-              (fun inst ->
-                let dead =
-                  pure inst
-                  && List.for_all
-                       (fun r -> r >= Array.length used || not used.(r))
-                       (dst_of inst)
-                  && dst_of inst <> []
-                in
-                if dead then changed := true;
-                not dead)
-              b.insts
-          in
-          { b with insts })
+          if List.exists dead b.insts then begin
+            changed := true;
+            { b with insts = List.filter (fun inst -> not (dead inst)) b.insts }
+          end
+          else b)
         !blocks
   done;
   { f with fblocks = !blocks }
@@ -316,7 +344,14 @@ let drop_unreachable (f : func) : func =
 (* ------------------------------------------------------------------ *)
 
 let optimize_func (f : func) : func =
-  let f = { f with fblocks = Array.map propagate_block f.fblocks } in
+  let env =
+    {
+      known = Array.make f.fnregs None;
+      copies = Array.make f.fnregs [];
+      touched = [];
+    }
+  in
+  let f = { f with fblocks = Array.map (propagate_block env) f.fblocks } in
   let f = drop_unreachable f in
   dce f
 

@@ -87,7 +87,7 @@ let profile_label () =
 let committed () =
   List.map
     (fun (a : A.t) ->
-      (a.A.name, Json.parse (A.read_file (Filename.concat ".." (A.file a)))))
+      (a.A.name, Json.parse (A.read_file (Committed.root (A.file a)))))
     Bench_check.artifacts
 
 let committed_pass () =

@@ -138,42 +138,17 @@ let agrees name src =
    leave that IR byte-identical.  One MD5 of [Pretty_ir.dump_module] per
    program and option set is pinned in golden/elim_ir.digests;
    regenerate with [make elim-golden] after reviewing an intentional IR
-   change.  The corpus mirrors test/golden/gen_elim_digests.ml. *)
+   change.  The corpus is test/golden/golden_corpus.ml, which the generator
+   reads too. *)
 
-let elim_corpus : (string * Softbound.Config.options * string) list =
-  List.concat_map
-    (fun (w : Workloads.workload) ->
-      [
-        ("kernel:" ^ w.name ^ ":default", on, w.source);
-        ("kernel:" ^ w.name ^ ":store-only", store_on, w.source);
-        ("kernel:" ^ w.name ^ ":no-widen", no_widen, w.source);
-      ])
-    Workloads.all
-  @ List.map
-      (fun (a : Attacks.Wilander.attack) ->
-        (Printf.sprintf "wilander:%02d" a.id, on, a.source))
-      Attacks.Wilander.all
-  @ List.map
-      (fun (p : Attacks.Bugbench.program) ->
-        ("bugbench:" ^ p.name, on, p.source))
-      Attacks.Bugbench.all
-  @ List.init 200 (fun index ->
-        let case = Fuzz.case_of ~seed:1 ~index in
-        ( Printf.sprintf "fuzz:1:%d" index,
-          on,
-          Cminus.Pretty.program_string case.Fuzz.Gen.prog ))
+let elim_corpus = Golden_corpus.elim
 
 let ir_digest opts src =
   let m, _ = Softbound.instrument_with_sites ~opts (Softbound.compile src) in
   Digest.to_hex (Digest.string (Sbir.Pretty_ir.dump_module m))
 
 let golden_digests () =
-  let ic = open_in_bin (Filename.concat "golden" "elim_ir.digests") in
-  let expected =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> In_channel.input_all ic)
-  in
+  let expected = Committed.read (Committed.golden "elim_ir.digests") in
   let actual =
     String.concat ""
       (List.map

@@ -23,6 +23,39 @@ let lex_fails name src =
 
 let il v = Token.INT_LIT (Int64.of_int v, Ctypes.IInt)
 
+(* Every token, line and column of the golden corpus, and the error and
+   location of each malformed input, are pinned in golden/lex.digests
+   (regenerate with [make elim-golden] after reviewing an intended
+   change). *)
+let golden_lex () =
+  Committed.check_golden "lex.digests" (Golden_corpus.lex_lines ())
+
+(* Words allocated on the minor heap per token when lexing a fixed
+   kernel: the tokens themselves (a [lexed] record, its location, an
+   identifier's string) and the chunks that collect them, nothing per
+   character.  The count is deterministic (10.6 at this budget's
+   writing, 36 for the lexer that allocated an option per character),
+   so this guards the budget where timings are too noisy to; the least
+   of three runs counts.  The final token array is allocated in the
+   major heap and is not counted. *)
+let words_per_token_budget = 12.0
+
+let allocation_budget () =
+  let src = (Option.get (Workloads.find "go")).Workloads.source in
+  let ntoks = Array.length (Lexer.tokenize src) in
+  let words () =
+    let w0 = Gc.minor_words () in
+    let toks = Lexer.tokenize src in
+    let w = Gc.minor_words () -. w0 in
+    ignore (Sys.opaque_identity toks);
+    w
+  in
+  let w = min (words ()) (min (words ()) (words ())) in
+  let per_token = w /. float_of_int ntoks in
+  if per_token > words_per_token_budget then
+    Alcotest.failf "tokenize: %.1f words per token over %d tokens (budget %.0f)"
+      per_token ntoks words_per_token_budget
+
 let suite =
   [
     check_toks "keywords and idents" "int foo while whiled"
@@ -69,6 +102,10 @@ let suite =
     lex_fails "unterminated string" {|"abc|};
     lex_fails "unterminated char" "'a";
     lex_fails "stray character" "a $ b";
+    Alcotest.test_case "golden: token streams and errors are byte-identical"
+      `Quick golden_lex;
+    Alcotest.test_case "allocation budget: words per token" `Quick
+      allocation_budget;
     Alcotest.test_case "line/column tracking" `Quick (fun () ->
         let lexed = Lexer.tokenize "int\n  foo;" in
         let foo = lexed.(1) in

@@ -16,18 +16,8 @@ module S = Interp.State
 
 let tc name f = Alcotest.test_case name `Quick f
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let golden name actual =
-  let expected = read_file (Filename.concat "golden" name) in
-  Alcotest.(check string) name expected actual
-
-let compile_golden name =
-  Softbound.compile (read_file (Filename.concat "golden" name))
+let golden = Committed.check_golden
+let compile_golden = Committed.compile_golden
 
 (* ---- golden: metrics JSON ---- *)
 (* regenerate: dune exec bin/softbound_cli.exe -- profile \

@@ -145,18 +145,8 @@ let gap_matrix_tests =
 
 (* ---- golden: the related-work schemes on the fixed attacks ---- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let golden name actual =
-  let expected = read_file (Filename.concat "golden" name) in
-  Alcotest.(check string) name expected actual
-
-let compile_golden name =
-  Softbound.compile (read_file (Filename.concat "golden" name))
+let golden = Committed.check_golden
+let compile_golden = Committed.compile_golden
 
 let scheme_opts =
   [

@@ -339,6 +339,92 @@ let test_serve_shares_transform_cache () =
   checki "no new module images across requests" images
     (Interp.Vm.images_built ())
 
+(* ---- source fuzzer ---- *)
+(* Random byte strings, random token soups (bare and inside [main]) and
+   real generated programs with tokens dropped, doubled or replaced.
+   The front end may reject them only with its own errors; anything
+   else escaping [Softbound.compile] is a bug. *)
+
+let soup_tokens : Cminus.Token.t array =
+  let open Cminus.Token in
+  Array.of_list
+    (List.map snd keyword_table
+    @ [ PLUS; MINUS; STAR; SLASH; PERCENT; AMP; PIPE; CARET; TILDE; BANG; LT;
+        GT; LE; GE; EQEQ; NE; ANDAND; OROR; SHL; SHR; ASSIGN; PLUSEQ; MINUSEQ;
+        STAREQ; SLASHEQ; PERCENTEQ; AMPEQ; PIPEEQ; CARETEQ; SHLEQ; SHREQ;
+        PLUSPLUS; MINUSMINUS; ARROW; DOT; QUESTION; COLON; COMMA; SEMI; LPAREN;
+        RPAREN; LBRACE; RBRACE; LBRACKET; RBRACKET; ELLIPSIS; IDENT "x";
+        IDENT "main"; IDENT "p"; IDENT "malloc"; IDENT "printf";
+        INT_LIT (0L, Cminus.Ctypes.IInt); INT_LIT (7L, Cminus.Ctypes.IInt);
+        INT_LIT (4294967295L, Cminus.Ctypes.IULong);
+        FLOAT_LIT (1.5, Cminus.Ctypes.FDouble); CHAR_LIT 'a';
+        STRING_LIT "hi\n" ])
+
+let fuzz_source rng i =
+  let pick () =
+    Cminus.Token.to_string
+      soup_tokens.(Random.State.int rng (Array.length soup_tokens))
+  in
+  let soup n = String.concat " " (List.init n (fun _ -> pick ())) in
+  match i mod 4 with
+  | 0 -> String.init (Random.State.int rng 80) (fun _ -> Char.chr (Random.State.int rng 256))
+  | 1 -> soup (Random.State.int rng 40)
+  | 2 -> "int main() { " ^ soup (Random.State.int rng 30) ^ " }"
+  | _ ->
+      (* one token of a real program dropped, doubled or replaced *)
+      let prog = (Fuzz.case_of ~seed:7 ~index:i).Fuzz.Gen.prog in
+      let toks = Cminus.Lexer.tokenize (Cminus.Pretty.program_string prog) in
+      let at = Random.State.int rng (Array.length toks - 1) in
+      let how = Random.State.int rng 3 in
+      Array.to_list toks
+      |> List.filter (fun (l : Cminus.Lexer.lexed) -> l.tok <> Cminus.Token.EOF)
+      |> List.mapi (fun k (l : Cminus.Lexer.lexed) ->
+             let t = Cminus.Token.to_string l.tok in
+             if k <> at then [ t ]
+             else match how with 0 -> [] | 1 -> [ t; t ] | _ -> [ pick () ])
+      |> List.concat |> String.concat " "
+
+let front_end_error = function
+  | Cminus.Lexer.Lex_error _ -> Some "lex"
+  | Cminus.Parser.Parse_error _ -> Some "parse"
+  | Cminus.Typecheck.Error _ -> Some "typecheck"
+  | Cminus.Ctypes.Type_error _ -> Some "type"
+  | Sbir.Lower.Error _ -> Some "lower"
+  | _ -> None
+
+(* the rejected sources of a fixed campaign, with the error class each *)
+let fuzz_rejected =
+  lazy
+    (let rng = Random.State.make [| 2026 |] in
+     List.filter_map
+       (fun i ->
+         let src = fuzz_source rng i in
+         match Softbound.compile src with
+         | _ -> None
+         | exception e -> (
+             match front_end_error e with
+             | Some cls -> Some (cls, src)
+             | None ->
+                 Alcotest.failf "compile raised %s on %S" (Printexc.to_string e)
+                   src))
+       (List.init 2000 Fun.id))
+
+let test_source_fuzz_compile () =
+  let rejected = Lazy.force fuzz_rejected in
+  List.iter
+    (fun cls ->
+      checkb (cls ^ " errors reached") true (List.mem_assoc cls rejected))
+    [ "lex"; "parse"; "typecheck" ]
+
+let test_source_fuzz_serve () =
+  let sample = List.filteri (fun i _ -> i mod 25 = 0) (Lazy.force fuzz_rejected) in
+  let lines = List.mapi (fun i (_, src) -> run_job ~id:(Json.int i) src) sample in
+  let st, rows = serve_lines lines in
+  checki "every job answered" (List.length sample) (List.length rows);
+  checki "none completed" 0 st.Serve.completed;
+  check_envelope rows;
+  List.iter (fun r -> checkb "error row" false (ok_of r)) rows
+
 let suite =
   [
     Alcotest.test_case "run job round-trips" `Quick test_ok_run;
@@ -372,4 +458,8 @@ let suite =
       test_source_cache_hits;
     Alcotest.test_case "serve requests share compile+transform caches"
       `Quick test_serve_shares_transform_cache;
+    Alcotest.test_case "source fuzzer: only front-end errors escape compile"
+      `Quick test_source_fuzz_compile;
+    Alcotest.test_case "source fuzzer: rejected sources are error rows"
+      `Quick test_source_fuzz_serve;
   ]
