@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-check experiments examples fuzz-smoke \
+.PHONY: all build test bench-check experiments examples fuzz-smoke \
 	profile-smoke vmspeed-smoke adversarial-smoke serve-smoke \
 	schemes-smoke elim-smoke elim-golden coverage verify clean
 
@@ -18,11 +18,8 @@ test:
 # not comparable to the committed BENCH_*.json artifacts.
 RELEASE := --profile release
 
-# full bechamel timing runs plus all paper artifacts (~5 min)
-bench:
-	dune exec $(RELEASE) bench/main.exe
-
-# every table and figure at full workload sizes (~2 min)
+# every table and figure at full workload sizes (~2 min); the simulated
+# ones read one simulation matrix, so each kernel run happens once
 experiments:
 	dune exec $(RELEASE) bin/experiments.exe -- all
 
@@ -90,23 +87,20 @@ serve-smoke:
 	grep -q '"type":"profile","ok":true' /tmp/serve1.txt
 	@echo "serve-smoke: protocol stable, jobs-independent modulo timing"
 
-# the N-scheme matrix end to end: the schemes experiment at quick sizes
-# must match its declaration (including the completeness-gap cells) and
-# be identical at --jobs 1 and --jobs 2, and a bounded N-scheme
-# differential-oracle campaign — every scheme lock-step against the
-# unprotected run — must find no unexplained divergence
+# the N-scheme matrix end to end: a bounded N-scheme differential-oracle
+# campaign — every scheme lock-step against the unprotected run — must
+# find no unexplained divergence (the schemes artifact's --jobs
+# determinism runs with the other simulated artifacts in verify)
 schemes-smoke:
-	dune exec bin/experiments.exe -- determinism schemes
 	dune exec bin/softbound_cli.exe -- fuzz --schemes --seed 1 --count 200
-	@echo "schemes-smoke: matrix deterministic, oracle clean"
+	@echo "schemes-smoke: oracle clean"
 
-# check-widening smoke: the elim ablation at quick sizes must match its
-# declaration (widening columns included) and be identical at --jobs 1
-# and --jobs 2.  A fixed affine-loop program profiled through the real
-# binary must report widened spans (checks_widened > 0) and identical
-# simulated output with widening on and off.
+# check-widening smoke: a fixed affine-loop program profiled through
+# the real binary must report widened spans (checks_widened > 0) and
+# identical simulated output with widening on and off (the elim
+# artifact's --jobs determinism runs with the other simulated artifacts
+# in verify)
 elim-smoke:
-	dune exec bin/experiments.exe -- determinism elim
 	@printf '%s\n' \
 	  'int main(void) { int a[64]; int i; int s = 0;' \
 	  'for (i = 0; i < 64; i = i + 1) a[i] = i;' \
@@ -121,7 +115,7 @@ elim-smoke:
 	dune exec bin/softbound_cli.exe -- run /tmp/affine_loop.c --no-widen \
 	  > /tmp/affine_off.txt
 	diff /tmp/affine_on.txt /tmp/affine_off.txt
-	@echo "elim-smoke: widening active, jobs-independent, on/off identical"
+	@echo "elim-smoke: widening active, on/off identical"
 
 # regenerate the instrumented-IR digests pinned by the elim golden test
 # (test/golden/elim_ir.digests) and the token-stream digests pinned by
@@ -158,13 +152,12 @@ coverage:
 # token-stream digests).
 #
 # what CI runs: build, the whole test suite, schema validation of the
-# committed benchmark artifacts, a smoke pass of the check-elimination
-# ablation (quick workload sizes), the profiler smoke run, --jobs
-# determinism of every facility-dependent artifact (elim, schemes and
-# vmspeed through their smoke targets; breakdown's per-facility
-# metadata attribution and memory's modeled-facility footprint rows
-# directly), and both fuzzing smoke campaigns (differential and
-# adversarial robust-safety)
+# committed benchmark artifacts, the check-widening smoke run, the
+# profiler smoke run, --jobs determinism of every facility-dependent
+# artifact (vmspeed through its smoke target; the four simulated
+# artifacts — elim, breakdown, schemes, memory — in one run per width,
+# over one simulation matrix), and both fuzzing smoke campaigns
+# (differential and adversarial robust-safety)
 verify:
 	dune build
 	dune runtest
@@ -172,7 +165,7 @@ verify:
 	$(MAKE) elim-smoke
 	$(MAKE) profile-smoke
 	$(MAKE) vmspeed-smoke
-	dune exec bin/experiments.exe -- determinism breakdown memory
+	dune exec bin/experiments.exe -- determinism elim breakdown schemes memory
 	$(MAKE) serve-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) adversarial-smoke

@@ -9,52 +9,58 @@
    `make bench-check` (part of `make verify`) fails on any violation.
 
    [experiments] is the one list of artifact experiments: each
-   declaration with the run that produces it, read by the validator and
-   by the `experiments` CLI alike.
+   declaration with the simulation-matrix cells it reads and the run
+   that produces it, read by the validator and by the `experiments` CLI
+   alike.
 
    [determinism] reads the same declarations: it validates two runs of
    one experiment, drops the declared host-timing fields, and reports
    the first path where the trees differ. *)
 
 (* Every experiment that writes a committed artifact: its declaration,
-   and how to run it — the artifact's tree and the rendered table. *)
-let experiments :
-    (Artifact.t * (quick:bool -> jobs:int -> iters:int -> Json.t * string))
-    list =
+   the matrix cells it reads (none for the host-timed ones), and how to
+   run it over a matrix holding those cells — the artifact's tree and
+   the rendered table. *)
+type experiment = {
+  artifact : Artifact.t;
+  cells : quick:bool -> Matrix.cell list;
+  run : quick:bool -> jobs:int -> iters:int -> Matrix.t -> Json.t * string;
+}
+
+(* an experiment whose rows are a view of the matrix *)
+let view artifact cells rows to_json render =
+  let run ~quick ~jobs:_ ~iters:_ m =
+    let r = rows ~quick m in
+    (to_json r, render r)
+  in
+  { artifact; cells; run }
+
+let host_timed artifact run = { artifact; cells = (fun ~quick:_ -> []); run }
+
+let experiments : experiment list =
   [
-    ( Exp_elim.artifact,
-      fun ~quick ~jobs ~iters:_ ->
-        let rows = Exp_elim.run ~quick ~jobs () in
-        (Exp_elim.to_json rows, Exp_elim.render rows) );
-    ( Exp_breakdown.artifact,
-      fun ~quick ~jobs ~iters:_ ->
-        let rows = Exp_breakdown.run ~quick ~jobs () in
-        (Exp_breakdown.to_json rows, Exp_breakdown.render rows) );
-    ( Exp_vmspeed.artifact,
-      fun ~quick ~jobs ~iters ->
+    Exp_elim.(view artifact cells rows to_json render);
+    Exp_breakdown.(view artifact cells rows to_json render);
+    host_timed Exp_vmspeed.artifact (fun ~quick ~jobs ~iters _ ->
         let rows = Exp_vmspeed.run ~quick ~iters ~jobs () in
-        (Exp_vmspeed.to_json ~quick ~iters rows, Exp_vmspeed.render rows) );
-    ( Exp_serve.artifact,
-      fun ~quick ~jobs:_ ~iters:_ ->
+        (Exp_vmspeed.to_json ~quick ~iters rows, Exp_vmspeed.render rows));
+    host_timed Exp_serve.artifact (fun ~quick ~jobs:_ ~iters:_ _ ->
         (* --quick shrinks the stream from 10k to 600 jobs *)
         let total = if quick then Some 600 else None in
         let rows = Exp_serve.run ~quick ?total () in
-        (Exp_serve.to_json ?total rows, Exp_serve.render ?total rows) );
-    ( Exp_schemes.artifact,
-      fun ~quick ~jobs ~iters:_ ->
-        let matrix = Exp_schemes.run ~quick ~jobs () in
-        (Exp_schemes.to_json matrix, Exp_schemes.render matrix) );
-    ( Exp_memory.artifact,
-      fun ~quick ~jobs:_ ~iters:_ ->
-        let rows = Exp_memory.run ~quick () in
-        (Exp_memory.to_json rows, Exp_memory.render rows) );
+        (Exp_serve.to_json ?total rows, Exp_serve.render ?total rows));
+    Exp_schemes.(
+      view artifact cells
+        (fun ~quick m -> (rows ~quick m, run_coverage ()))
+        to_json render);
+    Exp_memory.(view artifact cells rows to_json render);
   ]
 
-let artifacts : Artifact.t list = List.map fst experiments
+let artifacts : Artifact.t list = List.map (fun e -> e.artifact) experiments
 
-(** The artifact experiment [name]: its declaration and its run. *)
+(** The artifact experiment [name]. *)
 let find (name : string) =
-  List.find_opt (fun ((a : Artifact.t), _) -> a.name = name) experiments
+  List.find_opt (fun e -> e.artifact.Artifact.name = name) experiments
 
 (* ------------------------------------------------------------------ *)
 (* Cells shared between artifacts                                       *)
@@ -73,7 +79,7 @@ type side = {
 (* a cell of the row named after the workload in [art]'s declared row
    array ({!Artifact.row_array}) *)
 let cell art path =
-  let rows = Option.bind (find art) (fun (a, _) -> Artifact.row_array a) in
+  let rows = Option.bind (find art) (fun e -> Artifact.row_array e.artifact) in
   { art; rows = Option.to_list rows; key = []; path }
 
 (* Per workload, each pair of cells that must hold the same value:
@@ -185,7 +191,7 @@ let check (docs : (string * Json.t) list) : string list =
   List.concat_map
     (fun (name, v) ->
       match find name with
-      | Some (a, _) ->
+      | Some { artifact = a; _ } ->
           List.map (fun e -> Artifact.file a ^ ": " ^ e) (Artifact.validate a v)
       | None -> [ "no artifact named " ^ name ])
     docs

@@ -4,36 +4,24 @@
    cost, metadata-operation cost, wrapper cost, and the residual
    (memory-system pressure, metadata propagation, calling-convention
    growth) — the attribution the paper gives in prose for its 67%
-   average and that CGuard/FRAMER use to motivate their designs.
+   average and that CGuard/FRAMER use to motivate their designs.  The
+   split is {!Matrix.split}, the one the scheme matrix prints too.
 
    Emitted as [BENCH_breakdown.json]; deterministic for a fixed
    seed/workload set because site assignment, the interpreter, and the
    collector are all deterministic. *)
 
-module S = Interp.State
-
-type split = {
-  cname : string;  (** configuration label *)
-  cycles : int;
-  check : int;  (** site-attributed check + fptr-check cycle deltas *)
-  meta : int;  (** site-attributed metadata load/store cycle deltas *)
-  wrapper : int;  (** wrapper-inclusive cycle deltas *)
-  residual : int;  (** overhead minus the attributed buckets *)
-}
-
 type row = {
   workload : Workloads.workload;
   base_cycles : int;
-  splits : split list;
+  splits : (string * Matrix.summary) list;  (** per configuration *)
 }
-
-let without_elim o = { o with Softbound.Config.eliminate_checks = false }
 
 (** The 8 configurations, in fixed report order. *)
 let configs : (string * Softbound.Config.options) list =
   List.concat_map
     (fun (fname, opts) ->
-      [ (fname ^ "-elim", opts); (fname ^ "-noelim", without_elim opts) ])
+      [ (fname ^ "-elim", opts); (fname ^ "-noelim", Exp_elim.without_elim opts) ])
     [
       ("shadow-full", Runner.sb_full_shadow);
       ("hash-full", Runner.sb_full_hash);
@@ -41,43 +29,25 @@ let configs : (string * Softbound.Config.options) list =
       ("hash-store", Runner.sb_store_hash);
     ]
 
-let split_of ~cname ~base (r : Interp.Vm.result) : split =
-  let o = r.Interp.Vm.obs in
-  let k = Profile.site_kind_cycles o in
-  let check = k Obs.KCheck + k Obs.KCheckFptr in
-  let meta = k Obs.KMetaLoad + k Obs.KMetaStore in
-  let wrapper = Obs.wrapper_cycles o in
-  let cycles = r.Interp.Vm.stats.S.cycles in
-  {
-    cname;
-    cycles;
-    check;
-    meta;
-    wrapper;
-    residual = cycles - base - check - meta - wrapper;
-  }
+let cells ~quick =
+  Matrix.kernels ~quick
+    (Runner.Unprotected :: List.map (fun (_, o) -> Runner.Softbound o) configs)
 
-let run_one ?(quick = false) (w : Workloads.workload) : row =
-  let m = Runner.compile_workload w in
-  let argv = if quick then w.Workloads.quick_args else [] in
-  let base = Runner.run ~argv Runner.Unprotected m in
-  let base_cycles = base.Interp.Vm.stats.S.cycles in
+let row ~quick (m : Matrix.t) (w : Workloads.workload) : row =
+  let base_cycles =
+    Matrix.cycles (Matrix.kernel m ~quick w Runner.Unprotected)
+  in
   let splits =
     List.map
       (fun (cname, opts) ->
-        let r = Runner.run ~argv (Runner.Softbound opts) m in
-        Runner.check_clean ~quick ~workload:w.Workloads.name ~scheme:cname r;
-        split_of ~cname ~base:base_cycles r)
+        let s = Matrix.kernel m ~quick w (Runner.Softbound opts) in
+        Matrix.check_clean ~quick ~workload:w.Workloads.name ~scheme:cname s;
+        (cname, s))
       configs
   in
   { workload = w; base_cycles; splits }
 
-let run ?(quick = false) ?(jobs = 1) () : row list =
-  (* deterministic fan-out: see the note on {!Exp_elim.run} *)
-  Parutil.parmap ~jobs (run_one ~quick) Workloads.all
-
-let frac part whole =
-  if whole <= 0 then 0.0 else float_of_int part /. float_of_int whole
+let rows ~quick m : row list = List.map (row ~quick m) Workloads.all
 
 let render (rows : row list) : string =
   let buf = Buffer.create 4096 in
@@ -92,39 +62,30 @@ let render (rows : row list) : string =
        (List.concat_map
           (fun r ->
             List.map
-              (fun s ->
-                let ov = s.cycles - r.base_cycles in
-                [
-                  r.workload.Workloads.name;
-                  s.cname;
-                  Texttable.pct (frac ov r.base_cycles);
-                  Texttable.pct (frac s.check ov);
-                  Texttable.pct (frac s.meta ov);
-                  Texttable.pct (frac s.wrapper ov);
-                  Texttable.pct (frac s.residual ov);
-                ])
+              (fun (cname, s) ->
+                r.workload.Workloads.name :: cname
+                :: Matrix.split_cells ~base:r.base_cycles s)
               r.splits)
           rows));
   (* headline aggregate: shadow/full with elimination, summed *)
-  let agg name f =
-    let tot =
-      List.fold_left
-        (fun acc r ->
-          match
-            List.find_opt (fun s -> s.cname = "shadow-full-elim") r.splits
-          with
-          | Some s -> acc + f s
-          | None -> acc)
-        0 rows
-    in
-    Printf.sprintf "  %-9s %d\n" name tot
+  let totals =
+    List.fold_left
+      (fun acc r ->
+        match List.assoc_opt "shadow-full-elim" r.splits with
+        | Some s ->
+            List.map2
+              (fun (k, a) (_, b) -> (k, a + b))
+              acc
+              (Matrix.split ~base:r.base_cycles s)
+        | None -> acc)
+      [ ("check", 0); ("metadata", 0); ("wrapper", 0); ("residual", 0) ]
+      rows
   in
   Buffer.add_string buf
     "\naggregate cycles over all workloads (shadow/full, elim on):\n";
-  Buffer.add_string buf (agg "check" (fun s -> s.check));
-  Buffer.add_string buf (agg "metadata" (fun s -> s.meta));
-  Buffer.add_string buf (agg "wrapper" (fun s -> s.wrapper));
-  Buffer.add_string buf (agg "residual" (fun s -> s.residual));
+  List.iter
+    (fun (k, tot) -> Buffer.add_string buf (Printf.sprintf "  %-9s %d\n" k tot))
+    totals;
   Buffer.contents buf
 
 let artifact : Artifact.t =
@@ -143,14 +104,14 @@ let artifact : Artifact.t =
 
 (** Machine-readable export ([BENCH_breakdown.json]). *)
 let to_json (rows : row list) : Json.t =
-  let split s =
-    ( s.cname,
-      Json.Obj
-        (Json.ints
-           [ ("cycles", s.cycles); ("check", s.check); ("metadata", s.meta);
-             ("wrapper", s.wrapper); ("residual", s.residual) ]) )
-  in
   let workload r =
+    let split (cname, s) =
+      ( cname,
+        Json.Obj
+          (Json.ints
+             (("cycles", Matrix.cycles s) :: Matrix.split ~base:r.base_cycles s))
+      )
+    in
     Json.Obj
       [ ("name", Json.Str r.workload.Workloads.name);
         ("base_cycles", Json.int r.base_cycles);

@@ -38,32 +38,42 @@ type row = {
 let without_elim o = { o with Softbound.Config.eliminate_checks = false }
 let without_widen o = { o with Softbound.Config.widen_checks = false }
 
-let run_one ?(quick = false) (w : Workloads.workload) : row =
-  let m = Runner.compile_workload w in
-  let argv = if quick then w.Workloads.quick_args else [] in
-  let base = Runner.run ~argv Runner.Unprotected m in
-  let triple opts =
-    let on = Runner.run ~argv (Runner.Softbound opts) m in
-    let nw = Runner.run ~argv (Runner.Softbound (without_widen opts)) m in
-    let off = Runner.run ~argv (Runner.Softbound (without_elim opts)) m in
-    ( {
-        cycles_on = on.stats.Interp.State.cycles;
-        cycles_nw = nw.stats.Interp.State.cycles;
-        cycles_off = off.stats.Interp.State.cycles;
-        ov_on = Runner.overhead on base;
-        ov_nw = Runner.overhead nw base;
-        ov_off = Runner.overhead off base;
-      },
-      on,
-      nw,
-      off )
+(* each Figure 2 configuration with Elim on, with widening off, and
+   with Elim off *)
+let cells ~quick =
+  Matrix.kernels ~quick
+    (Runner.Unprotected
+    :: List.concat_map
+         (fun o ->
+           List.map
+             (fun o -> Runner.Softbound o)
+             [ o; without_widen o; without_elim o ])
+         Runner.[ sb_full_shadow; sb_full_hash; sb_store_shadow; sb_store_hash ])
+
+let row ~quick (m : Matrix.t) (w : Workloads.workload) : row =
+  let run opts = Matrix.kernel m ~quick w (Runner.Softbound opts) in
+  let base = Matrix.cycles (Matrix.kernel m ~quick w Runner.Unprotected) in
+  let cell opts =
+    let on = run opts
+    and nw = run (without_widen opts)
+    and off = run (without_elim opts) in
+    {
+      cycles_on = Matrix.cycles on;
+      cycles_nw = Matrix.cycles nw;
+      cycles_off = Matrix.cycles off;
+      ov_on = Matrix.overhead ~base on;
+      ov_nw = Matrix.overhead ~base nw;
+      ov_off = Matrix.overhead ~base off;
+    }
   in
-  let shadow_full, sf_on, sf_nw, sf_off = triple Runner.sb_full_shadow in
-  let hash_full, _, _, _ = triple Runner.sb_full_hash in
-  let shadow_store, _, _, _ = triple Runner.sb_store_shadow in
-  let hash_store, _, _, _ = triple Runner.sb_store_hash in
+  let sf = Runner.sb_full_shadow in
+  let sf_on = (run sf).stats
+  and sf_nw = (run (without_widen sf)).stats
+  and sf_off = (run (without_elim sf)).stats in
   let widened, coalesced =
-    let mi, _ = Runner.instrument_cached ~opts:Runner.sb_full_shadow m in
+    let mi, _ =
+      Runner.instrument_cached ~opts:sf (Runner.compile_workload w)
+    in
     Hashtbl.fold
       (fun _ f (w, c) ->
         ( w + Softbound.Elim.count_widened f,
@@ -72,25 +82,21 @@ let run_one ?(quick = false) (w : Workloads.workload) : row =
   in
   {
     workload = w;
-    base_cycles = base.stats.Interp.State.cycles;
-    shadow_full;
-    hash_full;
-    shadow_store;
-    hash_store;
-    checks_on = sf_on.stats.Interp.State.checks;
-    checks_nw = sf_nw.stats.Interp.State.checks;
-    checks_off = sf_off.stats.Interp.State.checks;
-    metaloads_on = sf_on.stats.Interp.State.meta_loads;
-    metaloads_off = sf_off.stats.Interp.State.meta_loads;
+    base_cycles = base;
+    shadow_full = cell sf;
+    hash_full = cell Runner.sb_full_hash;
+    shadow_store = cell Runner.sb_store_shadow;
+    hash_store = cell Runner.sb_store_hash;
+    checks_on = sf_on.Interp.State.checks;
+    checks_nw = sf_nw.Interp.State.checks;
+    checks_off = sf_off.Interp.State.checks;
+    metaloads_on = sf_on.Interp.State.meta_loads;
+    metaloads_off = sf_off.Interp.State.meta_loads;
     widened;
     coalesced;
   }
 
-let run ?(quick = false) ?(jobs = 1) () : row list =
-  (* rows come back in [Workloads.all] order regardless of [jobs], and
-     each row's simulated numbers are per-VM — so the rendered table and
-     JSON are byte-identical to a sequential run *)
-  Parutil.parmap ~jobs (run_one ~quick) Workloads.all
+let rows ~quick m : row list = List.map (row ~quick m) Workloads.all
 
 (** Geometric mean of the cycle ratios (instrumented / base), reported
     as an overhead — the acceptance metric. *)

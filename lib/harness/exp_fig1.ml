@@ -9,22 +9,25 @@ type row = {
   insts : int;
 }
 
-let run_one ?(quick = false) (w : Workloads.workload) : row =
-  let m = Runner.compile_workload w in
-  let argv = if quick then w.Workloads.quick_args else [] in
-  let r = Runner.run ~argv Runner.Unprotected m in
-  Runner.check_clean ~quick ~workload:w.Workloads.name
+let cells ~quick = Matrix.kernels ~quick [ Runner.Unprotected ]
+
+let row ~quick (m : Matrix.t) (w : Workloads.workload) : row =
+  let r = Matrix.kernel m ~quick w Runner.Unprotected in
+  Matrix.check_clean ~quick ~workload:w.Workloads.name
     ~scheme:(Runner.scheme_name Runner.Unprotected)
     r;
+  let s = r.stats in
+  let mem_ops = s.Interp.State.mem_reads + s.Interp.State.mem_writes in
   {
     workload = w;
-    ptr_fraction = Runner.pointer_op_fraction r;
-    mem_ops = r.stats.Interp.State.mem_reads + r.stats.Interp.State.mem_writes;
-    insts = r.stats.Interp.State.insts;
+    ptr_fraction =
+      (if mem_ops = 0 then 0.0
+       else float_of_int s.Interp.State.ptr_mem_ops /. float_of_int mem_ops);
+    mem_ops;
+    insts = s.Interp.State.insts;
   }
 
-let run ?(quick = false) () : row list =
-  List.map (run_one ~quick) Workloads.all
+let rows ~quick m : row list = List.map (row ~quick m) Workloads.all
 
 let bar frac =
   let width = int_of_float (frac *. 60.0) in

@@ -22,15 +22,22 @@ type row = {
           BENCH_schemes.json) *)
 }
 
-let run_one ?(quick = false) (w : Workloads.workload) : row =
-  let m = Runner.compile_workload w in
-  let argv = if quick then w.Workloads.quick_args else [] in
-  let base = Runner.run ~argv Runner.Unprotected m in
-  let ovs scheme = Runner.overhead (Runner.run ~argv scheme m) base in
+let schemes =
+  Runner.Unprotected
+  :: List.map
+       (fun o -> Runner.Softbound o)
+       Runner.[ sb_full_hash; sb_full_shadow; sb_store_hash; sb_store_shadow ]
+  @ Runner.[ Cguard; Framer; L4_pointer ]
+
+let cells ~quick = Matrix.kernels ~quick schemes
+
+let row ~quick (m : Matrix.t) (w : Workloads.workload) : row =
+  let base = Matrix.cycles (Matrix.kernel m ~quick w Runner.Unprotected) in
+  let ovs scheme = Matrix.overhead ~base (Matrix.kernel m ~quick w scheme) in
   let ov opts = ovs (Runner.Softbound opts) in
   {
     workload = w;
-    base_cycles = base.stats.Interp.State.cycles;
+    base_cycles = base;
     hash_full = ov Runner.sb_full_hash;
     shadow_full = ov Runner.sb_full_shadow;
     hash_store = ov Runner.sb_store_hash;
@@ -40,8 +47,7 @@ let run_one ?(quick = false) (w : Workloads.workload) : row =
     l4_pointer = ovs Runner.L4_pointer;
   }
 
-let run ?(quick = false) () : row list =
-  List.map (run_one ~quick) Workloads.all
+let rows ~quick m : row list = List.map (row ~quick m) Workloads.all
 
 let avg f rows =
   List.fold_left (fun a r -> a +. f r) 0.0 rows /. float_of_int (List.length rows)

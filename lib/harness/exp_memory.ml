@@ -31,34 +31,29 @@ type row = {
   l4_ptr_meta : int;  (** 8 B widening per stored pointer slot *)
 }
 
-let run_one ?(quick = true) (w : Workloads.workload) : row =
-  let m = Runner.compile_workload w in
-  let argv = if quick then w.Workloads.quick_args else [] in
-  let base = Runner.run ~argv Runner.Unprotected m in
-  let hash = Runner.run ~argv (Runner.Softbound Runner.sb_full_hash) m in
-  let shadow = Runner.run ~argv (Runner.Softbound Runner.sb_full_shadow) m in
-  let cguard =
-    Runner.run ~argv (Runner.Softbound (Schemes.Cguard.options ())) m
-  in
-  let framer =
-    Runner.run ~argv (Runner.Softbound (Schemes.Framer.options ())) m
-  in
-  let l4 =
-    Runner.run ~argv (Runner.Softbound (Schemes.L4_pointer.options ())) m
-  in
+let hash = Runner.Softbound Runner.sb_full_hash
+let shadow = Runner.Softbound Runner.sb_full_shadow
+
+let cells ~quick =
+  Matrix.kernels ~quick
+    [ Runner.Unprotected; hash; shadow; Runner.Cguard; Runner.Framer;
+      Runner.L4_pointer ]
+
+let row ~quick (m : Matrix.t) (w : Workloads.workload) : row =
+  let run = Matrix.kernel m ~quick w in
+  let base = run Runner.Unprotected in
   {
     workload = w;
     base_resident = base.resident_bytes;
-    hash_resident = hash.resident_bytes;
-    shadow_resident = shadow.resident_bytes;
+    hash_resident = (run hash).resident_bytes;
+    shadow_resident = (run shadow).resident_bytes;
     heap_allocs = base.heap_allocs;
-    cguard_meta = 16 * cguard.heap_allocs;
-    framer_meta = 8 * framer.heap_allocs;
-    l4_ptr_meta = 8 * l4.stats.Interp.State.meta_stores;
+    cguard_meta = 16 * (run Runner.Cguard).heap_allocs;
+    framer_meta = 8 * (run Runner.Framer).heap_allocs;
+    l4_ptr_meta = 8 * (run Runner.L4_pointer).stats.Interp.State.meta_stores;
   }
 
-let run ?(quick = true) () : row list =
-  List.map (run_one ~quick) Workloads.all
+let rows ~quick m : row list = List.map (row ~quick m) Workloads.all
 
 let render (rows : row list) : string =
   Texttable.render

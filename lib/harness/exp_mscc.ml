@@ -10,19 +10,17 @@ type row = {
   mscc : float;
 }
 
-let run_one ?(quick = false) (w : Workloads.workload) : row =
-  let m = Runner.compile_workload w in
-  let argv = if quick then w.Workloads.quick_args else [] in
-  let base = Runner.run ~argv Runner.Unprotected m in
-  {
-    workload = w;
-    softbound =
-      Runner.overhead (Runner.run ~argv (Runner.Softbound Runner.sb_full_shadow) m) base;
-    mscc = Runner.overhead (Runner.run ~argv Runner.Mscc m) base;
-  }
+let full_shadow = Runner.Softbound Runner.sb_full_shadow
 
-let run ?(quick = false) () : row list =
-  List.map (run_one ~quick) Workloads.all
+let cells ~quick =
+  Matrix.kernels ~quick [ Runner.Unprotected; full_shadow; Runner.Mscc ]
+
+let row ~quick (m : Matrix.t) (w : Workloads.workload) : row =
+  let base = Matrix.cycles (Matrix.kernel m ~quick w Runner.Unprotected) in
+  let ov scheme = Matrix.overhead ~base (Matrix.kernel m ~quick w scheme) in
+  { workload = w; softbound = ov full_shadow; mscc = ov Runner.Mscc }
+
+let rows ~quick m : row list = List.map (row ~quick m) Workloads.all
 
 let render (rows : row list) : string =
   let avg f =

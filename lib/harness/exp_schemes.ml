@@ -2,8 +2,9 @@
    scheme — the two SoftBound reference configurations, the MSCC-style
    transform, the three related-work schemes (CGuard, FRAMER, L4
    Pointer), and the three plugin baselines — with the overhead of each
-   run split into check/metadata/wrapper/residual buckets, plus the
-   fixed completeness-gap attack suite's detection matrix.
+   run split into check/metadata/wrapper/residual buckets
+   ({!Matrix.split}), plus the fixed completeness-gap attack suite's
+   detection matrix.
 
    This is the experiment the ROADMAP's "multi-backend scheme matrix"
    item asks for: Figure 2's cost story and Table 4's coverage story
@@ -28,62 +29,33 @@ let schemes : (string * Runner.scheme) list =
     ("mudflap-like", Runner.Mudflap);
   ]
 
-type srow = {
-  sname : string;
-  cycles : int;
-  clean : bool;  (** exited 0; a scheme incompatibility is recorded, not fatal *)
-  outcome : string;
-  check : int;
-      (** site-attributed check cycles (transform schemes) plus the
-          plugin checker's bookkeeping cycles (plugin schemes) *)
-  meta : int;  (** site-attributed metadata load/store cycles *)
-  wrapper : int;  (** wrapper-inclusive cycle deltas *)
-  residual : int;  (** overhead minus the attributed buckets *)
-}
-
 type row = {
   workload : Workloads.workload;
   base_cycles : int;
-  srows : srow list;
+  srows : (string * Matrix.summary) list;  (** per scheme *)
 }
 
 (** One attack of the gap suite: which schemes detect it. *)
 type coverage = { attack : string; cells : (string * bool) list }
 
-let srow_of ~sname ~base (r : Interp.Vm.result) : srow =
-  let o = r.Interp.Vm.obs in
-  let k = Profile.site_kind_cycles o in
-  let stats = r.Interp.Vm.stats in
-  let check = k Obs.KCheck + k Obs.KCheckFptr + stats.S.ck_cycles in
-  let meta = k Obs.KMetaLoad + k Obs.KMetaStore in
-  let wrapper = Obs.wrapper_cycles o in
-  let cycles = stats.S.cycles in
-  let clean =
-    match r.Interp.Vm.outcome with S.Exit 0 -> true | _ -> false
-  in
+let cells ~quick =
+  Matrix.kernels ~quick (Runner.Unprotected :: List.map snd schemes)
+
+let row ~quick (m : Matrix.t) (w : Workloads.workload) : row =
   {
-    sname;
-    cycles;
-    clean;
-    outcome = S.string_of_outcome r.Interp.Vm.outcome;
-    check;
-    meta;
-    wrapper;
-    residual = cycles - base - check - meta - wrapper;
+    workload = w;
+    base_cycles = Matrix.cycles (Matrix.kernel m ~quick w Runner.Unprotected);
+    srows =
+      List.map
+        (fun (sname, scheme) -> (sname, Matrix.kernel m ~quick w scheme))
+        schemes;
   }
 
-let run_one ?(quick = false) (w : Workloads.workload) : row =
-  let m = Runner.compile_workload w in
-  let argv = if quick then w.Workloads.quick_args else [] in
-  let base = Runner.run ~argv Runner.Unprotected m in
-  let base_cycles = base.Interp.Vm.stats.S.cycles in
-  let srows =
-    List.map
-      (fun (sname, scheme) ->
-        srow_of ~sname ~base:base_cycles (Runner.run ~argv scheme m))
-      schemes
-  in
-  { workload = w; base_cycles; srows }
+let rows ~quick m : row list = List.map (row ~quick m) Workloads.all
+
+(* a scheme incompatibility is recorded, not fatal *)
+let clean (s : Matrix.summary) =
+  match s.outcome with S.Exit 0 -> true | _ -> false
 
 (** Detection matrix over the fixed gap attacks; independent of
     [quick]/[jobs] (four tiny programs, run inline). *)
@@ -100,17 +72,6 @@ let run_coverage () : coverage list =
       { attack; cells })
     Schemes.gap_attacks
 
-let run ?(quick = false) ?(jobs = 1) () : row list * coverage list =
-  (* deterministic fan-out: see the note on {!Exp_elim.run} *)
-  let rows = Parutil.parmap ~jobs (run_one ~quick) Workloads.all in
-  (rows, run_coverage ())
-
-let frac part whole =
-  if whole <= 0 then 0.0 else float_of_int part /. float_of_int whole
-
-let overhead_of ~base cycles =
-  if base <= 0 then 0.0 else (float_of_int cycles /. float_of_int base) -. 1.0
-
 let render ((rows, cov) : row list * coverage list) : string =
   let buf = Buffer.create 8192 in
   Buffer.add_string buf
@@ -123,18 +84,10 @@ let render ((rows, cov) : row list * coverage list) : string =
        (List.concat_map
           (fun r ->
             List.map
-              (fun s ->
-                let ov = s.cycles - r.base_cycles in
-                [
-                  r.workload.Workloads.name;
-                  s.sname;
-                  Texttable.pct (frac ov r.base_cycles);
-                  Texttable.pct (frac s.check ov);
-                  Texttable.pct (frac s.meta ov);
-                  Texttable.pct (frac s.wrapper ov);
-                  Texttable.pct (frac s.residual ov);
-                  Runner.yes_no s.clean;
-                ])
+              (fun (sname, s) ->
+                (r.workload.Workloads.name :: sname
+                :: Matrix.split_cells ~base:r.base_cycles s)
+                @ [ Runner.yes_no (clean s) ])
               r.srows)
           rows));
   Buffer.add_string buf "\nCompleteness-gap matrix (detected?):\n";
@@ -153,9 +106,9 @@ let render ((rows, cov) : row list * coverage list) : string =
       let ovs =
         List.filter_map
           (fun r ->
-            match List.find_opt (fun s -> s.sname = sname) r.srows with
-            | Some s when s.clean ->
-                Some (1.0 +. overhead_of ~base:r.base_cycles s.cycles)
+            match List.assoc_opt sname r.srows with
+            | Some s when clean s ->
+                Some (1.0 +. Matrix.overhead ~base:r.base_cycles s)
             | _ -> None)
           rows
       in
@@ -220,15 +173,14 @@ let to_json ((rows, cov) : row list * coverage list) : Json.t =
         ( "detected",
           Json.Obj (List.map (fun (s, det) -> (s, Json.Bool det)) c.cells) ) ]
   in
-  let srow ~base s =
-    ( s.sname,
+  let srow ~base (sname, s) =
+    ( sname,
       Json.Obj
-        ([ ("cycles", Json.int s.cycles);
-           ("overhead", Json.decimals 4 (overhead_of ~base s.cycles));
-           ("clean", Json.Bool s.clean); ("outcome", Json.Str s.outcome) ]
-        @ Json.ints
-            [ ("check", s.check); ("metadata", s.meta);
-              ("wrapper", s.wrapper); ("residual", s.residual) ]) )
+        ([ ("cycles", Json.int (Matrix.cycles s));
+           ("overhead", Json.decimals 4 (Matrix.overhead ~base s));
+           ("clean", Json.Bool (clean s));
+           ("outcome", Json.Str (S.string_of_outcome s.outcome)) ]
+        @ Json.ints (Matrix.split ~base s)) )
   in
   let workload r =
     Json.Obj

@@ -19,31 +19,45 @@ type point = {
 
 type sweep = { workload : string; points : point list }
 
-let run_point (w : Workloads.workload) (param : int) : point =
-  let m = Runner.compile_workload w in
-  let argv = [ string_of_int param ] in
-  let base = Runner.run ~argv Runner.Unprotected m in
-  let full = Runner.run ~argv (Runner.Softbound Runner.sb_full_shadow) m in
-  let miss (r : Interp.Vm.result) =
+let full_shadow = Runner.Softbound Runner.sb_full_shadow
+
+let sweeps : (string * int list) list =
+  [ ("treeadd", [ 6; 8; 10; 12; 14 ]); ("compress", [ 2; 8; 16; 32 ]) ]
+
+(* each point runs the workload with its scale argument as argv *)
+let workload name = Option.get (Workloads.find name)
+let argv param = [ string_of_int param ]
+
+let cells =
+  List.concat_map
+    (fun (name, params) ->
+      List.concat_map
+        (fun p ->
+          List.map
+            (fun s -> (workload name, argv p, s))
+            [ Runner.Unprotected; full_shadow ])
+        params)
+    sweeps
+
+let point (m : Matrix.t) (w : Workloads.workload) (param : int) : point =
+  let base = Matrix.get m (w, argv param, Runner.Unprotected) in
+  let full = Matrix.get m (w, argv param, full_shadow) in
+  let miss (r : Matrix.summary) =
     float_of_int r.cache_misses
     /. float_of_int (max 1 (r.cache_hits + r.cache_misses))
   in
   {
     param;
-    base_cycles = base.stats.Interp.State.cycles;
-    overhead_full = Runner.overhead full base;
+    base_cycles = Matrix.cycles base;
+    overhead_full = Matrix.overhead ~base:(Matrix.cycles base) full;
     base_miss_rate = miss base;
     full_miss_rate = miss full;
   }
 
-let sweeps : (string * int list) list =
-  [ ("treeadd", [ 6; 8; 10; 12; 14 ]); ("compress", [ 2; 8; 16; 32 ]) ]
-
-let run () : sweep list =
+let rows (m : Matrix.t) : sweep list =
   List.map
     (fun (name, params) ->
-      let w = Option.get (Workloads.find name) in
-      { workload = name; points = List.map (run_point w) params })
+      { workload = name; points = List.map (point m (workload name)) params })
     sweeps
 
 let render (results : sweep list) : string =

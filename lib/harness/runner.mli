@@ -41,13 +41,15 @@ val run :
 
 val instrument_cached :
   ?opts:Softbound.Config.options -> Ir.modul -> Ir.modul * int
-(** Transform-result cache, keyed by module CONTENT (a digest of the
-    printed IR, memoized per physical value) and the transform-relevant
-    options (the metadata facility is normalized away — shadow and hash
-    runs share one transform).  Structurally identical modules hit the
-    same entry even when compiled separately, which is what keeps the
-    serve daemon from re-instrumenting every request.  Returns the
-    instrumented module and its assigned-site count. *)
+(** Transform-result cache, keyed by the module VALUE (physical
+    equality, [==]) and the transform-relevant options (the metadata
+    facility is normalized away — shadow and hash runs share one
+    transform).  Identical programs share an entry because their module
+    values are shared upstream: {!compile_source_cached} returns one
+    module value per source text and {!compile_workload} one per
+    workload, which is what keeps the serve daemon from re-instrumenting
+    every request.  A module built any other way is its own entry.
+    Returns the instrumented module and its assigned-site count. *)
 
 val transforms_performed : unit -> int
 (** Process-wide count of actual (non-cached) transform runs — the

@@ -479,6 +479,29 @@ let suite =
           (Interp.State.string_of_outcome b.outcome)
           (Interp.State.string_of_outcome a.outcome);
         Alcotest.(check bool) "detected" true (Softbound.detected a));
+    tc "store-only: a load faulting before the failing store (divergence 2)"
+      (fun () ->
+        (* DESIGN section 12, divergence (2): store-only mode leaves the
+           load unchecked, and widening moves the store's check to the
+           preheader.  The load faults on iteration 0, the store would
+           fail on iteration 8: unwidened, the load's fault ends the run;
+           widened, the store's span check traps before the loop. *)
+        let src =
+          "int main(void) { int a[8]; int *q = 0; int i; int s = 0; \
+           for (i = 0; i < 12; i++) { s = s + q[i]; a[i] = s; } \
+           return s; }"
+        in
+        let store_nw = { store_on with Softbound.Config.widen_checks = false } in
+        Alcotest.(check bool) "the store's check is widened" true
+          (fold_funcs store_on src Softbound.Elim.count_widened > 0);
+        let a = runs store_on src and b = runs store_nw src in
+        Alcotest.(check string) "unwidened: the load faults"
+          "segmentation fault at 0x0"
+          (Interp.State.string_of_outcome b.outcome);
+        Alcotest.(check string) "widened: the span check traps on element 8"
+          "SoftBound: bounds violation at _sb_main: ptr=0xffffffff0 size=4 \
+           not within [0xfffffffd0, 0xffffffff0)"
+          (Interp.State.string_of_outcome a.outcome));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:

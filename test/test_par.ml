@@ -69,18 +69,17 @@ let suite =
         Alcotest.(check string) "rendered report" (Fuzz.render seq)
           (Fuzz.render par));
     tc "experiment rows: parallel fan-out equals sequential run" (fun () ->
-        (* a slice of the elim matrix: enough to drive the shared
+        (* a slice of the elim cells: enough to drive the shared
            transform/compile caches from several domains at once *)
-        let ws =
+        let cells =
           List.filter
-            (fun w ->
-              List.mem w.Workloads.name
-                [ "compress"; "bisort"; "treeadd"; "mst" ])
-            Workloads.all
+            (fun ((w : Workloads.workload), _, _) ->
+              List.mem w.name [ "compress"; "bisort"; "treeadd"; "mst" ])
+            (Harness.Exp_elim.cells ~quick:true)
         in
-        let seq = List.map (Harness.Exp_elim.run_one ~quick:true) ws in
-        let par =
-          P.parmap ~jobs:4 (Harness.Exp_elim.run_one ~quick:true) ws
-        in
-        Alcotest.(check bool) "identical rows" true (seq = par));
+        let seq = Harness.Matrix.build ~jobs:1 cells in
+        let par = Harness.Matrix.build ~jobs:4 cells in
+        Alcotest.(check bool) "identical summaries" true
+          (List.map (Harness.Matrix.get seq) cells
+          = List.map (Harness.Matrix.get par) cells));
   ]

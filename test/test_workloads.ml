@@ -43,7 +43,11 @@ let suite =
   @ [
       Alcotest.test_case "pointer fractions match categories" `Quick
         (fun () ->
-          let rows = Harness.Exp_fig1.run ~quick:true () in
+          let rows =
+            Harness.(
+              Exp_fig1.rows ~quick:true
+                (Matrix.build (Exp_fig1.cells ~quick:true)))
+          in
           List.iter
             (fun (r : Harness.Exp_fig1.row) ->
               match r.workload.Workloads.name with
@@ -63,12 +67,59 @@ let suite =
           List.iter
             (fun name ->
               let w = Option.get (Workloads.find name) in
-              let row = Harness.Exp_fig2.run_one ~quick:true w in
+              let row =
+                Harness.(
+                  Exp_fig2.row ~quick:true
+                    (Matrix.build
+                       (List.filter
+                          (fun (w', _, _) -> w' == w)
+                          (Exp_fig2.cells ~quick:true)))
+                    w)
+              in
               Alcotest.(check bool) (name ^ ": hash >= shadow") true
                 (row.hash_full >= row.shadow_full -. 0.02);
               Alcotest.(check bool) (name ^ ": full >= store") true
                 (row.shadow_full >= row.shadow_store -. 0.02))
             [ "compress"; "treeadd" ]);
+      Alcotest.test_case "matrix: each distinct cell simulated once" `Quick
+        (fun () ->
+          let open Harness in
+          let quick = true in
+          let cells =
+            List.concat
+              [ Exp_fig1.cells ~quick; Exp_fig2.cells ~quick;
+                Exp_elim.cells ~quick; Exp_breakdown.cells ~quick;
+                Exp_schemes.cells ~quick; Exp_memory.cells ~quick;
+                Exp_mscc.cells ~quick ]
+          in
+          Alcotest.(check int) "cells the seven experiments read" (50 * 15)
+            (List.length cells);
+          let before = Matrix.simulations_performed () in
+          let m = Matrix.build ~jobs:2 cells in
+          let built = Matrix.simulations_performed () - before in
+          Alcotest.(check int) "20 distinct schemes x 15 kernels" (20 * 15)
+            built;
+          ignore (Exp_fig1.rows ~quick m);
+          ignore (Exp_fig2.rows ~quick m);
+          ignore (Exp_elim.rows ~quick m);
+          ignore (Exp_breakdown.rows ~quick m);
+          ignore (Exp_schemes.rows ~quick m);
+          ignore (Exp_memory.rows ~quick m);
+          ignore (Exp_mscc.rows ~quick m);
+          Alcotest.(check int) "a second view simulates nothing" built
+            (Matrix.simulations_performed () - before);
+          (* a related-work scheme and its SoftBound options are one run *)
+          List.iter
+            (fun (scheme, opts) ->
+              let w = List.hd Workloads.all in
+              Alcotest.(check bool)
+                (Runner.scheme_name scheme ^ " is its options")
+                true
+                (Matrix.kernel m ~quick w scheme
+                == Matrix.kernel m ~quick w (Runner.Softbound opts)))
+            [ (Runner.Cguard, Schemes.Cguard.options ());
+              (Runner.Framer, Schemes.Framer.options ());
+              (Runner.L4_pointer, Schemes.L4_pointer.options ()) ]);
       Alcotest.test_case "metadata ops track pointer ops" `Quick (fun () ->
           let w = Option.get (Workloads.find "treeadd") in
           let m = Harness.Runner.compile_workload w in
