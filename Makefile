@@ -36,9 +36,10 @@ fuzz-smoke:
 	dune exec bin/softbound_cli.exe -- fuzz --seed 1 --count 200
 	dune exec bin/softbound_cli.exe -- fuzz --seed 20260805 --count 100
 
-# engine-throughput artifact at tiny sizes, run at --jobs 1 and --jobs 2
-# in fresh processes: both runs must match the artifact's declaration
-# and agree on everything except its declared host-timing fields
+# VM-throughput artifact (one row per kernel and scheme, on the one
+# execution engine) at tiny sizes, run at --jobs 1 and --jobs 2 in
+# fresh processes: both runs must match the artifact's declaration and
+# agree on everything except its declared host-timing fields
 vmspeed-smoke:
 	dune exec bin/experiments.exe -- determinism vmspeed
 

@@ -136,7 +136,7 @@ let () =
         | "table1" -> table Exp_table1.(fun () -> render (run ()))
         | "table3" -> table Exp_table3.(fun () -> render (run ()))
         | "table4" -> table Exp_table4.(fun () -> render (run ()))
-        | "ablations" -> table Exp_ablation.render
+        | "ablations" -> Exp_ablation.(cells ~quick, render ~quick)
         | "bench-check" ->
             table (fun () ->
                 (* validate the committed BENCH_*.json artifacts *)

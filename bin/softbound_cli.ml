@@ -97,26 +97,6 @@ let fptr_sigs_arg =
         ~doc:
           "Enable dynamic function-pointer signature checking (the            paper's future-work extension).")
 
-let engine_conv =
-  let parse s =
-    match Softbound.Config.engine_of_string s with
-    | Some e -> Ok e
-    | None -> Error (`Msg (Printf.sprintf "unknown engine %S" s))
-  in
-  Arg.conv
-    (parse, fun ppf e -> Format.pp_print_string ppf (Softbound.Config.engine_name e))
-
-let engine_arg =
-  Arg.(
-    value
-    & opt engine_conv Interp.State.default_config.Interp.State.engine
-    & info [ "engine" ] ~docv:"E"
-        ~doc:
-          "Execution engine: $(b,closure) (threaded code compiled at \
-           load time, the default) or $(b,decode) (pre-decoded dispatch \
-           loop).  Simulated outputs are bit-identical either way; only \
-           host speed differs.")
-
 let stats_arg =
   Arg.(value & flag & info [ "stats" ] ~doc:"Print execution statistics.")
 
@@ -191,7 +171,7 @@ let report_err f =
 let run_cmd =
   let doc = "compile, (optionally) instrument, and execute a program" in
   let f src unprotected checker mode facility no_shrink fptr_sigs no_elim
-      no_widen engine stats trace no_obs args =
+      no_widen stats trace no_obs args =
     report_err (fun () ->
         let m = Softbound.compile (read_file src) in
         let scheme =
@@ -203,7 +183,6 @@ let run_cmd =
             Interp.State.default_config with
             trace_depth = trace;
             obs_enabled = not no_obs;
-            engine;
           }
         in
         let r = Harness.Runner.run ~argv:args ~cfg scheme m in
@@ -236,7 +215,7 @@ let run_cmd =
     Term.(
       const f $ src_arg $ unprotected_arg $ checker_arg $ mode_arg
       $ facility_arg $ no_shrink_arg $ fptr_sigs_arg $ no_elim_arg
-      $ no_widen_arg $ engine_arg $ stats_arg $ trace_arg $ no_obs_arg
+      $ no_widen_arg $ stats_arg $ trace_arg $ no_obs_arg
       $ prog_args)
 
 (* ---- check ---- *)
@@ -246,13 +225,12 @@ let check_cmd =
     "run under SoftBound (full checking unless $(b,--mode) overrides); \
      exit 0 iff no spatial violation"
   in
-  let f src mode facility no_elim no_widen engine =
+  let f src mode facility no_elim no_widen =
     report_err (fun () ->
         let m = Softbound.compile (read_file src) in
         let r =
           Softbound.run_protected
             ~opts:(opts_of ~no_elim ~no_widen mode facility false)
-            ~cfg:{ Interp.State.default_config with engine }
             m
         in
         match r.outcome with
@@ -269,8 +247,7 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check" ~doc)
     Term.(
-      const f $ src_arg $ mode_arg $ facility_arg $ no_elim_arg $ no_widen_arg
-      $ engine_arg)
+      const f $ src_arg $ mode_arg $ facility_arg $ no_elim_arg $ no_widen_arg)
 
 (* ---- dump-ir ---- *)
 
@@ -350,7 +327,7 @@ let profile_cmd =
           ~doc:"With $(b,--workload): use the reduced argument set.")
   in
   let f src workload list_workloads mode facility no_shrink no_elim no_widen
-      engine trace json top quick args =
+      trace json top quick args =
     if list_workloads then begin
       List.iter print_endline Workloads.names;
       exit 0
@@ -378,9 +355,7 @@ let profile_cmd =
               exit 2
         in
         let opts = opts_of ~no_elim ~no_widen mode facility no_shrink in
-        let cfg =
-          { Interp.State.default_config with trace_depth = trace; engine }
-        in
+        let cfg = { Interp.State.default_config with trace_depth = trace } in
         let p = Harness.Profile.profile ~label ~opts ~cfg ~argv m in
         if json then print_string Harness.(Json.pretty (Profile.to_json p))
         else begin
@@ -397,8 +372,8 @@ let profile_cmd =
     (Cmd.info "profile" ~doc)
     Term.(
       const f $ src_opt_arg $ workload_arg $ list_workloads_arg $ mode_arg
-      $ facility_arg $ no_shrink_arg $ no_elim_arg $ no_widen_arg $ engine_arg
-      $ trace_arg $ json_arg $ top_arg $ quick_arg $ prog_args)
+      $ facility_arg $ no_shrink_arg $ no_elim_arg $ no_widen_arg $ trace_arg
+      $ json_arg $ top_arg $ quick_arg $ prog_args)
 
 (* ---- fuzz ---- *)
 

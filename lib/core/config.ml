@@ -85,14 +85,3 @@ let facility_name = function
 let mode_name = function
   | Full_checking -> "full"
   | Store_only -> "store-only"
-
-(** Execution engine for the simulated machine, re-exported from
-    {!Interp.State.engine} so harness code can name it without reaching
-    into the interpreter.  Both engines produce bit-identical simulated
-    outputs; [Eng_closure] (the default) runs threaded code compiled at
-    load time, [Eng_decode] walks the pre-decoded instruction arrays and
-    serves as the differential reference. *)
-type engine = Interp.State.engine = Eng_decode | Eng_closure
-
-let engine_name = Interp.State.engine_name
-let engine_of_string = Interp.State.engine_of_string

@@ -67,13 +67,3 @@ val store_only : options
 
 val facility_name : facility -> string
 val mode_name : mode -> string
-
-(** Execution engine for the simulated machine (re-export of
-    {!Interp.State.engine}).  Both engines produce bit-identical
-    simulated outputs; [Eng_closure] (the default) runs threaded code
-    compiled at load time, [Eng_decode] walks the pre-decoded
-    instruction arrays and serves as the differential reference. *)
-type engine = Interp.State.engine = Eng_decode | Eng_closure
-
-val engine_name : engine -> string
-val engine_of_string : string -> engine option

@@ -53,18 +53,20 @@ let run_unprotected ?(cfg = Interp.State.default_config) (m : Ir.modul) :
     Interp.Vm.result =
   Interp.Engine.run ~cfg m
 
+(** [cfg] set up to run code instrumented under [opts]: its metadata
+    facility, and store-only checking in the runtime wrappers. *)
+let protected_cfg ~(opts : options) (cfg : Interp.State.config) :
+    Interp.State.config =
+  {
+    cfg with
+    Interp.State.meta = Some opts.Config.facility;
+    store_only = opts.Config.mode = Config.Store_only;
+  }
+
 (** Instrument and run under SoftBound. *)
 let run_protected ?(opts = Config.default)
     ?(cfg = Interp.State.default_config) (m : Ir.modul) : Interp.Vm.result =
-  let m' = instrument ~opts m in
-  let cfg =
-    {
-      cfg with
-      Interp.State.meta = Some opts.Config.facility;
-      store_only = opts.Config.mode = Config.Store_only;
-    }
-  in
-  Interp.Engine.run ~cfg m'
+  Interp.Engine.run ~cfg:(protected_cfg ~opts cfg) (instrument ~opts m)
 
 (** Convenience: compile a source and run it under SoftBound. *)
 let check_source ?(opts = Config.default)

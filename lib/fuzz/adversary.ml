@@ -50,6 +50,7 @@
 
 module St = Interp.State
 module Vm = Interp.Vm
+module Compile = Interp.Compile
 module Snapshot = Interp.Snapshot
 module Builtins = Interp.Builtins
 module Mem = Machine.Memory
@@ -254,7 +255,7 @@ let setup (p : params) ~(secret : string) : ctx =
     }
   in
   let ld = Vm.create ~cfg (instrumented_module p) in
-  (match Vm.run_main ld with
+  (match Compile.run_main ld with
   | St.Exit 0 -> ()
   | o -> raise (Skip_scenario ("protected main: " ^ St.string_of_outcome o)));
   let st = ld.Vm.st in
@@ -383,7 +384,11 @@ let wrapper ctx name (args : (int * (int * int) option) list) : St.value list =
 
 let call_protected ctx name (args : St.value list) : St.value list =
   match Vm.find_func ctx.ld.Vm.img ("_sb_" ^ name) with
-  | Some fe -> Vm.call_boundary ctx.ld fe args
+  | Some fe -> (
+      (* [main] already returned, so the return that empties the frame
+         stack is this call's own, not program exit *)
+      try Compile.reenter (Compile.compiled_for ctx.ld) ctx.ld fe args
+      with Vm.Program_exit _ -> ctx.st.St.last_rets)
   | None -> raise (Skip_scenario ("protected function missing: _sb_" ^ name))
 
 let show_rets (rets : St.value list) : string =

@@ -117,18 +117,15 @@ let shared : (side * side) list =
         ("softbound-full-shadow", "shadow-full-elim");
         ("softbound-store-shadow", "shadow-store-elim");
       ]
-  @ List.concat_map
+  @ List.map
       (fun (scheme, elim) ->
-        List.map
-          (fun engine ->
-            ( cell "elim" elim,
-              {
-                art = "vmspeed";
-                rows = [ "current"; "rows" ];
-                key = [ ("scheme", scheme); ("engine", engine) ];
-                path = [ "sim_cycles" ];
-              } ))
-          Exp_vmspeed.engine_names)
+        ( cell "elim" elim,
+          {
+            art = "vmspeed";
+            rows = [ "current"; "rows" ];
+            key = [ ("scheme", scheme) ];
+            path = [ "sim_cycles" ];
+          } ))
       [ ("unprotected", [ "base_cycles" ]);
         ("softbound-full-hash", [ "hash_full"; "on" ]) ]
 

@@ -129,31 +129,31 @@ let run_clear_free () : clear_result =
 
 type prune_result = { pruned : float; unpruned : float }
 
-let run_prune ?(quick = true) () : prune_result =
-  (* mst loads many pointers whose metadata no check can observe, so the
-     pruning effect is large there (treeadd, by contrast, passes every
-     loaded pointer straight into a call, leaving nothing to prune) *)
-  let w = Option.get (Workloads.find "mst") in
-  let m = Runner.compile_workload w in
-  let argv = if quick then w.Workloads.quick_args else [] in
-  let base = Runner.run ~argv Runner.Unprotected m in
-  {
-    pruned =
-      Runner.overhead (Runner.run ~argv (Runner.Softbound Runner.sb_full_shadow) m) base;
-    unpruned =
-      Runner.overhead
-        (Runner.run ~argv
-           (Runner.Softbound
-              { Runner.sb_full_shadow with Softbound.Config.prune_liveness = false })
-           m)
-        base;
-  }
+(* mst loads many pointers whose metadata no check can observe, so the
+   pruning effect is large there (treeadd, by contrast, passes every
+   loaded pointer straight into a call, leaving nothing to prune) *)
+let mst = Option.get (Workloads.find "mst")
+let pruned = Runner.Softbound Runner.sb_full_shadow
 
-let render () : string =
+let unpruned =
+  Runner.Softbound
+    { Runner.sb_full_shadow with Softbound.Config.prune_liveness = false }
+
+let cells ~quick =
+  List.map
+    (fun s -> (mst, Matrix.args ~quick mst, s))
+    [ Runner.Unprotected; pruned; unpruned ]
+
+let run_prune ~quick (m : Matrix.t) : prune_result =
+  let base = Matrix.cycles (Matrix.kernel m ~quick mst Runner.Unprotected) in
+  let overhead s = Matrix.overhead ~base (Matrix.kernel m ~quick mst s) in
+  { pruned = overhead pruned; unpruned = overhead unpruned }
+
+let render ~quick (m : Matrix.t) : string =
   let s = run_shrink () in
   let mc = run_memcpy () in
   let cl = run_clear_free () in
-  let pr = run_prune () in
+  let pr = run_prune ~quick m in
   Printf.sprintf
     "Ablations of SoftBound design choices\n\
      1. bounds shrinking (section 3.1): sub-object overflow detected \

@@ -41,7 +41,8 @@ let row ~quick (m : Matrix.t) (w : Workloads.workload) : row =
     List.map
       (fun (cname, opts) ->
         let s = Matrix.kernel m ~quick w (Runner.Softbound opts) in
-        Matrix.check_clean ~quick ~workload:w.Workloads.name ~scheme:cname s;
+        Runner.check_clean ~quick ~workload:w.Workloads.name ~scheme:cname
+          s.Matrix.outcome;
         (cname, s))
       configs
   in

@@ -13,9 +13,9 @@ let cells ~quick = Matrix.kernels ~quick [ Runner.Unprotected ]
 
 let row ~quick (m : Matrix.t) (w : Workloads.workload) : row =
   let r = Matrix.kernel m ~quick w Runner.Unprotected in
-  Matrix.check_clean ~quick ~workload:w.Workloads.name
+  Runner.check_clean ~quick ~workload:w.Workloads.name
     ~scheme:(Runner.scheme_name Runner.Unprotected)
-    r;
+    r.Matrix.outcome;
   let s = r.stats in
   let mem_ops = s.Interp.State.mem_reads + s.Interp.State.mem_writes in
   {

@@ -3,15 +3,13 @@
    Every artifact in this repo is bottlenecked on the host speed of the
    IR interpreter, so the engine's throughput is tracked as a number
    ([BENCH_vmspeed.json]), not a claim.  Each row times [iters] complete
-   runs of one kernel under one scheme on one engine — unprotected
-   exercises the bare dispatch/memory fast path, softbound-full-hash
-   additionally hammers the metadata hash table; the closure engine runs
-   threaded code compiled at load time, the decode engine walks the
-   pre-decoded instruction arrays — and reports simulated-cycles-per-
-   host-second.  Simulated cycle counts are deterministic, engine-
-   independent, and golden-checked elsewhere; only the fields the
-   artifact declares as host timing vary from run to run, and
-   [experiments determinism vmspeed] compares everything except those.
+   runs of one kernel under one scheme — unprotected exercises the bare
+   dispatch/memory fast path, softbound-full-hash additionally hammers
+   the metadata hash table — and reports simulated-cycles-per-
+   host-second.  Simulated cycle counts are deterministic and
+   golden-checked elsewhere; only the fields the artifact declares as
+   host timing vary from run to run, and [experiments determinism
+   vmspeed] compares everything except those.
 
    The recorded baseline below was measured with this same harness on
    the PR 4 engine (pre-decoded dispatch, word-granular memory — the
@@ -22,7 +20,6 @@
 type row = {
   name : string;
   scheme : string;
-  engine : string;
   sim_cycles : int;  (** cycles of one run — deterministic *)
   runs : int;  (** timed iterations behind [host_seconds] *)
   host_seconds : float;
@@ -39,14 +36,6 @@ let schemes : (string * Runner.scheme) list =
   ]
 
 let scheme_names = List.map fst schemes
-
-let engines : (string * Softbound.Config.engine) list =
-  [
-    ("closure", Softbound.Config.Eng_closure);
-    ("decode", Softbound.Config.Eng_decode);
-  ]
-
-let engine_names = List.map fst engines
 
 (* ------------------------------------------------------------------ *)
 (* Recorded baseline                                                    *)
@@ -105,25 +94,22 @@ let baseline_cps ~name ~scheme =
 let now () = Unix.gettimeofday ()
 
 let measure_one ~quick ~iters (w : Workloads.workload)
-    ((sname, scheme) : string * Runner.scheme)
-    ((ename, eng) : string * Softbound.Config.engine) : row =
+    ((sname, scheme) : string * Runner.scheme) : row =
   let m = Runner.compile_workload w in
   let argv = if quick then w.Workloads.quick_args else [] in
-  let cfg = { Interp.State.default_config with engine = eng } in
   (* untimed warm run: fills the transform and closure-compile caches so
      the timed loop measures the interpreter, not the pipeline *)
-  let r0 = Runner.run ~argv ~cfg scheme m in
-  Runner.check_clean ~quick ~workload:w.Workloads.name
-    ~scheme:(sname ^ "/" ^ ename) r0;
+  let r0 = Runner.run ~argv scheme m in
+  Runner.check_clean ~quick ~workload:w.Workloads.name ~scheme:sname
+    r0.Interp.Vm.outcome;
   let t0 = now () in
   for _ = 1 to iters do
-    ignore (Runner.run ~argv ~cfg scheme m)
+    ignore (Runner.run ~argv scheme m)
   done;
   let t1 = now () in
   {
     name = w.Workloads.name;
     scheme = sname;
-    engine = ename;
     sim_cycles = r0.Interp.Vm.stats.Interp.State.cycles;
     runs = iters;
     host_seconds = t1 -. t0;
@@ -131,23 +117,18 @@ let measure_one ~quick ~iters (w : Workloads.workload)
 
 let run ?(quick = false) ?(iters = 1) ?(jobs = 1) () : row list =
   let tasks =
-    List.concat_map
-      (fun w ->
-        List.concat_map
-          (fun s -> List.map (fun e -> (w, s, e)) engines)
-          schemes)
-      Workloads.all
+    List.concat_map (fun w -> List.map (fun s -> (w, s)) schemes) Workloads.all
   in
   (* transform everything up front (serially) so parallel timing rows
      never serialize on the transform-cache mutex mid-measurement *)
   List.iter
-    (fun (w, (_, scheme), _) ->
+    (fun (w, (_, scheme)) ->
       match scheme with
       | Runner.Softbound opts ->
           ignore (Runner.instrument_cached ~opts (Runner.compile_workload w))
       | _ -> ignore (Runner.compile_workload w))
     tasks;
-  Parutil.parmap ~jobs (fun (w, s, e) -> measure_one ~quick ~iters w s e) tasks
+  Parutil.parmap ~jobs (fun (w, s) -> measure_one ~quick ~iters w s) tasks
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation                                                          *)
@@ -160,11 +141,10 @@ let geomean = function
         (List.fold_left (fun a x -> a +. log (max 1e-9 x)) 0.0 xs
         /. float_of_int (List.length xs))
 
-let geomean_cps_of ~engine ~scheme (rows : row list) : float =
+let geomean_cps_of ~scheme (rows : row list) : float =
   geomean
     (List.filter_map
-       (fun r ->
-         if r.scheme = scheme && r.engine = engine then Some (cps r) else None)
+       (fun r -> if r.scheme = scheme then Some (cps r) else None)
        rows)
 
 let geomean_cps_baseline ~scheme : float option =
@@ -178,18 +158,16 @@ let row_speedup (r : row) : float option =
   | Some b when b > 0.0 -> Some (cps r /. b)
   | _ -> None
 
-(** Geomean speedup of one engine's rows over the recorded baseline for
-    one scheme; [None] when no baseline is recorded. *)
-let speedup_of ~engine ~scheme (rows : row list) : float option =
+(** Geomean speedup of one scheme's rows over the recorded baseline;
+    [None] when no baseline is recorded. *)
+let speedup_of ~scheme (rows : row list) : float option =
   match geomean_cps_baseline ~scheme with
   | None -> None
   | Some b when b <= 0.0 -> None
-  | Some b -> Some (geomean_cps_of ~engine ~scheme rows /. b)
+  | Some b -> Some (geomean_cps_of ~scheme rows /. b)
 
-let overall_speedup ~engine (rows : row list) : float option =
-  let per =
-    List.filter_map (fun s -> speedup_of ~engine ~scheme:s rows) scheme_names
-  in
+let overall_speedup (rows : row list) : float option =
+  let per = List.filter_map (fun s -> speedup_of ~scheme:s rows) scheme_names in
   if List.length per <> List.length scheme_names then None
   else Some (geomean per)
 
@@ -210,79 +188,67 @@ let render (rows : row list) : string =
   let kernels =
     List.filter (fun w -> List.mem w kernels) Workloads.names
   in
+  Buffer.add_string buf
+    (Texttable.render
+       ~headers:
+         ([ "benchmark" ]
+         @ List.concat_map (fun s -> [ s; "vs base" ]) scheme_names)
+       (List.map
+          (fun k ->
+            let cells =
+              List.concat_map
+                (fun s ->
+                  match
+                    List.find_opt (fun r -> r.name = k && r.scheme = s) rows
+                  with
+                  | None -> [ "-"; "-" ]
+                  | Some r -> (
+                      [ mcps (cps r) ]
+                      @
+                      match row_speedup r with
+                      | Some x -> [ Printf.sprintf "%.2fx" x ]
+                      | None -> [ "-" ]))
+                scheme_names
+            in
+            k :: cells)
+          kernels));
+  Buffer.add_string buf "geomean Mcycles/host-second:\n";
   List.iter
-    (fun e ->
-      if List.exists (fun r -> r.engine = e) rows then begin
-        Buffer.add_string buf (Printf.sprintf "\nengine: %s\n" e);
-        Buffer.add_string buf
-          (Texttable.render
-             ~headers:
-               ([ "benchmark" ]
-               @ List.concat_map (fun s -> [ s; "vs base" ]) scheme_names)
-             (List.map
-                (fun k ->
-                  let cells =
-                    List.concat_map
-                      (fun s ->
-                        match
-                          List.find_opt
-                            (fun r ->
-                              r.name = k && r.scheme = s && r.engine = e)
-                            rows
-                        with
-                        | None -> [ "-"; "-" ]
-                        | Some r -> (
-                            [ mcps (cps r) ]
-                            @
-                            match row_speedup r with
-                            | Some x -> [ Printf.sprintf "%.2fx" x ]
-                            | None -> [ "-" ]))
-                      scheme_names
-                  in
-                  k :: cells)
-                kernels));
-        Buffer.add_string buf "geomean Mcycles/host-second:\n";
-        List.iter
-          (fun s ->
-            Buffer.add_string buf
-              (Printf.sprintf "  %-20s %s%s\n" s
-                 (mcps (geomean_cps_of ~engine:e ~scheme:s rows))
-                 (match speedup_of ~engine:e ~scheme:s rows with
-                 | Some x -> Printf.sprintf "  (%.2fx vs recorded baseline)" x
-                 | None -> "  (no recorded baseline)")))
-          scheme_names;
-        match overall_speedup ~engine:e rows with
-        | Some x ->
-            Buffer.add_string buf
-              (Printf.sprintf
-                 "overall geomean speedup vs baseline (%s): %.2fx\n" e x)
-        | None -> ()
-      end)
-    engine_names;
+    (fun s ->
+      Buffer.add_string buf
+        (Printf.sprintf "  %-20s %s%s\n" s
+           (mcps (geomean_cps_of ~scheme:s rows))
+           (match speedup_of ~scheme:s rows with
+           | Some x -> Printf.sprintf "  (%.2fx vs recorded baseline)" x
+           | None -> "  (no recorded baseline)")))
+    scheme_names;
+  (match overall_speedup rows with
+  | Some x ->
+      Buffer.add_string buf
+        (Printf.sprintf "overall geomean speedup vs baseline: %.2fx\n" x)
+  | None -> ());
   Buffer.contents buf
 
 let artifact : Artifact.t =
   let open Artifact in
-  let per_engine s = Fields (List.map (fun e -> (e, s)) engine_names) in
   let row =
     Fields (nums [ "sim_cycles"; "cycles_per_host_sec"; "speedup_vs_baseline" ])
   in
-  let rows_per_engine = List.map (fun e -> (e, Any)) engine_names in
+  let rows_per_scheme = List.map (fun s -> (s, Any)) scheme_names in
   { name = "vmspeed"; tag = "vmspeed";
     host_timing =
       [ "host_seconds"; "cycles_per_host_sec"; "speedup_vs_baseline";
         "geomean_cycles_per_host_sec" ];
     fields =
-      [ ("engines", Is (Json.List (List.map Json.str engine_names)));
-        ( "baseline",
+      [ ( "baseline",
           Fields
             [ ("rows", Rows (Fields (nums [ "cycles_per_host_sec" ])));
               ("geomean_cycles_per_host_sec", Any) ] );
         ( "current",
           Fields
-            [ ("rows", Table ("engine", rows_per_engine, row));
+            [ ("rows", Table ("scheme", rows_per_scheme, row));
               ("geomean_cycles_per_host_sec", Any) ] );
-        ("speedup_vs_baseline", per_engine (Fields (nums [ "overall" ]))) ] }
+        ("speedup_vs_baseline", Fields (nums [ "overall" ])) ] }
 
 (** Machine-readable artifact ([BENCH_vmspeed.json]). *)
 let to_json ?(quick = false) ?(iters = 1) (rows : row list) : Json.t =
@@ -310,7 +276,7 @@ let to_json ?(quick = false) ?(iters = 1) (rows : row list) : Json.t =
   let row r =
     Json.Obj
       [ ("name", Json.Str r.name); ("scheme", Json.Str r.scheme);
-        ("engine", Json.Str r.engine); ("sim_cycles", Json.int r.sim_cycles);
+        ("sim_cycles", Json.int r.sim_cycles);
         ("runs", Json.int r.runs);
         ("host_seconds", Json.decimals 6 r.host_seconds);
         ("cycles_per_host_sec", cps_num (cps r));
@@ -318,21 +284,18 @@ let to_json ?(quick = false) ?(iters = 1) (rows : row list) : Json.t =
           match row_speedup r with None -> Json.Null | x -> speedup x )
       ]
   in
-  let geomean e s = cps_num (geomean_cps_of ~engine:e ~scheme:s rows) in
-  let speedups e =
+  let geomean s = cps_num (geomean_cps_of ~scheme:s rows) in
+  let speedups =
     Json.Obj
-      (List.map (fun s -> (s, speedup (speedup_of ~engine:e ~scheme:s rows)))
-         scheme_names
-      @ [ ("overall", speedup (overall_speedup ~engine:e rows)) ])
+      (List.map (fun s -> (s, speedup (speedup_of ~scheme:s rows))) scheme_names
+      @ [ ("overall", speedup (overall_speedup rows)) ])
   in
   Artifact.document artifact
     [ ("unit", Json.Str "simulated cycles per host second");
       ("quick", Json.Bool quick); ("iters", Json.int iters);
-      ("engines", Json.List (List.map Json.str engine_names));
       ("baseline", baseline_json);
       ( "current",
         Json.Obj
           [ ("rows", Json.List (List.map row rows));
-            ( "geomean_cycles_per_host_sec",
-              per engine_names (fun e -> per scheme_names (geomean e)) ) ] );
-      ("speedup_vs_baseline", per engine_names speedups) ]
+            ("geomean_cycles_per_host_sec", per scheme_names geomean) ] );
+      ("speedup_vs_baseline", speedups) ]

@@ -34,16 +34,9 @@ type summary = {
 
 type t = (string * string list * Runner.scheme, summary) Hashtbl.t
 
-(* Schemes that name the same run share a key: [Runner.run] runs the
-   related-work transform schemes as [Runner.Softbound] with their
-   options. *)
-let canonical = function
-  | Runner.Cguard -> Runner.Softbound (Schemes.Cguard.options ())
-  | Runner.Framer -> Runner.Softbound (Schemes.Framer.options ())
-  | Runner.L4_pointer -> Runner.Softbound (Schemes.L4_pointer.options ())
-  | s -> s
-
-let key ((w, argv, scheme) : cell) = (w.Workloads.name, argv, canonical scheme)
+(* Schemes that name the same run share a key. *)
+let key ((w, argv, scheme) : cell) =
+  (w.Workloads.name, argv, Runner.canonical scheme)
 
 let simulations = Atomic.make 0
 
@@ -88,16 +81,6 @@ let build ?(jobs = 1) (cells : cell list) : t =
   |> Parutil.parmap ~jobs (List.map (fun c -> (key c, simulate c)))
   |> List.iter (List.iter (fun (k, s) -> Hashtbl.replace m k s));
   m
-
-(** Raise {!Runner.Workload_failed} unless [s] exited 0, as
-    {!Runner.check_clean} does for a whole result. *)
-let check_clean ~quick ~workload ~scheme (s : summary) : unit =
-  match s.outcome with
-  | S.Exit 0 -> ()
-  | o ->
-      raise
-        (Runner.Workload_failed
-           { workload; scheme; quick; outcome = S.string_of_outcome o })
 
 let get (m : t) ((w, argv, scheme) as c : cell) : summary =
   match Hashtbl.find_opt m (key c) with

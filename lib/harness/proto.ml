@@ -16,7 +16,6 @@ type run_spec = {
   r_source : string;
   r_argv : string list;
   r_scheme : Runner.scheme;
-  r_engine : Interp.State.engine;
   r_max_steps : int option;
 }
 
@@ -99,7 +98,7 @@ let campaign_count v ~default =
   c
 
 (* ------------------------------------------------------------------ *)
-(* Scheme / engine selection                                            *)
+(* Scheme selection                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let scheme_of_fields v : Runner.scheme =
@@ -135,14 +134,6 @@ let scheme_of_fields v : Runner.scheme =
         "unknown scheme %S (softbound|unprotected|jones-kelly|memcheck|mudflap|mscc)"
         s
 
-let engine_of_fields v : Interp.State.engine =
-  match opt_str v "engine" with
-  | None -> Interp.State.default_config.Interp.State.engine
-  | Some s -> (
-      match Interp.State.engine_of_string s with
-      | Some e -> e
-      | None -> reject "unknown engine %S (closure|decode)" s)
-
 (* ------------------------------------------------------------------ *)
 (* Request parsing                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -162,7 +153,6 @@ let spec_of v : string * spec =
             r_source = source;
             r_argv = str_list v "argv";
             r_scheme = scheme_of_fields v;
-            r_engine = engine_of_fields v;
             r_max_steps = opt_int v "max_steps";
           } )
   | Some "fuzz" ->

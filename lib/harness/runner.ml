@@ -109,28 +109,25 @@ let instrument_cached ?(opts = Softbound.Config.default) (m : Ir.modul) :
       cache := ((m, opts'), v) :: pruned;
       v
 
-let run ?(argv = []) ?(inputs = []) ?(max_steps = 2_000_000_000)
+(* The related-work transform schemes run as SoftBound with their
+   options. *)
+let canonical = function
+  | Cguard -> Softbound (Schemes.Cguard.options ())
+  | Framer -> Softbound (Schemes.Framer.options ())
+  | L4_pointer -> Softbound (Schemes.L4_pointer.options ())
+  | s -> s
+
+let rec run ?(argv = []) ?(inputs = []) ?(max_steps = 2_000_000_000)
     ?(cfg = Interp.State.default_config) (scheme : scheme) (m : Ir.modul) :
     Interp.Vm.result =
   let base = { cfg with Interp.State.argv; inputs; max_steps } in
-  let run_transform opts =
-    let m', _sites = instrument_cached ~opts m in
-    let cfg =
-      {
-        base with
-        Interp.State.meta =
-          Some opts.Softbound.Config.facility;
-        store_only = opts.Softbound.Config.mode = Softbound.Config.Store_only;
-      }
-    in
-    Interp.Engine.run ~cfg m'
-  in
   match scheme with
   | Unprotected -> Softbound.run_unprotected ~cfg:base m
-  | Softbound opts -> run_transform opts
-  | Cguard -> run_transform (Schemes.Cguard.options ())
-  | Framer -> run_transform (Schemes.Framer.options ())
-  | L4_pointer -> run_transform (Schemes.L4_pointer.options ())
+  | Softbound opts ->
+      let m', _sites = instrument_cached ~opts m in
+      Interp.Engine.run ~cfg:(Softbound.protected_cfg ~opts base) m'
+  | Cguard | Framer | L4_pointer ->
+      run ~argv ~inputs ~max_steps ~cfg (canonical scheme) m
   | Mscc -> Baselines.Mscc.run ~cfg:base m
   | Jones_kelly ->
       Softbound.run_unprotected
@@ -164,9 +161,9 @@ let () =
              outcome)
     | _ -> None)
 
-let check_clean ?(quick = false) ~workload ~scheme (r : Interp.Vm.result) :
+let check_clean ?(quick = false) ~workload ~scheme (o : Interp.State.outcome) :
     unit =
-  match r.Interp.Vm.outcome with
+  match o with
   | Interp.State.Exit 0 -> ()
   | o ->
       raise
@@ -255,11 +252,3 @@ let compile_source_cached (src : string) : Ir.modul =
       m
 
 let source_compiles_performed () = with_lock (fun () -> !source_compile_count)
-
-(** Fraction of memory operations that move pointer values (Figure 1's
-    metric). *)
-let pointer_op_fraction (r : Interp.Vm.result) : float =
-  let s = r.stats in
-  let total = s.Interp.State.mem_reads + s.Interp.State.mem_writes in
-  if total = 0 then 0.0
-  else float_of_int s.Interp.State.ptr_mem_ops /. float_of_int total

@@ -19,6 +19,11 @@ type scheme =
 
 val scheme_name : scheme -> string
 
+val canonical : scheme -> scheme
+(** The scheme {!run} actually runs: [Cguard], [Framer] and
+    [L4_pointer] are [Softbound] with their options; every other scheme
+    is itself. *)
+
 (** {1 The four SoftBound configurations of Figure 2} *)
 
 val sb_full_shadow : Softbound.Config.options
@@ -82,10 +87,10 @@ val check_clean :
   ?quick:bool ->
   workload:string ->
   scheme:string ->
-  Interp.Vm.result ->
+  Interp.State.outcome ->
   unit
-(** [check_clean ~workload ~scheme r] raises {!Workload_failed} unless
-    [r] exited 0. *)
+(** [check_clean ~workload ~scheme o] raises {!Workload_failed} unless
+    [o] is exit 0. *)
 
 (** {1 Outcome classification for the detection tables} *)
 
@@ -104,7 +109,3 @@ val overhead : Interp.Vm.result -> Interp.Vm.result -> float
     [base] (0.79 = 79%). *)
 
 val compile_workload : Workloads.workload -> Ir.modul
-
-val pointer_op_fraction : Interp.Vm.result -> float
-(** Fraction of memory operations that moved pointer values — Figure 1's
-    metric. *)

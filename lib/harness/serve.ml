@@ -62,7 +62,7 @@ let poll_of ~(timeout_ms : int option) : (unit -> unit) option =
 
 let exec_run (j : Proto.run_spec) ~poll : (string * Json.t) list =
   let m = Runner.compile_source_cached j.Proto.r_source in
-  let cfg = { S.default_config with S.engine = j.Proto.r_engine; poll } in
+  let cfg = { S.default_config with S.poll } in
   let r =
     Runner.run ~argv:j.Proto.r_argv ?max_steps:j.Proto.r_max_steps ~cfg
       j.Proto.r_scheme m

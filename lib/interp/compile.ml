@@ -12,10 +12,11 @@
 
    Invariant: every simulated output — cycles, instruction counts,
    cache traffic, metadata probes, obs attribution, trap identity and
-   ordering — is bit-identical to the decoding engine's
+   ordering — is bit-identical to the reference decode loop's
    ({!Vm.run_until_done}).  Each compiled closure performs the same
    accounting in the same order as the corresponding {!Vm.exec_inst}
-   arm; the differential qcheck suite and the shared goldens pin this.
+   arm; the cross-engine suite (test/test_engines.ml) and the shared
+   goldens pin this.
 
    The compiled artifact captures no per-run state: closures take the
    [(loaded, frame)] pair as arguments, and what they close over —

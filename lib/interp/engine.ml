@@ -1,19 +1,13 @@
-(* Engine dispatch: both engines execute the same pre-decoded IR with
-   bit-identical simulated outputs; [cfg.engine] selects which one runs
-   it.  Harness code routes all executions through here so the
-   [--engine] axis reaches every experiment, fuzzer, and profiler. *)
+(* The execution engine: the threaded-code compiler ({!Compile}).  Every
+   library, harness and daemon run goes through here.  The decode loop
+   in {!Vm} ({!Vm.run}) is the readable opcode reference that the
+   cross-engine test suite checks this engine against; nothing else
+   runs it. *)
 
-open State
+(** Run the loaded module's [main], keeping the loaded state open
+    afterwards. *)
+let run_main (ld : Vm.loaded) : State.outcome = Compile.run_main ld
 
-(** {!Vm.run_main} on the configured engine, for callers that keep the
-    loaded state open afterwards. *)
-let run_main (ld : Vm.loaded) : outcome =
-  match ld.Vm.st.cfg.engine with
-  | Eng_decode -> Vm.run_main ld
-  | Eng_closure -> Compile.run_main ld
-
-(** Load and run a module to completion on the configured engine. *)
-let run ?(cfg = default_config) (m : Sbir.Ir.modul) : Vm.result =
-  match cfg.engine with
-  | Eng_decode -> Vm.run ~cfg m
-  | Eng_closure -> Compile.run ~cfg m
+(** Load and run a module to completion. *)
+let run ?(cfg = State.default_config) (m : Sbir.Ir.modul) : Vm.result =
+  Compile.run ~cfg m

@@ -224,31 +224,15 @@ let slot_addr fr (sl : Ir.slot) =
 (* VM configuration and state                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** Which execution engine runs the pre-decoded IR.  Both produce
-    bit-identical simulated outputs (cycles, cache traffic, traps, obs
-    attribution); they differ only in host throughput.  [Eng_closure]
-    compiles each basic block to a chain of OCaml closures at load time
-    (threaded code, no constructor dispatch); [Eng_decode] walks the
-    instruction arrays and is kept as the differential reference. *)
-type engine = Eng_decode | Eng_closure
-
-let engine_name = function Eng_decode -> "decode" | Eng_closure -> "closure"
-
-let engine_of_string = function
-  | "decode" -> Some Eng_decode
-  | "closure" -> Some Eng_closure
-  | _ -> None
-
 (** How often (in steps) an installed {!config.poll} hook runs: every
     step whose count masks to zero.  16K steps is well under a
-    millisecond on either engine, fine-grained enough for per-job
+    millisecond, fine-grained enough for per-job
     wall-clock timeouts while keeping the no-hook fast path to a single
     predictable branch. *)
 let poll_mask = 16383
 
 type config = {
   max_steps : int;
-  engine : engine;
   meta : meta_facility option;
       (** [Some _] when running SoftBound-transformed code *)
   store_only : bool;
@@ -266,7 +250,7 @@ type config = {
   argv : string list;
   poll : (unit -> unit) option;
       (** cooperative interruption hook, run every {!poll_mask}+1 steps
-          by both engines.  It may raise to abort the run — the serve
+          by the engine.  It may raise to abort the run — the serve
           daemon uses it for per-job wall-clock deadlines and
           cancellation on shutdown.  Never affects simulated outputs:
           step/cycle accounting is identical with or without it. *)
@@ -280,7 +264,6 @@ type config = {
 let default_config =
   {
     max_steps = 200_000_000;
-    engine = Eng_closure;
     meta = None;
     store_only = false;
     checker = None;

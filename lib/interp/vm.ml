@@ -369,11 +369,11 @@ type loaded = {
   st : t;  (** the run's own state *)
   img : image;  (** the shared module image *)
   mutable reenter : (loaded -> fentry -> value list -> value list) option;
-      (** engine hook for re-entrant builtin-to-interpreted calls (qsort
-          comparators): the active engine installs its own
+      (** hook for re-entrant builtin-to-interpreted calls (qsort
+          comparators): the threaded-code engine installs its own
           push-and-run-to-return here so comparators execute on the same
-          engine as the rest of the program.  [None] falls back to the
-          decoding engine's {!call_function}. *)
+          engine as the rest of the program.  [None] (the reference
+          decode loop) falls back to {!call_function}. *)
 }
 
 (** Load a module for one run: look up (or build) its image, then
@@ -1283,6 +1283,16 @@ let check_fptr ld ~fname ~site ~expected_sig ~cy0 pv bv ev : unit =
                   ^ ")";
               }))
 
+(* ------------------------------------------------------------------ *)
+(* The reference decode loop                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* [exec_inst] through [call_function] and {!run} walk the pre-decoded
+   arrays one instruction at a time.  Production runs use the
+   threaded-code engine ({!Compile}); this loop is the readable opcode
+   specification that the cross-engine test suite compares it with,
+   bit for bit. *)
+
 let exec_inst ld (fr : frame) (inst : Ir.inst) : unit =
   let st = ld.st in
   match inst with
@@ -1450,13 +1460,6 @@ let call_function ld (fe : fentry) (args : value list) : value list =
 
 let () = call_function_fwd := call_function
 
-(** Boundary call into a loaded module whose [main] already finished
-    (the adversarial harness's calls into exported protected
-    functions): like {!call_function}, except a return that empties the
-    frame stack is an ordinary return, not program exit. *)
-let call_boundary ld (fe : fentry) (args : value list) : value list =
-  try call_function ld fe args with Program_exit _ -> ld.st.last_rets
-
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -1528,10 +1531,11 @@ let finish ld outcome : result =
     obs = st.obs;
   }
 
-(** Run the loaded module's global initializer and [main], returning the
-    outcome.  Unlike {!run} this leaves the state open afterwards: the
-    adversarial harness keeps driving boundary calls ({!call_function},
-    builtin dispatches) against the very same [loaded] value. *)
+(** Run the loaded module's global initializer and [main] with [exec]
+    (by default the decode loop), returning the outcome.  Unlike {!run}
+    this leaves the state open afterwards: the adversarial harness keeps
+    driving boundary calls and builtin dispatches against the very same
+    [loaded] value. *)
 let run_main ?(exec = run_until_done) ld : outcome =
   try
     (* transformed modules carry a synthetic global-metadata initializer *)

@@ -166,7 +166,8 @@ let named_mutations () =
   List.iter
     (fun m -> checkb (snd m) true (List.mem m ms))
     [
-      ("pinned row", "BENCH_vmspeed.json .current.rows[engine=decode]");
+      ( "pinned row",
+        "BENCH_vmspeed.json .current.rows[scheme=softbound-full-hash]" );
       ( "pin",
         "BENCH_schemes.json \
          .coverage[attack=sub-object-overflow].detected.cguard" );
@@ -255,7 +256,8 @@ let suite =
     tc "rejects each row array emptied" (rejects "empty");
     tc "rejects each pinned row dropped" (rejects "pinned row");
     tc "rejects each pinned cell flipped" (rejects "pin");
-    tc "mutations include decode rows and the cguard cell" named_mutations;
+    tc "mutations include scheme-keyed vmspeed rows and the cguard cell"
+      named_mutations;
     tc "rejects each cross-artifact cell moved by 1" cross_rejects;
     tc "determinism drops only host timing" determinism;
   ]

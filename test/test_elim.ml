@@ -60,8 +60,8 @@ let refuses name src =
 (* The 500-program widening oracle: generated loop-heavy programs (the
    generator's affine scene plants canonical counted loops, and ~30% of
    cases carry an injected violation), run widen-on vs widen-off under
-   a sampled engine x facility point.  Outcome, stdout, and the failing
-   check's site id must be identical. *)
+   a sampled facility.  Outcome, stdout, and the failing check's site id
+   must be identical. *)
 let obs_cfg =
   {
     Interp.State.default_config with
@@ -78,10 +78,7 @@ let fail_site (r : Interp.Vm.result) =
     None
     (Obs.events r.Interp.Vm.obs)
 
-let widen_agrees (index, eng, fac) =
-  let engine =
-    if eng then Interp.State.Eng_closure else Interp.State.Eng_decode
-  in
+let widen_agrees (index, fac) =
   let facility =
     List.nth
       [
@@ -97,11 +94,10 @@ let widen_agrees (index, eng, fac) =
   let m =
     Softbound.compile (Cminus.Pretty.program_string case.Fuzz.Gen.prog)
   in
-  let cfg = { obs_cfg with Interp.State.engine } in
   let run widen_checks =
     Softbound.run_protected
       ~opts:{ on with Softbound.Config.facility; widen_checks }
-      ~cfg m
+      ~cfg:obs_cfg m
   in
   let a = run true and b = run false in
   Interp.State.string_of_outcome a.outcome
@@ -505,13 +501,12 @@ let suite =
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:
-           "widen on/off agree (outcome, stdout, trap site; both engines, \
-            all facilities)"
+           "widen on/off agree (outcome, stdout, trap site; all facilities)"
          ~count:500
          QCheck.(
-           triple
+           pair
              (make ~print:string_of_int Gen.(int_bound 249))
-             bool (int_range 0 4))
+             (int_range 0 4))
          widen_agrees);
     (* ---------------- qcheck properties ---------------- *)
     QCheck_alcotest.to_alcotest

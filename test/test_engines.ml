@@ -1,13 +1,16 @@
-(* Differential engine suite: the closure-compiled threaded-code engine
-   and the pre-decoded dispatch engine are two executions of the same
-   semantics, so every observable of a run — outcome (including the
-   trap site and bounds in its message), program stdout, the full
-   simulated-cost statistics block, cache behavior, residency, heap
-   accounting, and per-site observability attribution — must be
-   bit-identical between them.  The suite drives both engines over a
-   fixed corpus of 200 generated programs (OOB planting on, so a third
-   of the corpus traps) plus the hand-written regression programs, under
-   both the unprotected and full-checking pipelines. *)
+(* Cross-engine suite: the threaded-code engine ({!Interp.Engine}, the
+   one every library run uses) against the reference decode loop
+   ({!Vm.run}).  They are two executions of the same semantics, so every
+   observable of a run — outcome (including the trap site and bounds in
+   its message), program stdout, the full simulated-cost statistics
+   block, cache behavior, residency, heap accounting, and per-site
+   observability attribution — must be bit-identical between them.  The
+   suite drives both over a fixed corpus of 200 generated programs (OOB
+   planting on, so a third of the corpus traps) plus the hand-written
+   regression programs, under both the unprotected and full-checking
+   pipelines.  It is the check on the engine's per-opcode accounting
+   that nothing else makes: a mis-charged opcode that every other suite
+   misses diverges here (DESIGN.md section 9). *)
 
 module St = Interp.State
 module Vm = Interp.Vm
@@ -34,16 +37,17 @@ let fingerprint (r : Vm.result) =
       Obs.seg_stats r.Vm.obs,
       Obs.attribution r.Vm.obs ) )
 
-let cfg_with engine = { St.default_config with St.engine; max_steps = 3_000_000 }
+let cfg = { St.default_config with max_steps = 3_000_000 }
 
+(* the reference run and the engine's, on one module and one config *)
 let run_both ?opts m =
-  let run engine =
-    let cfg = cfg_with engine in
+  let m, cfg =
     match opts with
-    | None -> Softbound.run_unprotected ~cfg m
-    | Some opts -> Softbound.run_protected ~opts ~cfg m
+    | None -> (m, cfg)
+    | Some opts ->
+        (Softbound.instrument ~opts m, Softbound.protected_cfg ~opts cfg)
   in
-  (run St.Eng_decode, run St.Eng_closure)
+  (Vm.run ~cfg m, Interp.Engine.run ~cfg m)
 
 let check_same label ?opts m =
   let d, c = run_both ?opts m in
@@ -57,9 +61,13 @@ let check_same label ?opts m =
       c.Vm.stdout_text
 
 (* hand-written programs covering shapes the generator rarely stresses:
-   setjmp/longjmp unwinding, function pointers, varargs printf, and a
+   setjmp/longjmp unwinding, function pointers, varargs printf, a
    guaranteed bounds trap whose site identity both engines must agree
-   on *)
+   on, and the opcodes no other suite tells apart from a mis-compiled
+   neighbour: a runtime unsigned shift ([shr.u64] run as [asr]), a
+   [float] store and reload ([store.f32] written as 8 bytes), and
+   [setbound], which only an unprotected run executes as
+   [setbound.mark] (a skipped step count) *)
 let regressions =
   [
     ( "oob trap site",
@@ -82,6 +90,18 @@ let regressions =
        for (i = 1; i < 40; i = i + 1) { p = malloc(8 * i);\n\
        p[i - 1] = i; s += p[i - 1]; if (i % 3 == 0) free(p); }\n\
        printf(\"%ld\\n\", s); return 0; }" );
+    ( "unsigned shift",
+      "int main(int argc, char **argv) {\n\
+       unsigned long x = (unsigned long)(0 - argc); long n = argc + 2;\n\
+       printf(\"%ld\\n\", (long)(x >> n)); return 0; }" );
+    ( "float array",
+      "int main(int argc, char **argv) { float a[4]; long i;\n\
+       for (i = 0; i < 4; i = i + 1) a[i] = (float)(i + argc) / 3.0;\n\
+       printf(\"%f %f %f %f\\n\", a[0], a[1], a[2], a[3]); return 0; }" );
+    ( "setbound",
+      "int main(void) { char *p = (char *)malloc(16); long i;\n\
+       for (i = 0; i < 3; i = i + 1) setbound(p, 4 + i);\n\
+       p[3] = 7; printf(\"%d\\n\", p[3]); return 0; }" );
   ]
 
 let fuzz_corpus_size = 200
@@ -119,11 +139,8 @@ let globals_fptr_source =
 let image_sources =
   Array.to_list Harness.Exp_serve.run_sources @ [ globals_fptr_source ]
 
-let protected_cfg engine fac =
-  { St.default_config with St.engine; meta = Some fac }
-
+let protected_cfg fac = { St.default_config with St.meta = Some fac }
 let facilities = [ ("shadow", St.Shadow_space); ("hash", St.Hash_table) ]
-let engines = [ ("closure", St.Eng_closure); ("decode", St.Eng_decode) ]
 
 let test_image_reuse () =
   List.iteri
@@ -131,22 +148,19 @@ let test_image_reuse () =
       let m = Softbound.instrument (Softbound.compile src) in
       List.iter
         (fun (fname, fac) ->
-          List.iter
-            (fun (ename, engine) ->
-              let cfg = protected_cfg engine fac in
-              let first = full_fingerprint (Interp.Engine.run ~cfg m) in
-              for k = 2 to 3 do
-                if full_fingerprint (Interp.Engine.run ~cfg m) <> first then
-                  Alcotest.failf "program %d, %s/%s: run %d differs from run 1"
-                    pi fname ename k
-              done)
-            engines)
+          let cfg = protected_cfg fac in
+          let first = full_fingerprint (Interp.Engine.run ~cfg m) in
+          for k = 2 to 3 do
+            if full_fingerprint (Interp.Engine.run ~cfg m) <> first then
+              Alcotest.failf "program %d, %s: run %d differs from run 1" pi
+                fname k
+          done)
         facilities;
       (* the transform does not depend on the facility, so shadow and
          hash runs share this module's image: a hash run after the
          shadow runs above must match one on a freshly compiled module *)
       let fresh = Softbound.instrument (Softbound.compile src) in
-      let cfg = protected_cfg St.Eng_closure St.Hash_table in
+      let cfg = protected_cfg St.Hash_table in
       if
         full_fingerprint (Interp.Engine.run ~cfg m)
         <> full_fingerprint (Interp.Engine.run ~cfg fresh)
@@ -158,10 +172,8 @@ let test_image_shared_across_domains () =
   let built = Vm.images_built () in
   let per_domain =
     Parutil.parmap ~jobs:4
-      (fun d ->
-        (* alternate engines across domains: both must agree anyway *)
-        let engine = if d mod 2 = 0 then St.Eng_closure else St.Eng_decode in
-        let cfg = protected_cfg engine St.Hash_table in
+      (fun _ ->
+        let cfg = protected_cfg St.Hash_table in
         List.init 50 (fun _ -> full_fingerprint (Interp.Engine.run ~cfg m)))
       [ 0; 1; 2; 3 ]
   in
@@ -184,7 +196,7 @@ let test_create_allocation_budget () =
   let m = Softbound.instrument (Softbound.compile globals_fptr_source) in
   List.iter
     (fun (fname, fac) ->
-      let cfg = protected_cfg St.Eng_closure fac in
+      let cfg = protected_cfg fac in
       ignore (Vm.create ~cfg m);
       let load_words () =
         Gc.minor ();
@@ -228,7 +240,7 @@ let suite =
           check_same (label ^ " [full]") ~opts:Softbound.Config.default m
         done);
     Alcotest.test_case
-      "image reuse: 3 runs of one module agree, shadow/hash x closure/decode"
+      "image reuse: 3 runs of one module agree, shadow/hash"
       `Quick test_image_reuse;
     Alcotest.test_case "image reuse: 4 domains share one image" `Quick
       test_image_shared_across_domains;

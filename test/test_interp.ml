@@ -24,31 +24,24 @@ let prints name expected src =
       | o -> Alcotest.fail (Interp.State.string_of_outcome o));
       Alcotest.(check string) name expected r.stdout_text)
 
-(* Pin an exit code under the closure and decode engines, unprotected
-   and SoftBound-instrumented — four runs per case, so builtin-semantics
-   fixes hold on every execution path (raw dispatch and _sb_ wrappers). *)
-let both_engines name expected src =
+(* Pin an exit code unprotected and SoftBound-instrumented, so
+   builtin-semantics fixes hold on both execution paths (raw dispatch
+   and _sb_ wrappers). *)
+let both_paths name expected src =
   Alcotest.test_case name `Quick (fun () ->
       let m = Softbound.compile src in
       List.iter
-        (fun engine ->
-          let cfg = { Interp.State.default_config with engine } in
-          List.iter
-            (fun (tag, r) ->
-              match (r : Interp.Vm.result).outcome with
-              | Interp.State.Exit n ->
-                  Alcotest.(check int)
-                    (Printf.sprintf "%s [%s, %s]" name
-                       (Interp.State.engine_name engine) tag)
-                    expected n
-              | o ->
-                  Alcotest.fail
-                    (Interp.State.string_of_outcome o ^ "\n" ^ r.stdout_text))
-            [
-              ("unprotected", Softbound.run_unprotected ~cfg m);
-              ("softbound", Softbound.run_protected ~cfg m);
-            ])
-        [ Interp.State.Eng_closure; Interp.State.Eng_decode ])
+        (fun (tag, r) ->
+          match (r : Interp.Vm.result).outcome with
+          | Interp.State.Exit n ->
+              Alcotest.(check int) (Printf.sprintf "%s [%s]" name tag) expected n
+          | o ->
+              Alcotest.fail
+                (Interp.State.string_of_outcome o ^ "\n" ^ r.stdout_text))
+        [
+          ("unprotected", Softbound.run_unprotected m);
+          ("softbound", Softbound.run_protected m);
+        ])
 
 let traps name pred src =
   Alcotest.test_case name `Quick (fun () ->
@@ -180,22 +173,22 @@ let suite =
     exits "atoi/atol/atof" 1
       "int main(void) { return atoi(\"42\") == 42 && atol(\"-7\") == -7L && atof(\"2.5\") == 2.5; }";
     (* the conversion family parses the longest valid C prefix — not
-       OCaml's whole-string syntax.  Pinned under both engines: these
-       run through the checked _sb_ wrappers in protected builds too,
-       via the engines' shared builtin dispatch. *)
-    both_engines "atoi: trailing junk is ignored (C prefix rule)" 1
+       OCaml's whole-string syntax.  Pinned unprotected and protected:
+       these run through the checked _sb_ wrappers in protected builds
+       too. *)
+    both_paths "atoi: trailing junk is ignored (C prefix rule)" 1
       "int main(void) { return atoi(\"42abc\") == 42 && atol(\"42abc\") == 42L; }";
-    both_engines "atoi: 0x is not a decimal prefix" 1
+    both_paths "atoi: 0x is not a decimal prefix" 1
       "int main(void) { return atoi(\"0x2A\") == 0 && atol(\"0x2A\") == 0L; }";
-    both_engines "atoi: underscores are junk, not digit separators" 1
+    both_paths "atoi: underscores are junk, not digit separators" 1
       "int main(void) { return atoi(\"1_000\") == 1 && atol(\"1_000\") == 1L; }";
-    both_engines "atoi: leading whitespace then sign" 1
+    both_paths "atoi: leading whitespace then sign" 1
       "int main(void) { return atoi(\" \\t-42xyz\") == -42 && atoi(\"   \") == 0 \
        && atoi(\"\") == 0 && atoi(\"abc\") == 0 && atoi(\"+7 \") == 7; }";
-    both_engines "atof: trailing junk and partial forms" 1
+    both_paths "atof: trailing junk and partial forms" 1
       "int main(void) { return atof(\"3.5x\") == 3.5 && atof(\"3.\") == 3.0 \
        && atof(\".5z\") == 0.5 && atof(\"-2.5e2junk\") == -250.0; }";
-    both_engines "atof: junk-only, empty, and non-exponent e" 1
+    both_paths "atof: junk-only, empty, and non-exponent e" 1
       "int main(void) { return atof(\"abc\") == 0.0 && atof(\"\") == 0.0 \
        && atof(\"1e\") == 1.0 && atof(\"1e+x\") == 1.0 && atof(\"0x10\") == 0.0 \
        && atof(\" \\t7junk\") == 7.0; }";

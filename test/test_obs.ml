@@ -44,14 +44,9 @@ let full_hash =
   { Softbound.Config.default with
     Softbound.Config.facility = Softbound.Config.Hash_table }
 
-(* every purely-observational invariant must hold under both execution
-   engines — the collector hooks sit on different code paths in the
-   threaded-code and decoding engines *)
-let engines = [ S.Eng_decode; S.Eng_closure ]
-
-let same_simulation ?(engine = S.Eng_closure) src opts =
+let same_simulation src opts =
   let m = Softbound.compile src in
-  let cfg_on = { S.default_config with S.engine } in
+  let cfg_on = S.default_config in
   let cfg_off = { cfg_on with S.obs_enabled = false } in
   let a = Softbound.run_protected ~opts ~cfg:cfg_on m in
   let b = Softbound.run_protected ~opts ~cfg:cfg_off m in
@@ -91,33 +86,23 @@ let suite =
           "two same-seed profiles"
           (profile_json "oob_read.c")
           (profile_json "oob_read.c"));
-    tc "obs off: simulated results identical (shadow, both engines)"
-      (fun () ->
+    tc "obs off: simulated results identical (shadow)" (fun () ->
+        same_simulation loopy Softbound.Config.default);
+    tc "obs off: simulated results identical (hash)" (fun () ->
+        same_simulation loopy full_hash);
+    tc "attribution: >=95% on every workload, quick arguments" (fun () ->
         List.iter
-          (fun engine ->
-            same_simulation ~engine loopy Softbound.Config.default)
-          engines);
-    tc "obs off: simulated results identical (hash, both engines)" (fun () ->
-        List.iter (fun engine -> same_simulation ~engine loopy full_hash)
-          engines);
-    tc "attribution: >=95% on every workload, both engines" (fun () ->
-        List.iter
-          (fun engine ->
-            let cfg = { S.default_config with S.engine } in
-            List.iter
-              (fun (w : Workloads.workload) ->
-                let p =
-                  Harness.Profile.profile ~label:w.Workloads.name ~cfg
-                    ~argv:w.Workloads.quick_args ~with_baseline:false
-                    (Harness.Runner.compile_workload w)
-                in
-                let f = Harness.Profile.attributed_fraction p in
-                if f < 0.95 then
-                  Alcotest.failf
-                    "%s [%s]: only %.2f%% of operations attributed"
-                    w.Workloads.name (S.engine_name engine) (100.0 *. f))
-              Workloads.all)
-          engines);
+          (fun (w : Workloads.workload) ->
+            let p =
+              Harness.Profile.profile ~label:w.Workloads.name
+                ~argv:w.Workloads.quick_args ~with_baseline:false
+                (Harness.Runner.compile_workload w)
+            in
+            let f = Harness.Profile.attributed_fraction p in
+            if f < 0.95 then
+              Alcotest.failf "%s: only %.2f%% of operations attributed"
+                w.Workloads.name (100.0 *. f))
+          Workloads.all);
     tc "transform cache: one transform per (program, elim) pair" (fun () ->
         (* a fresh module so nothing is cached yet *)
         let m = Softbound.compile loopy in

@@ -93,6 +93,26 @@ let test_unknown_type () =
       checkb "id echoed on reject" true (Json.field row "id" = Some (Json.Num 7.))
   | _ -> Alcotest.fail "expected exactly one row"
 
+(* a request naming an engine, or any other key the protocol does not
+   define, runs as if the key were absent *)
+let test_unknown_keys_ignored () =
+  let src = "int main() { return 41; }" in
+  let extra k v =
+    job
+      [ ("id", Json.Str "j"); ("type", Json.Str "run"); ("source", Json.Str src);
+        (k, Json.Str v) ]
+  in
+  let rows_of line =
+    List.map
+      (function
+        | Json.Obj kvs -> Json.Obj (List.remove_assoc "ms" kvs) | v -> v)
+      (snd (serve_lines [ line ]))
+  in
+  let plain = rows_of (run_job src) in
+  List.iter
+    (fun line -> checkb line true (rows_of line = plain))
+    [ extra "engine" "decode"; extra "engine" "bogus"; extra "tag" "x" ]
+
 let test_missing_id () =
   let _, rows = serve_lines [ job [ ("type", Json.Str "run") ] ] in
   match rows with
@@ -432,6 +452,8 @@ let suite =
       test_malformed_json;
     Alcotest.test_case "unknown type -> error row with id" `Quick
       test_unknown_type;
+    Alcotest.test_case "unknown keys (engine included) are ignored" `Quick
+      test_unknown_keys_ignored;
     Alcotest.test_case "missing id -> error row" `Quick test_missing_id;
     Alcotest.test_case "oversized payload rejected" `Quick
       test_oversized_payload;

@@ -417,8 +417,8 @@ let suite =
            chains and force resizes, and the read-back loop's lookups walk
            the chains again.  The overflow through [tab[7 * 64]] must
            still be caught after the rehashes, and the hash facility's
-           accounting is pinned exactly on both engines (the golden
-           profiles are all shadow-facility) *)
+           accounting is pinned exactly (the golden profiles are all
+           shadow-facility) *)
         let src =
           "long *tab[512 * 64]; \
            int main(void) { long i; long acc = 0; \
@@ -427,30 +427,22 @@ let suite =
            *(tab[7 * 64] + 2) = acc; return 0; }"
         in
         let m = Softbound.compile src in
+        let cfg = { Interp.State.default_config with ht_entries_init = 64 } in
+        let r = Softbound.run_protected ~opts:hash_opts ~cfg m in
+        if not (Softbound.detected r) then
+          Alcotest.fail
+            ("expected a bounds violation after rehash, got "
+            ^ Interp.State.string_of_outcome r.outcome);
+        let s = r.stats in
+        Alcotest.(check bool) "probes > 0" true (s.ht_probes > 0);
+        Alcotest.(check bool) "resizes > 0" true (s.ht_resizes > 0);
         List.iter
-          (fun engine ->
-            let cfg =
-              { Interp.State.default_config with ht_entries_init = 64; engine }
-            in
-            let r = Softbound.run_protected ~opts:hash_opts ~cfg m in
-            let name what =
-              Printf.sprintf "%s (%s)" what (Interp.State.engine_name engine)
-            in
-            if not (Softbound.detected r) then
-              Alcotest.fail
-                ("expected a bounds violation after rehash, got "
-                ^ Interp.State.string_of_outcome r.outcome);
-            let s = r.stats in
-            Alcotest.(check bool) (name "probes > 0") true (s.ht_probes > 0);
-            Alcotest.(check bool) (name "resizes > 0") true (s.ht_resizes > 0);
-            List.iter
-              (fun (what, got, want) -> Alcotest.(check int) (name what) want got)
-              [
-                ("cycles", s.cycles, 198560);
-                ("ht_probes", s.ht_probes, 31498);
-                ("ht_resizes", s.ht_resizes, 4);
-                ("cache_hits", r.cache_hits, 37144);
-                ("cache_misses", r.cache_misses, 1532);
-              ])
-          [ Interp.State.Eng_decode; Interp.State.Eng_closure ]);
+          (fun (what, got, want) -> Alcotest.(check int) what want got)
+          [
+            ("cycles", s.cycles, 198560);
+            ("ht_probes", s.ht_probes, 31498);
+            ("ht_resizes", s.ht_resizes, 4);
+            ("cache_hits", r.cache_hits, 37144);
+            ("cache_misses", r.cache_misses, 1532);
+          ]);
   ]

@@ -137,7 +137,7 @@ let suite =
           let r = Harness.Runner.run Harness.Runner.Unprotected m in
           match
             Harness.Runner.check_clean ~quick:true ~workload:"demo-kernel"
-              ~scheme:"unprotected" r
+              ~scheme:"unprotected" r.outcome
           with
           | () -> Alcotest.fail "expected Workload_failed"
           | exception
