@@ -56,15 +56,27 @@ let unprotected_arg =
     & info [ "unprotected" ] ~doc:"Run without any instrumentation.")
 
 let checker_arg =
+  let parse s =
+    match Schemes.find s with
+    | Some e -> Ok e
+    | None ->
+        Error
+          (`Msg
+            (Printf.sprintf "unknown scheme %S (%s)" s
+               (String.concat "|" Schemes.accepted)))
+  in
+  let print ppf e = Format.pp_print_string ppf e.Schemes.sname in
   Arg.(
     value
-    & opt (some (enum [ ("jones-kelly", `Jk); ("memcheck", `Mc);
-                        ("mudflap", `Mf); ("mscc", `Mscc) ]))
-        None
-    & info [ "checker" ] ~docv:"TOOL"
+    & opt (some (conv (parse, print))) None
+    & info [ "checker" ] ~docv:"SCHEME"
         ~doc:
-          "Run under a baseline tool instead of SoftBound: \
-           $(b,jones-kelly), $(b,memcheck), $(b,mudflap) or $(b,mscc).")
+          ("Run under a registered scheme instead of SoftBound: "
+          ^ String.concat ", "
+              (List.map (Printf.sprintf "$(b,%s)") Schemes.accepted)
+          ^ ".  The run is reported under the registry name \
+             ($(b,memcheck) as memcheck-like); MSCC's is mscc, not the \
+             former mscc-like."))
 
 let no_shrink_arg =
   Arg.(
@@ -140,10 +152,7 @@ let scheme_of unprotected checker mode facility no_shrink fptr_sigs no_elim
   if unprotected then Harness.Runner.Unprotected
   else
     match checker with
-    | Some `Jk -> Harness.Runner.Jones_kelly
-    | Some `Mc -> Harness.Runner.Memcheck
-    | Some `Mf -> Harness.Runner.Mudflap
-    | Some `Mscc -> Harness.Runner.Mscc
+    | Some e -> Harness.Runner.Registered e
     | None ->
         Harness.Runner.Softbound
           (opts_of ~fptr_sigs ~no_elim ~no_widen mode facility no_shrink)

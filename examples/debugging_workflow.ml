@@ -30,9 +30,9 @@ let () =
   Printf.printf "1. plain run:          %s\n"
     (describe (run_with Harness.Runner.Unprotected m));
   Printf.printf "2. memcheck-style:     %s\n"
-    (describe (run_with Harness.Runner.Memcheck m));
+    (describe (run_with (Harness.Runner.Registered Schemes.memcheck) m));
   Printf.printf "3. mudflap-style:      %s\n"
-    (describe (run_with Harness.Runner.Mudflap m));
+    (describe (run_with (Harness.Runner.Registered Schemes.mudflap) m));
   Printf.printf "4. softbound (store):  %s\n"
     (describe
        (run_with (Harness.Runner.Softbound Harness.Runner.sb_store_shadow) m));

@@ -16,14 +16,10 @@ let schemes : (string * Harness.Runner.scheme) list =
     ("softbound hash/full", Harness.Runner.Softbound Harness.Runner.sb_full_hash);
     ("softbound shadow/store", Harness.Runner.Softbound Harness.Runner.sb_store_shadow);
     ("softbound hash/store", Harness.Runner.Softbound Harness.Runner.sb_store_hash);
-    ("mscc-style", Harness.Runner.Mscc);
-    ("cguard", Harness.Runner.Cguard);
-    ("framer", Harness.Runner.Framer);
-    ("l4-pointer", Harness.Runner.L4_pointer);
-    ("jones-kelly", Harness.Runner.Jones_kelly);
-    ("memcheck-like", Harness.Runner.Memcheck);
-    ("mudflap-like", Harness.Runner.Mudflap);
   ]
+  @ List.map
+      (fun e -> (e.Schemes.sname, Harness.Runner.Registered e))
+      Schemes.all
 
 let () =
   let name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "treeadd" in

@@ -28,9 +28,6 @@ type options = {
   memcpy_heuristic : bool;
       (** skip the metadata copy for memcpy calls whose static operand
           types are pointer-free (section 5.2, "Memcpy") *)
-  clear_stack_meta : bool;
-      (** zero the metadata of pointer-holding stack slots before
-          returning (section 5.2, "Memory reuse and stale metadata") *)
   clear_free_meta : bool;
       (** zero the metadata of pointer-bearing heap blocks on free *)
   fptr_signatures : bool;
@@ -65,7 +62,6 @@ let default =
     facility = Shadow_space;
     shrink_bounds = true;
     memcpy_heuristic = true;
-    clear_stack_meta = true;
     clear_free_meta = true;
     fptr_signatures = false; (* matches the paper's prototype *)
     prune_liveness = true;

@@ -341,31 +341,31 @@ let transform_inst ctx (f : func) (inst : inst) (acc : inst list) : inst list =
       invalid_arg "Transform: module already instrumented"
 
 (** Metadata-clearing sequence for pointer-holding stack slots, emitted
-    before each return (section 5.2). *)
+    before each return (section 5.2, "Memory reuse and stale metadata"):
+    a later frame reusing the slot must not inherit a dead pointer's
+    bounds. *)
 let clear_stack_meta ctx (f : func) : inst list =
-  if not ctx.opts.Config.clear_stack_meta then []
-  else
-    List.concat
-      (List.mapi
-         (fun si (sl : slot) ->
-           List.concat_map
-             (fun off ->
-               let a = fresh ctx in
-               if off = 0 then
-                 [
-                   Slotaddr (a, si);
-                   MetaStore (Reg a, ImmI 0, ImmI 0, next_site ctx);
-                 ]
-               else begin
-                 let a2 = fresh ctx in
-                 [
-                   Slotaddr (a, si);
-                   Gep (a2, Reg a, ImmI off, None);
-                   MetaStore (Reg a2, ImmI 0, ImmI 0, next_site ctx);
-                 ]
-               end)
-             sl.sl_ptr_offsets)
-         (Array.to_list f.fslots))
+  List.concat
+    (List.mapi
+       (fun si (sl : slot) ->
+         List.concat_map
+           (fun off ->
+             let a = fresh ctx in
+             if off = 0 then
+               [
+                 Slotaddr (a, si);
+                 MetaStore (Reg a, ImmI 0, ImmI 0, next_site ctx);
+               ]
+             else begin
+               let a2 = fresh ctx in
+               [
+                 Slotaddr (a, si);
+                 Gep (a2, Reg a, ImmI off, None);
+                 MetaStore (Reg a2, ImmI 0, ImmI 0, next_site ctx);
+               ]
+             end)
+           sl.sl_ptr_offsets)
+       (Array.to_list f.fslots))
 
 let transform_term ctx (f : func) (term : terminator) :
     inst list * terminator =

@@ -51,17 +51,16 @@ type outcome = O_tested | O_skipped | O_finding of finding_report
     regenerated from [seed]/[k] and the oracle builds fresh pipelines
     and VM states, so outcomes are independent of evaluation order —
     which is what lets a campaign fan out across domains.  With
-    [~matrix:true] the case runs under {!Oracle.check_matrix} (the
-    N-scheme oracle) instead of the seven-configuration {!Oracle.check}. *)
+    [~matrix:true] the oracle also runs every registry scheme (the
+    N-scheme oracle). *)
 let eval_case ?(shrink = true) ?(matrix = false) ?max_steps ?poll
     ?(shrink_budget = 250) ~seed k : bool * outcome =
   let case = case_of ~seed ~index:k in
   let is_trap = case.Gen.expect <> Gen.Safe in
-  let oracle prog =
-    if matrix then
-      Oracle.check_matrix ?max_steps ?poll ~expect:case.Gen.expect
-        ~sub_object:case.Gen.sub_object prog
-    else Oracle.check ?max_steps ?poll ~expect:case.Gen.expect prog
+  let oracle =
+    Oracle.check ?max_steps ?poll
+      ~schemes:(if matrix then Schemes.all else [])
+      ~sub_object:case.Gen.sub_object ~expect:case.Gen.expect
   in
   let verdict =
     try oracle case.Gen.prog

@@ -100,10 +100,10 @@ let frontend_error (f : unit -> 'a) : ('a, string) result =
   | Sbir.Lower.Error m -> Error (Printf.sprintf "lower: %s" m)
   | Sbir.Ir.Invalid m -> Error (Printf.sprintf "ir: %s" m)
 
-(* The fixed SoftBound-configuration half of the oracle, shared by
-   {!check} and {!check_matrix}.  [extras] rides along only so its runs
-   appear in the resource-limit skip and in every finding's [runs] —
-   per-scheme classification happens in [check_matrix]. *)
+(* The fixed SoftBound-configuration half of the oracle.  [extras]
+   rides along only so its runs appear in the resource-limit skip and
+   in every finding's [runs] — per-scheme classification happens in
+   {!check}. *)
 let lockstep ~(expect : Gen.expect) ~u ~fulls ~stores ~extras : verdict =
   let all = ("U", u) :: (fulls @ stores @ extras) in
   let infos = List.map (fun (t, r) -> info t r) all in
@@ -160,39 +160,10 @@ let lockstep ~(expect : Gen.expect) ~u ~fulls ~stores ~extras : verdict =
             else Ok_)
   end
 
-(** Print, compile, and cross-check one generated program. *)
-let check ?(max_steps = 20_000_000) ?poll ~(expect : Gen.expect)
-    (prog : A.program) : verdict =
-  (* [poll] threads straight into every configuration's VM run, so a
-     serve fuzz job's wall-clock deadline interrupts the oracle
-     mid-campaign instead of waiting out the step budget *)
-  let src = Cminus.Pretty.program_string prog in
-  match frontend_error (fun () -> Softbound.compile src) with
-  | Error msg -> Bug { cls = "frontend-reject"; detail = msg; runs = [] }
-  | Ok m -> (
-      let cfg = { St.default_config with St.max_steps; poll } in
-      let attempt () =
-        let u = Softbound.run_unprotected ~cfg m in
-        let fulls =
-          List.map
-            (fun (tag, opts) -> (tag, Softbound.run_protected ~opts ~cfg m))
-            full_configs
-        in
-        let stores =
-          List.map
-            (fun (tag, opts) -> (tag, Softbound.run_protected ~opts ~cfg m))
-            store_configs
-        in
-        (u, fulls, stores)
-      in
-      match frontend_error attempt with
-      | Error msg -> Bug { cls = "frontend-reject"; detail = msg; runs = [] }
-      | Ok (u, fulls, stores) ->
-          lockstep ~expect ~u ~fulls ~stores ~extras:[])
-
-(** N-scheme lock-step oracle: {!check}'s seven configurations plus
-    every registry scheme ({!Schemes.all}), with an explicit
-    expected-divergence model.  Beyond {!check}'s requirements:
+(** Print, compile, and cross-check one generated program: the seven
+    configurations above, plus each of [schemes] (none by default; the
+    N-scheme campaign passes {!Schemes.all}) with an explicit
+    expected-divergence model.  For each extra scheme:
 
     - On a [Safe] case every scheme must neither trap (per-scheme
       ["false-positive:<name>"]) nor diverge from the uninstrumented
@@ -211,8 +182,11 @@ let check ?(max_steps = 20_000_000) ?poll ~(expect : Gen.expect)
       shrunken bounds catch these (Table 4).
 
     Any divergence outside this model is a real bug. *)
-let check_matrix ?(max_steps = 20_000_000) ?poll ~(expect : Gen.expect)
-    ~(sub_object : bool) (prog : A.program) : verdict =
+let check ?(max_steps = 20_000_000) ?poll ?(schemes = [])
+    ?(sub_object = false) ~(expect : Gen.expect) (prog : A.program) : verdict =
+  (* [poll] threads straight into every configuration's VM run, so a
+     serve fuzz job's wall-clock deadline interrupts the oracle
+     mid-campaign instead of waiting out the step budget *)
   let src = Cminus.Pretty.program_string prog in
   match frontend_error (fun () -> Softbound.compile src) with
   | Error msg -> Bug { cls = "frontend-reject"; detail = msg; runs = [] }
@@ -226,7 +200,7 @@ let check_matrix ?(max_steps = 20_000_000) ?poll ~(expect : Gen.expect)
         let extras =
           List.map
             (fun (e : Schemes.entry) -> (e, Schemes.run ~cfg e m))
-            (Schemes.all ())
+            schemes
         in
         (u, fulls, stores, extras)
       in

@@ -124,7 +124,7 @@ let program_variants (p : A.program) : A.program list =
     same expectation.  Returns the smallest program found within the
     oracle-call [budget].  [oracle] overrides the verdict function
     (default {!Oracle.check} with [expect]) — the matrix campaign
-    passes {!Oracle.check_matrix} so per-scheme classes shrink under
+    passes its scheme-list oracle so per-scheme classes shrink under
     the oracle that found them. *)
 let minimize ?(budget = 250) ?max_steps ?oracle ~(expect : Gen.expect)
     ~(cls : string) (p : A.program) : A.program =

@@ -15,7 +15,7 @@ type shrink_result = { with_shrink : bool; without_shrink : bool }
 let run_shrink () : shrink_result =
   let m = Softbound.compile shrink_probe in
   let d opts =
-    Runner.detected (Runner.verdict_of (Runner.run (Runner.Softbound opts) m))
+    Schemes.detected (Runner.run (Runner.Softbound opts) m)
   in
   {
     with_shrink = d Runner.sb_full_shadow;
@@ -114,7 +114,7 @@ type clear_result = { with_clearing : bool; without_clearing : bool }
 let run_clear_free () : clear_result =
   let m = Softbound.compile stale_meta_probe in
   let d opts =
-    Runner.detected (Runner.verdict_of (Runner.run (Runner.Softbound opts) m))
+    Schemes.detected (Runner.run (Runner.Softbound opts) m)
   in
   {
     with_clearing = d Runner.sb_full_shadow;

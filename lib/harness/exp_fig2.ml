@@ -27,7 +27,9 @@ let schemes =
   :: List.map
        (fun o -> Runner.Softbound o)
        Runner.[ sb_full_hash; sb_full_shadow; sb_store_hash; sb_store_shadow ]
-  @ Runner.[ Cguard; Framer; L4_pointer ]
+  @ List.map
+      (fun e -> Runner.Registered e)
+      Schemes.[ cguard; framer; l4_pointer ]
 
 let cells ~quick = Matrix.kernels ~quick schemes
 
@@ -42,9 +44,9 @@ let row ~quick (m : Matrix.t) (w : Workloads.workload) : row =
     shadow_full = ov Runner.sb_full_shadow;
     hash_store = ov Runner.sb_store_hash;
     shadow_store = ov Runner.sb_store_shadow;
-    cguard = ovs Runner.Cguard;
-    framer = ovs Runner.Framer;
-    l4_pointer = ovs Runner.L4_pointer;
+    cguard = ovs (Runner.Registered Schemes.cguard);
+    framer = ovs (Runner.Registered Schemes.framer);
+    l4_pointer = ovs (Runner.Registered Schemes.l4_pointer);
   }
 
 let rows ~quick m : row list = List.map (row ~quick m) Workloads.all

@@ -33,11 +33,13 @@ type row = {
 
 let hash = Runner.Softbound Runner.sb_full_hash
 let shadow = Runner.Softbound Runner.sb_full_shadow
+let cguard = Runner.Registered Schemes.cguard
+let framer = Runner.Registered Schemes.framer
+let l4_pointer = Runner.Registered Schemes.l4_pointer
 
 let cells ~quick =
   Matrix.kernels ~quick
-    [ Runner.Unprotected; hash; shadow; Runner.Cguard; Runner.Framer;
-      Runner.L4_pointer ]
+    [ Runner.Unprotected; hash; shadow; cguard; framer; l4_pointer ]
 
 let row ~quick (m : Matrix.t) (w : Workloads.workload) : row =
   let run = Matrix.kernel m ~quick w in
@@ -48,9 +50,9 @@ let row ~quick (m : Matrix.t) (w : Workloads.workload) : row =
     hash_resident = (run hash).resident_bytes;
     shadow_resident = (run shadow).resident_bytes;
     heap_allocs = base.heap_allocs;
-    cguard_meta = 16 * (run Runner.Cguard).heap_allocs;
-    framer_meta = 8 * (run Runner.Framer).heap_allocs;
-    l4_ptr_meta = 8 * (run Runner.L4_pointer).stats.Interp.State.meta_stores;
+    cguard_meta = 16 * (run cguard).heap_allocs;
+    framer_meta = 8 * (run framer).heap_allocs;
+    l4_ptr_meta = 8 * (run l4_pointer).stats.Interp.State.meta_stores;
   }
 
 let rows ~quick m : row list = List.map (row ~quick m) Workloads.all

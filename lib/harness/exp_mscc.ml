@@ -11,14 +11,15 @@ type row = {
 }
 
 let full_shadow = Runner.Softbound Runner.sb_full_shadow
+let mscc = Runner.Registered Schemes.mscc
 
 let cells ~quick =
-  Matrix.kernels ~quick [ Runner.Unprotected; full_shadow; Runner.Mscc ]
+  Matrix.kernels ~quick [ Runner.Unprotected; full_shadow; mscc ]
 
 let row ~quick (m : Matrix.t) (w : Workloads.workload) : row =
   let base = Matrix.cycles (Matrix.kernel m ~quick w Runner.Unprotected) in
   let ov scheme = Matrix.overhead ~base (Matrix.kernel m ~quick w scheme) in
-  { workload = w; softbound = ov full_shadow; mscc = ov Runner.Mscc }
+  { workload = w; softbound = ov full_shadow; mscc = ov mscc }
 
 let rows ~quick m : row list = List.map (row ~quick m) Workloads.all
 

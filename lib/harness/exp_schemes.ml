@@ -15,19 +15,12 @@
 
 module S = Interp.State
 
-(** The matrix's scheme axis, in fixed report order. *)
+(** The matrix's scheme axis, in fixed report order: the two SoftBound
+    reference configurations, then the registry. *)
 let schemes : (string * Runner.scheme) list =
-  [
-    ("softbound-full-shadow", Runner.Softbound Runner.sb_full_shadow);
-    ("softbound-store-shadow", Runner.Softbound Runner.sb_store_shadow);
-    ("mscc", Runner.Mscc);
-    ("cguard", Runner.Cguard);
-    ("framer", Runner.Framer);
-    ("l4-pointer", Runner.L4_pointer);
-    ("jones-kelly", Runner.Jones_kelly);
-    ("memcheck-like", Runner.Memcheck);
-    ("mudflap-like", Runner.Mudflap);
-  ]
+  ("softbound-full-shadow", Runner.Softbound Runner.sb_full_shadow)
+  :: ("softbound-store-shadow", Runner.Softbound Runner.sb_store_shadow)
+  :: List.map (fun e -> (e.Schemes.sname, Runner.Registered e)) Schemes.all
 
 type row = {
   workload : Workloads.workload;
@@ -66,7 +59,7 @@ let run_coverage () : coverage list =
       let cells =
         List.map
           (fun (sname, scheme) ->
-            (sname, Runner.detected (Runner.verdict_of (Runner.run scheme m))))
+            (sname, Schemes.detected (Runner.run scheme m)))
           schemes
       in
       { attack; cells })
@@ -137,8 +130,10 @@ let artifact : Artifact.t =
   let pin v k = (k, Is (Json.Bool v)) in
   let full = pin true "softbound-full-shadow" in
   let whole_object =
-    [ "mscc"; "cguard"; "framer"; "l4-pointer"; "jones-kelly";
-      "memcheck-like"; "mudflap-like" ]
+    List.filter_map
+      (fun (e : Schemes.entry) ->
+        if e.misses_sub_object then Some e.sname else None)
+      Schemes.all
   in
   let per_scheme s = Fields (List.map (fun (name, _) -> (name, s)) schemes) in
   let srow =

@@ -89,7 +89,9 @@ type row = {
 let probe_scheme (s : Runner.scheme) =
   let run src = Runner.verdict_of (Runner.run s (Softbound.compile src)) in
   (* sub-object completeness: the overflow must be flagged *)
-  let complete = Runner.detected (run subobject_probe) in
+  let complete =
+    match run subobject_probe with Runner.Detected _ -> true | _ -> false
+  in
   (* arbitrary casts: the benign portion runs, the final violation is
      caught or at least nothing false-fires before it.  "supports casts"
      means: not (false positive / crash on the benign prefix).  Exit 1
@@ -111,8 +113,12 @@ let probe_scheme (s : Runner.scheme) =
   (complete, casts, layout)
 
 let run () : row list =
-  let jk_complete, jk_casts, jk_layout = probe_scheme Runner.Jones_kelly in
-  let mscc_complete, _, mscc_layout = probe_scheme Runner.Mscc in
+  let jk_complete, jk_casts, jk_layout =
+    probe_scheme (Runner.Registered Schemes.jones_kelly)
+  in
+  let mscc_complete, _, mscc_layout =
+    probe_scheme (Runner.Registered Schemes.mscc)
+  in
   let sb_complete, sb_casts, sb_layout =
     probe_scheme (Runner.Softbound Runner.sb_full_shadow)
   in

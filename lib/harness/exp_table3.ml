@@ -18,24 +18,22 @@ type row = {
   detected_mudflap : bool;
 }
 
-let stopped verdict =
-  (* a baseline "stops" an attack if it flags a violation; a hijack or
-     clean exit means the attack went through *)
-  Runner.detected verdict
-
 let run_one (a : Attacks.Wilander.attack) : row =
   let m = Softbound.compile a.Attacks.Wilander.source in
-  let v s = Runner.verdict_of (Runner.run s m) in
+  (* a scheme "stops" an attack if it flags a violation; a hijack or
+     clean exit means the attack went through *)
+  let stopped s = Schemes.detected (Runner.run s m) in
   {
     attack = a;
     hijacks_unprotected =
-      (match v Runner.Unprotected with Runner.Hijacked _ -> true | _ -> false);
-    detected_full = Runner.detected (v (Runner.Softbound Runner.sb_full_shadow));
-    detected_store_only =
-      Runner.detected (v (Runner.Softbound Runner.sb_store_shadow));
-    detected_jk = stopped (v Runner.Jones_kelly);
-    detected_memcheck = stopped (v Runner.Memcheck);
-    detected_mudflap = stopped (v Runner.Mudflap);
+      (match Runner.verdict_of (Runner.run Runner.Unprotected m) with
+      | Runner.Hijacked _ -> true
+      | _ -> false);
+    detected_full = stopped (Runner.Softbound Runner.sb_full_shadow);
+    detected_store_only = stopped (Runner.Softbound Runner.sb_store_shadow);
+    detected_jk = stopped (Runner.Registered Schemes.jones_kelly);
+    detected_memcheck = stopped (Runner.Registered Schemes.memcheck);
+    detected_mudflap = stopped (Runner.Registered Schemes.mudflap);
   }
 
 let run () : row list = List.map run_one Attacks.Wilander.all

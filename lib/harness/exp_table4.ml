@@ -20,12 +20,12 @@ let expected = [
 
 let run_one (p : Attacks.Bugbench.program) : row =
   let m = Softbound.compile p.Attacks.Bugbench.source in
-  let d s = Runner.detected (Runner.verdict_of (Runner.run s m)) in
+  let d s = Schemes.detected (Runner.run s m) in
   let un = Runner.verdict_of (Runner.run Runner.Unprotected m) in
   {
     program = p;
-    valgrind = d Runner.Memcheck;
-    mudflap = d Runner.Mudflap;
+    valgrind = d (Runner.Registered Schemes.memcheck);
+    mudflap = d (Runner.Registered Schemes.mudflap);
     sb_store = d (Runner.Softbound Runner.sb_store_shadow);
     sb_full = d (Runner.Softbound Runner.sb_full_shadow);
     runs_clean_unprotected =

@@ -32,11 +32,26 @@ type summary = {
   wrapper : int;  (** wrapper-inclusive cycle deltas *)
 }
 
-type t = (string * string list * Runner.scheme, summary) Hashtbl.t
+(* What a cell runs: a registered transform scheme is the SoftBound
+   transform with its options, so it shares the key of those options;
+   a plugin is keyed by its name, never by its checker closure. *)
+type runs =
+  | Plain
+  | Instrumented of Softbound.Config.options
+  | Checked of string
 
-(* Schemes that name the same run share a key. *)
+type t = (string * string list * runs, summary) Hashtbl.t
+
 let key ((w, argv, scheme) : cell) =
-  (w.Workloads.name, argv, Runner.canonical scheme)
+  ( w.Workloads.name,
+    argv,
+    match scheme with
+    | Runner.Unprotected -> Plain
+    | Runner.Softbound o | Runner.Registered { impl = Schemes.Transform o; _ }
+      ->
+        Instrumented o
+    | Runner.Registered { impl = Schemes.Plugin _; sname; _ } -> Checked sname
+  )
 
 let simulations = Atomic.make 0
 

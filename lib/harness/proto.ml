@@ -125,14 +125,12 @@ let scheme_of_fields v : Runner.scheme =
           eliminate_checks = not no_elim;
         }
   | Some "unprotected" -> Runner.Unprotected
-  | Some "jones-kelly" -> Runner.Jones_kelly
-  | Some "memcheck" -> Runner.Memcheck
-  | Some "mudflap" -> Runner.Mudflap
-  | Some "mscc" -> Runner.Mscc
-  | Some s ->
-      reject
-        "unknown scheme %S (softbound|unprotected|jones-kelly|memcheck|mudflap|mscc)"
-        s
+  | Some s -> (
+      match Schemes.find s with
+      | Some e -> Runner.Registered e
+      | None ->
+          reject "unknown scheme %S (softbound|unprotected|%s)" s
+            (String.concat "|" Schemes.accepted))
 
 (* ------------------------------------------------------------------ *)
 (* Request parsing                                                      *)

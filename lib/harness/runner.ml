@@ -6,13 +6,7 @@ module Ir = Sbir.Ir
 type scheme =
   | Unprotected
   | Softbound of Softbound.Config.options
-  | Jones_kelly
-  | Memcheck
-  | Mudflap
-  | Mscc
-  | Cguard
-  | Framer
-  | L4_pointer
+  | Registered of Schemes.entry
 
 let scheme_name = function
   | Unprotected -> "unprotected"
@@ -20,13 +14,7 @@ let scheme_name = function
       Printf.sprintf "softbound-%s-%s"
         (Softbound.Config.mode_name o.Softbound.Config.mode)
         (Softbound.Config.facility_name o.Softbound.Config.facility)
-  | Jones_kelly -> "jones-kelly"
-  | Memcheck -> "memcheck-like"
-  | Mudflap -> "mudflap-like"
-  | Mscc -> "mscc-like"
-  | Cguard -> "cguard"
-  | Framer -> "framer"
-  | L4_pointer -> "l4-pointer"
+  | Registered e -> e.Schemes.sname
 
 (* The four SoftBound configurations of Figure 2. *)
 let sb_full_shadow = Softbound.Config.default
@@ -109,38 +97,18 @@ let instrument_cached ?(opts = Softbound.Config.default) (m : Ir.modul) :
       cache := ((m, opts'), v) :: pruned;
       v
 
-(* The related-work transform schemes run as SoftBound with their
-   options. *)
-let canonical = function
-  | Cguard -> Softbound (Schemes.Cguard.options ())
-  | Framer -> Softbound (Schemes.Framer.options ())
-  | L4_pointer -> Softbound (Schemes.L4_pointer.options ())
-  | s -> s
-
-let rec run ?(argv = []) ?(inputs = []) ?(max_steps = 2_000_000_000)
+let run ?(argv = []) ?(inputs = []) ?(max_steps = 2_000_000_000)
     ?(cfg = Interp.State.default_config) (scheme : scheme) (m : Ir.modul) :
     Interp.Vm.result =
   let base = { cfg with Interp.State.argv; inputs; max_steps } in
   match scheme with
   | Unprotected -> Softbound.run_unprotected ~cfg:base m
-  | Softbound opts ->
+  | Softbound opts | Registered { impl = Schemes.Transform opts; _ } ->
       let m', _sites = instrument_cached ~opts m in
       Interp.Engine.run ~cfg:(Softbound.protected_cfg ~opts base) m'
-  | Cguard | Framer | L4_pointer ->
-      run ~argv ~inputs ~max_steps ~cfg (canonical scheme) m
-  | Mscc -> Baselines.Mscc.run ~cfg:base m
-  | Jones_kelly ->
-      Softbound.run_unprotected
-        ~cfg:{ base with checker = Some (Baselines.Jones_kelly.make ()) }
-        m
-  | Memcheck ->
-      Softbound.run_unprotected
-        ~cfg:{ base with checker = Some (Baselines.Memcheck_like.make ()) }
-        m
-  | Mudflap ->
-      Softbound.run_unprotected
-        ~cfg:{ base with checker = Some (Baselines.Mudflap_like.make ()) }
-        m
+  | Registered e ->
+      (* a plugin: the module runs unchanged with the checker observing *)
+      Schemes.run ~cfg:base e m
 
 exception
   Workload_failed of {
@@ -192,7 +160,6 @@ let verdict_of (r : Interp.Vm.result) : verdict =
   | Interp.State.Trapped (Interp.State.Hijack s) -> Hijacked s
   | Interp.State.Trapped t -> Crashed (Interp.State.string_of_trap t)
 
-let detected = function Detected _ -> true | _ -> false
 let yes_no b = if b then "yes" else "no"
 
 (** Simulated-cycle overhead of [r] relative to baseline [b]. *)

@@ -3,26 +3,16 @@
 
 module Ir = Sbir.Ir
 
-(** A protection scheme: nothing, a SoftBound configuration, one of the
-    baseline tools, or one of the related-work schemes from {!Schemes}
-    (CGuard object headers, FRAMER frame tags, L4 wide pointers). *)
+(** A protection scheme: nothing, a SoftBound configuration, or a
+    scheme of the registry ({!Schemes.all}: MSCC, the related-work
+    transforms and the baseline checkers). *)
 type scheme =
   | Unprotected
   | Softbound of Softbound.Config.options
-  | Jones_kelly
-  | Memcheck
-  | Mudflap
-  | Mscc
-  | Cguard
-  | Framer
-  | L4_pointer
+  | Registered of Schemes.entry
 
 val scheme_name : scheme -> string
-
-val canonical : scheme -> scheme
-(** The scheme {!run} actually runs: [Cguard], [Framer] and
-    [L4_pointer] are [Softbound] with their options; every other scheme
-    is itself. *)
+(** A registered scheme is named by its registry name. *)
 
 (** {1 The four SoftBound configurations of Figure 2} *)
 
@@ -40,9 +30,11 @@ val run :
   Ir.modul ->
   Interp.Vm.result
 (** Run a module under a scheme.  [cfg] supplies the non-scheme VM
-    settings (observability, tracing, cache use); [argv]/[inputs]/
+    settings (observability, tracing, polling); [argv]/[inputs]/
     [max_steps] override the corresponding [cfg] fields.  SoftBound
-    schemes instrument through {!instrument_cached}. *)
+    configurations and registered transform schemes instrument through
+    {!instrument_cached}; a registered plugin runs the module unchanged
+    with its checker observing. *)
 
 val instrument_cached :
   ?opts:Softbound.Config.options -> Ir.modul -> Ir.modul * int
@@ -101,7 +93,6 @@ type verdict =
   | Crashed of string  (** other trap (segfault, runtime error, ...) *)
 
 val verdict_of : Interp.Vm.result -> verdict
-val detected : verdict -> bool
 val yes_no : bool -> string
 
 val overhead : Interp.Vm.result -> Interp.Vm.result -> float

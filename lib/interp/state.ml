@@ -239,7 +239,6 @@ type config = {
       (** store-only checking mode: runtime wrappers skip read checks
           (the transformation independently omits load checks) *)
   checker : checker option;
-  use_cache : bool;
   obs_enabled : bool;
       (** collect per-site observability counters (never affects
           simulated cycle counts; disable with [--no-obs]) *)
@@ -267,7 +266,6 @@ let default_config =
     meta = None;
     store_only = false;
     checker = None;
-    use_cache = true;
     obs_enabled = true;
     trace_depth = 0;
     inputs = [];
@@ -363,12 +361,10 @@ let reg_pool_buckets = 64
 let charge st c = st.stats.cycles <- st.stats.cycles + c
 
 let cache_access st addr =
-  if st.cfg.use_cache then begin
-    let penalty = Machine.Cache.access st.cache addr in
-    charge st penalty;
-    if st.cfg.obs_enabled then
-      Obs.record_cache st.obs (L.segment_of addr) ~hit:(penalty = 0)
-  end
+  let penalty = Machine.Cache.access st.cache addr in
+  charge st penalty;
+  if st.cfg.obs_enabled then
+    Obs.record_cache st.obs (L.segment_of addr) ~hit:(penalty = 0)
 
 (** A program-level read of [size] bytes at [addr]: validity check,
     checker event, accounting. *)

@@ -30,11 +30,12 @@ let compile name =
 (* the related-work schemes pinned by test_schemes.ml: same two attack
    programs, instrumented with each scheme's option profile *)
 let scheme_opts =
-  [
-    ("cguard", Schemes.Cguard.options ());
-    ("framer", Schemes.Framer.options ());
-    ("l4-pointer", Schemes.L4_pointer.options ());
-  ]
+  List.map
+    (fun (e : Schemes.entry) ->
+      match e.impl with
+      | Schemes.Transform opts -> (e.sname, opts)
+      | Schemes.Plugin _ -> invalid_arg e.sname)
+    Schemes.[ cguard; framer; l4_pointer ]
 
 let () =
   List.iter

@@ -75,10 +75,12 @@ let suite =
       benign;
     (* --- MSCC style --- *)
     Alcotest.test_case "MSCC catches whole-object overflow" `Quick (fun () ->
-        let r = Baselines.Mscc.run (Softbound.compile heap_overflow) in
+        let r = Schemes.run Schemes.mscc (Softbound.compile heap_overflow) in
         Alcotest.(check bool) "detected" true (Softbound.detected r));
     Alcotest.test_case "MSCC misses sub-object overflow" `Quick (fun () ->
-        let r = Baselines.Mscc.run (Softbound.compile subobject_overflow) in
+        let r =
+          Schemes.run Schemes.mscc (Softbound.compile subobject_overflow)
+        in
         match r.outcome with
         | Interp.State.Exit _ -> ()
         | o -> Alcotest.fail (Interp.State.string_of_outcome o));

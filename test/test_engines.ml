@@ -39,18 +39,22 @@ let fingerprint (r : Vm.result) =
 
 let cfg = { St.default_config with max_steps = 3_000_000 }
 
-(* the reference run and the engine's, on one module and one config *)
-let run_both ?opts m =
+(* the reference run and the engine's, on one module and one config; a
+   plugin checker is stateful, so each run gets its own *)
+let run_both ?opts ?checker m =
   let m, cfg =
     match opts with
     | None -> (m, cfg)
     | Some opts ->
         (Softbound.instrument ~opts m, Softbound.protected_cfg ~opts cfg)
   in
-  (Vm.run ~cfg m, Interp.Engine.run ~cfg m)
+  let fresh () =
+    { cfg with St.checker = Option.map (fun mk -> mk ()) checker }
+  in
+  (Vm.run ~cfg:(fresh ()) m, Interp.Engine.run ~cfg:(fresh ()) m)
 
-let check_same label ?opts m =
-  let d, c = run_both ?opts m in
+let check_same label ?opts ?checker m =
+  let d, c = run_both ?opts ?checker m in
   let fd = fingerprint d and fc = fingerprint c in
   if fd <> fc then
     Alcotest.failf "%s: engines diverge\n  decode:  %s | %S\n  closure: %s | %S"
@@ -67,7 +71,11 @@ let check_same label ?opts m =
    neighbour: a runtime unsigned shift ([shr.u64] run as [asr]), a
    [float] store and reload ([store.f32] written as 8 bytes), and
    [setbound], which only an unprotected run executes as
-   [setbound.mark] (a skipped step count) *)
+   [setbound.mark] (a skipped step count).  "setjmp in the calling
+   block" makes a call land on a [setjmp] earlier in its own block: the
+   [longjmp] is picked from a function-pointer array by a comparison,
+   so no branch splits the block, and the engine must leave the block
+   at the call instead of continuing after it. *)
 let regressions =
   [
     ( "oob trap site",
@@ -102,6 +110,15 @@ let regressions =
       "int main(void) { char *p = (char *)malloc(16); long i;\n\
        for (i = 0; i < 3; i = i + 1) setbound(p, 4 + i);\n\
        p[3] = 7; printf(\"%d\\n\", p[3]); return 0; }" );
+    ( "setjmp in the calling block",
+      "#include <setjmp.h>\n\
+       jmp_buf env;\n\
+       long count;\n\
+       void stay(long *e, int v) { }\n\
+       int main(void) { void (*fns[2])(long *, int);\n\
+       fns[0] = stay; fns[1] = longjmp;\n\
+       int r = setjmp(env); count = count + 1; fns[r == 0](env, 7);\n\
+       printf(\"%d %ld\\n\", r, count); return 0; }" );
   ]
 
 let fuzz_corpus_size = 200
@@ -246,4 +263,18 @@ let suite =
       test_image_shared_across_domains;
     Alcotest.test_case "image reuse: second Vm.create within 2000 words"
       `Quick test_create_allocation_budget;
+    Alcotest.test_case "regressions: decode = closure under each plugin checker"
+      `Quick (fun () ->
+        List.iter
+          (fun (e : Schemes.entry) ->
+            match e.impl with
+            | Schemes.Plugin checker ->
+                List.iter
+                  (fun (name, src) ->
+                    check_same
+                      (Printf.sprintf "%s [%s]" name e.sname)
+                      ~checker (Softbound.compile src))
+                  regressions
+            | Schemes.Transform _ -> ())
+          Schemes.all);
   ]

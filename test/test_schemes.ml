@@ -11,9 +11,9 @@
 
    The N-scheme differential oracle: a bounded seeded campaign over the
    full matrix must classify every divergence as a documented gap (zero
-   findings), and a deliberately injected scheme bug (CGuard silently
-   skipping read checks, behind a test hook) must be flagged as
-   missed-detection.
+   findings), and a deliberately injected scheme bug (a CGuard entry
+   that silently skips read checks, handed to the oracle in place of
+   the registry's) must be flagged as missed-detection.
 
    Golden/expect: profile JSON and trap traces for the three
    related-work schemes on the two fixed attack programs, pinned
@@ -29,7 +29,7 @@ let tc name f = Alcotest.test_case name `Quick f
 let registry_tests =
   [
     tc "registry: names are distinct and findable" (fun () ->
-        let names = Schemes.names () in
+        let names = Schemes.names in
         Alcotest.(check int)
           "count" 7 (List.length names);
         Alcotest.(check int)
@@ -41,14 +41,21 @@ let registry_tests =
             match Schemes.find n with
             | Some e -> Alcotest.(check string) "roundtrip" n e.Schemes.sname
             | None -> Alcotest.fail ("find lost " ^ n))
-          names);
+          names;
+        List.iter
+          (fun (alias, (e : Schemes.entry)) ->
+            Alcotest.(check bool) (alias ^ " resolves") true
+              (match Schemes.find alias with
+              | Some e' -> e' == e
+              | None -> false))
+          Schemes.aliases);
     tc "registry: every scheme documents the sub-object gap" (fun () ->
         List.iter
           (fun e ->
             Alcotest.(check bool)
               (e.Schemes.sname ^ " misses sub-object")
               true e.Schemes.misses_sub_object)
-          (Schemes.all ()));
+          Schemes.all);
     tc "registry: transform schemes use whole-object bounds" (fun () ->
         List.iter
           (fun e ->
@@ -58,7 +65,7 @@ let registry_tests =
                   (e.Schemes.sname ^ " shrink_bounds off")
                   false opts.Softbound.Config.shrink_bounds
             | Schemes.Plugin _ -> ())
-          (Schemes.all ()));
+          Schemes.all);
   ]
 
 (* ---- the completeness-gap matrix, every cell pinned ---- *)
@@ -98,10 +105,7 @@ let gap_matrix_tests =
             in
             List.iter2
               (fun (sname, scheme) want ->
-                let det =
-                  Harness.Runner.detected
-                    (Harness.Runner.verdict_of (Harness.Runner.run scheme m))
-                in
+                let det = Schemes.detected (Harness.Runner.run scheme m) in
                 Alcotest.(check bool)
                   (Printf.sprintf "%s under %s" attack sname)
                   want det)
@@ -148,12 +152,15 @@ let gap_matrix_tests =
 let golden = Committed.check_golden
 let compile_golden = Committed.compile_golden
 
+let transform_opts (e : Schemes.entry) =
+  match e.impl with
+  | Schemes.Transform opts -> opts
+  | Schemes.Plugin _ -> Alcotest.fail (e.sname ^ " is not a transform")
+
 let scheme_opts =
-  [
-    ("cguard", Schemes.Cguard.options ());
-    ("framer", Schemes.Framer.options ());
-    ("l4-pointer", Schemes.L4_pointer.options ());
-  ]
+  List.map
+    (fun (e : Schemes.entry) -> (e.sname, transform_opts e))
+    Schemes.[ cguard; framer; l4_pointer ]
 
 let golden_tests =
   List.concat_map
@@ -226,37 +233,42 @@ let oracle_tests =
            let oob = Fuzz.Rng.chance r ~pct:40 in
            let case = Gen.generate r ~oob in
            match
-             Oracle.check_matrix ~expect:case.Gen.expect
+             Oracle.check ~schemes:Schemes.all ~expect:case.Gen.expect
                ~sub_object:case.Gen.sub_object case.Gen.prog
            with
            | Oracle.Ok_ | Oracle.Skip _ -> true
            | Oracle.Bug f ->
                QCheck.Test.fail_reportf "%s: %s" f.Oracle.cls f.Oracle.detail));
     tc "matrix oracle: injected scheme bug is flagged" (fun () ->
-        (* silently drop CGuard's read checks behind the test hook: the
-           oracle must notice the missed detection on a read attack *)
+        (* a CGuard that silently drops its read checks: the oracle must
+           notice the missed detection on a read attack *)
         let prog = rd_program () in
-        (match
-           Oracle.check_matrix ~expect:Gen.Trap_read ~sub_object:false prog
-         with
+        (match Oracle.check ~schemes:Schemes.all ~expect:Gen.Trap_read prog with
         | Oracle.Ok_ -> ()
         | Oracle.Bug f ->
             Alcotest.fail ("clean run flagged: " ^ f.Oracle.cls)
         | Oracle.Skip why -> Alcotest.fail ("skipped: " ^ why));
-        Fun.protect
-          ~finally:(fun () -> Schemes.Cguard.test_skip_read_checks := false)
-          (fun () ->
-            Schemes.Cguard.test_skip_read_checks := true;
-            match
-              Oracle.check_matrix ~expect:Gen.Trap_read ~sub_object:false
-                prog
-            with
-            | Oracle.Bug f ->
-                Alcotest.(check string)
-                  "class" "missed-detection:cguard" f.Oracle.cls
-            | Oracle.Ok_ ->
-                Alcotest.fail "oracle accepted a scheme that skips checks"
-            | Oracle.Skip why -> Alcotest.fail ("skipped: " ^ why)));
+        let store_only_cguard =
+          {
+            Schemes.cguard with
+            impl =
+              Schemes.Transform
+                {
+                  (transform_opts Schemes.cguard) with
+                  mode = Softbound.Config.Store_only;
+                };
+          }
+        in
+        match
+          Oracle.check ~schemes:[ store_only_cguard ] ~expect:Gen.Trap_read
+            prog
+        with
+        | Oracle.Bug f ->
+            Alcotest.(check string)
+              "class" "missed-detection:cguard" f.Oracle.cls
+        | Oracle.Ok_ ->
+            Alcotest.fail "oracle accepted a scheme that skips checks"
+        | Oracle.Skip why -> Alcotest.fail ("skipped: " ^ why));
     tc "matrix oracle: sub-object trap by a gap scheme is a model violation"
       (fun () ->
         (* the other direction of the gap model: a whole-object scheme
@@ -265,7 +277,8 @@ let oracle_tests =
         let sub_src = List.assoc "sub-object-overflow" Schemes.gap_attacks in
         let prog = Cminus.Parser.parse_string sub_src in
         match
-          Oracle.check_matrix ~expect:Gen.Trap_write ~sub_object:true prog
+          Oracle.check ~schemes:Schemes.all ~expect:Gen.Trap_write
+            ~sub_object:true prog
         with
         | Oracle.Ok_ -> ()
         | Oracle.Bug f ->

@@ -113,6 +113,52 @@ let test_unknown_keys_ignored () =
     (fun line -> checkb line true (rows_of line = plain))
     [ extra "engine" "decode"; extra "engine" "bogus"; extra "tag" "x" ]
 
+(* every registry name and alias selects its scheme, and the row names
+   it by its registry name; any other name is an error row that lists
+   the names the protocol accepts *)
+let test_scheme_names () =
+  let src =
+    "int main() { long *p = (long *)malloc(16); p[1] = 2; free(p); return 0; }"
+  in
+  let named =
+    List.map (fun (e : Schemes.entry) -> (e.sname, e.sname)) Schemes.all
+    @ List.map (fun (a, (e : Schemes.entry)) -> (a, e.sname)) Schemes.aliases
+  in
+  let run_as id name =
+    job
+      [ ("id", id); ("type", Json.Str "run"); ("source", Json.Str src);
+        ("scheme", Json.Str name) ]
+  in
+  let _, rows =
+    serve_lines
+      (List.mapi (fun i (name, _) -> run_as (Json.int i) name) named
+      @ [ run_as (Json.Str "bad") "no-such-scheme" ])
+  in
+  check_envelope rows;
+  List.iteri
+    (fun i (name, sname) ->
+      match find_row rows (Json.int i) with
+      | Some row ->
+          checkb (name ^ " accepted") true (ok_of row);
+          check Alcotest.string (name ^ " row scheme") sname
+            (str_of row "scheme");
+          check Alcotest.string (name ^ " outcome") "exit 0"
+            (str_of row "outcome")
+      | None -> Alcotest.failf "no row for %s" name)
+    named;
+  match find_row rows (Json.Str "bad") with
+  | Some row ->
+      checkb "unknown scheme is an error row" false (ok_of row);
+      List.iter
+        (fun name ->
+          let err = str_of row "error" in
+          checkb (name ^ " listed in the error") true
+            (List.mem name
+               (String.split_on_char '|'
+                  (String.map (function '(' | ')' -> '|' | c -> c) err))))
+        Schemes.accepted
+  | None -> Alcotest.fail "no row for the unknown scheme"
+
 let test_missing_id () =
   let _, rows = serve_lines [ job [ ("type", Json.Str "run") ] ] in
   match rows with
@@ -484,4 +530,6 @@ let suite =
       `Quick test_source_fuzz_compile;
     Alcotest.test_case "source fuzzer: rejected sources are error rows"
       `Quick test_source_fuzz_serve;
+    Alcotest.test_case "every registry scheme and alias runs under its name"
+      `Quick test_scheme_names;
   ]

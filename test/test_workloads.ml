@@ -8,11 +8,10 @@ let schemes : (string * Harness.Runner.scheme) list =
     ("sb-full-shadow", Harness.Runner.Softbound Harness.Runner.sb_full_shadow);
     ("sb-full-hash", Harness.Runner.Softbound Harness.Runner.sb_full_hash);
     ("sb-store-shadow", Harness.Runner.Softbound Harness.Runner.sb_store_shadow);
-    ("mscc", Harness.Runner.Mscc);
-    ("jones-kelly", Harness.Runner.Jones_kelly);
-    ("memcheck", Harness.Runner.Memcheck);
-    ("mudflap", Harness.Runner.Mudflap);
   ]
+  @ List.map
+      (fun e -> (e.Schemes.sname, Harness.Runner.Registered e))
+      Schemes.all
 
 let suite =
   List.map
@@ -108,18 +107,20 @@ let suite =
           ignore (Exp_mscc.rows ~quick m);
           Alcotest.(check int) "a second view simulates nothing" built
             (Matrix.simulations_performed () - before);
-          (* a related-work scheme and its SoftBound options are one run *)
+          (* a registered transform scheme and its SoftBound options are
+             one run *)
           List.iter
-            (fun (scheme, opts) ->
-              let w = List.hd Workloads.all in
-              Alcotest.(check bool)
-                (Runner.scheme_name scheme ^ " is its options")
-                true
-                (Matrix.kernel m ~quick w scheme
-                == Matrix.kernel m ~quick w (Runner.Softbound opts)))
-            [ (Runner.Cguard, Schemes.Cguard.options ());
-              (Runner.Framer, Schemes.Framer.options ());
-              (Runner.L4_pointer, Schemes.L4_pointer.options ()) ]);
+            (fun (e : Schemes.entry) ->
+              match e.impl with
+              | Schemes.Transform opts ->
+                  let w = List.hd Workloads.all in
+                  Alcotest.(check bool)
+                    (e.sname ^ " is its options")
+                    true
+                    (Matrix.kernel m ~quick w (Runner.Registered e)
+                    == Matrix.kernel m ~quick w (Runner.Softbound opts))
+              | Schemes.Plugin _ -> ())
+            Schemes.all);
       Alcotest.test_case "metadata ops track pointer ops" `Quick (fun () ->
           let w = Option.get (Workloads.find "treeadd") in
           let m = Harness.Runner.compile_workload w in
