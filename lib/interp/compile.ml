@@ -6,9 +6,12 @@
    resolution as preallocated state, and ends by tail-calling the next
    closure (a 2-argument application, which the native compiler turns
    into a real jump through [caml_apply2]).  Control flow links blocks through a per-function
-   join-point array resolved at compile time; the driver loop below
-   re-enters a chain only at frame boundaries (calls that push a frame,
-   returns, longjmp repositioning).
+   join-point array resolved at compile time.  Calls and returns are
+   tail calls too: a call pushes the callee's frame and enters its
+   chain, a return pops and continues the caller where it left off, so
+   the driver loop below regains control only when a return reaches a
+   frame waiting in host code (a qsort comparator's caller) or a
+   longjmp moves control to another frame.
 
    Invariant: every simulated output — cycles, instruction counts,
    cache traffic, metadata probes, obs attribution, trap identity and
@@ -35,18 +38,17 @@ module Cost = Machine.Cost
     up to the next frame boundary) against the given run. *)
 type k = Vm.loaded -> frame -> unit
 
-(** Per-function compiled code: [chains.(b).(i)] enters block [b] at
+(** Per-function compiled code.  [chains.(b).(i)] enters block [b] at
     instruction index [i]; index [n] (one past the last instruction) is
     the terminator.  The extra entry points exist because frames suspend
-    mid-block (calls, setjmp resume points) and the driver must re-enter
-    at the frame's recorded [fr_block]/[fr_inst]. *)
-type func_chains = k array array
+    mid-block (calls, setjmp resume points) and are re-entered at their
+    recorded [fr_block]/[fr_inst].  [params] are the parameter
+    registers, validated like every other register. *)
+type func_code = { chains : k array array; params : Ir.reg array }
 
-(** Frame-cached pointer to the compiled chains, so resuming a suspended
-    frame after every call return costs no hash lookup. *)
-type resume += Chains of func_chains
-
-type compiled = { c_funcs : (string, func_chains) Hashtbl.t }
+(** Compiled code of a module, indexed by {!Vm.fentry.fe_index} (a
+    frame's [fr_index]). *)
+type compiled = { c_funcs : func_code array }
 
 type Vm.attached += Compiled of compiled
 
@@ -78,7 +80,7 @@ let[@inline] tick st =
 (* Every register index is validated against the function's register
    count here, at compile time, which makes the unchecked [ureg_*]
    accessors in the emitted closures sound: the frame's register arrays
-   are allocated with exactly [max 1 fnregs] entries. *)
+   have at least [max 1 fnregs] entries. *)
 let vreg (f : Ir.func) (r : Ir.reg) : Ir.reg =
   if r < 0 || r >= max 1 f.Ir.fnregs then
     invalid_arg
@@ -147,13 +149,88 @@ let pure_parts_f (f : Ir.func) (o : Ir.operand) : int * float =
 let[@inline] fetchf fr sel imm = if sel >= 0 then ureg_float fr sel else imm
 
 (* ------------------------------------------------------------------ *)
+(* Calls and returns                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Arguments and return values move from one register file to another
+   with no [value] in between.  Each is a pure operand, split into
+   parallel arrays: selector >= 0 names a validated register, -1
+   selects the int immediate and -2 the float immediate. *)
+type sources = { sel : int array; imm : int array; immf : float array }
+
+let sources (f : Ir.func) (ops : Ir.operand list) : sources =
+  let ops = Array.of_list ops in
+  {
+    sel =
+      Array.map
+        (function
+          | Ir.Reg r -> vreg f r
+          | Ir.ImmI _ -> -1
+          | Ir.ImmF _ -> -2
+          | _ -> invalid_arg "Compile.sources: operand is not pure")
+        ops;
+    imm = Array.map (function Ir.ImmI n -> n | _ -> 0) ops;
+    immf = Array.map (function Ir.ImmF x -> x | _ -> 0.0) ops;
+  }
+
+(** Move source [j], read in frame [src], into register [d] of [dst]:
+    a register copies its tag and both lanes, so the destination reads
+    back exactly the value the source held.  [d] must be a validated
+    register of [dst]'s function. *)
+let[@inline] copy_source src ss j dst d =
+  let s = Array.unsafe_get ss.sel j in
+  if s >= 0 then begin
+    Bytes.unsafe_set dst.fr_isf d (Bytes.unsafe_get src.fr_isf s);
+    Array.unsafe_set dst.fr_iregs d (Array.unsafe_get src.fr_iregs s);
+    Array.unsafe_set dst.fr_fregs d (Array.unsafe_get src.fr_fregs s)
+  end
+  else if s = -1 then ureg_set_int dst d (Array.unsafe_get ss.imm j)
+  else ureg_set_float dst d (Array.unsafe_get ss.immf j)
+
+(** The sources as boxed values, for builtins and [last_rets]. *)
+let source_values src ss : value list =
+  if Array.length ss.sel = 0 then []
+  else
+    List.init (Array.length ss.sel) (fun j ->
+        let s = ss.sel.(j) in
+        if s >= 0 then ureg_value src s
+        else if s = -1 then VI ss.imm.(j)
+        else VF ss.immf.(j))
+
+(** Arguments into the callee's parameter registers, in order. *)
+let copy_args src ss dst (params : Ir.reg array) =
+  for j = 0 to Array.length params - 1 do
+    copy_source src ss j dst (Array.unsafe_get params j)
+  done
+
+(** Return values into the caller's receiving registers, pairwise until
+    either side runs out (as {!Vm.assign_rets}). *)
+let rec copy_rets src ss j dst = function
+  | d :: ds when j < Array.length ss.sel ->
+      copy_source src ss j dst d;
+      copy_rets src ss (j + 1) dst ds
+  | _ -> ()
+
+(** Continue frame [fr] at its recorded position. *)
+let[@inline] resume (c_funcs : func_code array) ld (fr : frame) =
+  (Array.unsafe_get
+     (Array.unsafe_get (Array.unsafe_get c_funcs fr.fr_index).chains
+        fr.fr_block)
+     fr.fr_inst)
+    ld fr
+
+(** The first operand of [ops] that is not pure: an unresolved name,
+    whose evaluation always traps. *)
+let first_trapping ops = List.find_opt (fun o -> not (pure_operand_f o)) ops
+
+(* ------------------------------------------------------------------ *)
 (* Instruction compilation                                              *)
 (* ------------------------------------------------------------------ *)
 
 (** Compile one instruction at [(blk, idx)] of [f], given the closure
     for the rest of the block. *)
-let compile_inst img (c_funcs : (string, func_chains) Hashtbl.t) (f : Ir.func)
-    ~blk ~idx (next : k) (inst : Ir.inst) : k =
+let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
+    (next : k) (inst : Ir.inst) : k =
   match inst with
   | Ir.Mov (r, _, Ir.Reg ra) ->
       (* register-to-register: copy both lanes and the tag — no box, no
@@ -620,111 +697,111 @@ let compile_inst img (c_funcs : (string, func_chains) Hashtbl.t) (f : Ir.func)
         let av = ia fr in
         meta_store ~site st av bv ev;
         next ld fr
-  | Ir.Call { rets; callee; args; _ } -> (
-      let evs = List.map (ev_value f) args in
-      (* unrolled argument evaluation: no [List.map] closure traffic on
-         the common sub-4-arity calls *)
-      let eval_args : frame -> value list =
-        match evs with
-        | [] -> fun _ -> []
-        | [ e1 ] -> fun fr -> [ e1 fr ]
-        | [ e1; e2 ] ->
-            fun fr ->
-              let v1 = e1 fr in
-              let v2 = e2 fr in
-              [ v1; v2 ]
-        | [ e1; e2; e3 ] ->
-            fun fr ->
-              let v1 = e1 fr in
-              let v2 = e2 fr in
-              let v3 = e3 fr in
-              [ v1; v2; v3 ]
-        | evs -> fun fr -> List.map (fun e -> e fr) evs
-      in
+  | Ir.Call { args; _ } when first_trapping args <> None ->
+      (* arguments are evaluated before anything else of the call
+         happens, so the first unresolved name traps first *)
+      let e = ev_value f (Option.get (first_trapping args)) in
       let nexti = idx + 1 in
-      (* after the dispatch: continue inline iff this very frame is
-         still on top at the position just past the call.  A pushed
-         frame, a longjmp elsewhere, or a popped frame all fail the
-         test and bounce to the driver; a longjmp that lands exactly at
+      fun ld fr ->
+        tick ld.st;
+        fr.fr_inst <- nexti;
+        ignore (e fr)
+  | Ir.Call { rets; callee; args; _ } -> (
+      (* a return writes [rets] into this frame unchecked *)
+      List.iter (fun r -> ignore (vreg f r)) rets;
+      let ss = sources f args in
+      let nargs = List.length args in
+      let nexti = idx + 1 in
+      (* after a call that pushed no frame (a builtin, setjmp, longjmp):
+         continue inline iff this very frame is still on top at the
+         position just past the call.  A longjmp elsewhere fails the
+         test and bounces to the driver; a longjmp that lands exactly at
          [(blk, idx+1)] — a setjmp recorded there — passes it, and
          continuing inline is precisely the resume semantics. *)
       let finish ld fr =
-        match ld.st.frames with
-        | top :: _ when top == fr && fr.fr_block = blk && fr.fr_inst = nexti
-          ->
-            next ld fr
-        | _ -> ()
+        let st = ld.st in
+        if
+          st.n_frames > 0 && top st == fr && fr.fr_block = blk
+          && fr.fr_inst = nexti
+        then next ld fr
+      in
+      (* a module function: push its frame, copy the arguments into it
+         and tail-call its entry — no value list, no driver round trip.
+         An arity mismatch traps in [push_frame] before any argument
+         moves. *)
+      let call ld fr fe params =
+        let callee = Vm.push_frame ld fe ~nargs rets in
+        copy_args fr ss callee params;
+        resume c_funcs ld callee
       in
       match callee with
       | Ir.Func name -> (
           (* direct call: classify the target once, at compile time *)
           match Vm.resolve img name with
           | Vm.RFunc fe ->
-              (* interpreted target: push directly and seed the new
-                 frame's chain pointer, so neither the dispatch
-                 classification nor {!chains_for}'s name lookup runs per
-                 call.  The callee's chains are memoized on first
-                 execution ([c_funcs] is still being filled while this
-                 closure is compiled). *)
-              let chains_cell = ref ([||] : func_chains) in
+              let params =
+                if nargs = Array.length fe.Vm.fe_params then
+                  Array.map (vreg fe.Vm.fe_func) fe.Vm.fe_params
+                else [||]
+              in
               fun ld fr ->
-                let st = ld.st in
-                tick st;
+                tick ld.st;
                 fr.fr_inst <- nexti;
-                let argvals = eval_args fr in
-                Vm.push_frame ld fe argvals rets;
-                (match st.frames with
-                | top :: _ ->
-                    let ch = !chains_cell in
-                    let ch =
-                      if Array.length ch > 0 then ch
-                      else begin
-                        let c = Hashtbl.find c_funcs name in
-                        chains_cell := c;
-                        c
-                      end
-                    in
-                    top.fr_resume <- Chains ch
-                | [] -> ());
-                finish ld fr
+                call ld fr fe params
           | r ->
               fun ld fr ->
-                let st = ld.st in
-                tick st;
+                tick ld.st;
                 fr.fr_inst <- nexti;
-                let argvals = eval_args fr in
-                Vm.dispatch_resolved ld ~name ~argvals ~rets r;
+                Vm.dispatch_resolved ld ~name ~argvals:(source_values fr ss)
+                  ~rets r;
                 finish ld fr)
       | op ->
           let ic = ev_int f op in
           fun ld fr ->
-            let st = ld.st in
-            tick st;
+            tick ld.st;
             fr.fr_inst <- nexti;
-            let argvals = eval_args fr in
             let v = ic fr in
-            (match Vm.describe_code_value ld v with
-            | Some name -> Vm.dispatch_call ld ~name ~argvals ~rets
+            match Vm.describe_code_value ld v with
+            | Some name -> (
+                match Vm.resolve ld.img name with
+                | Vm.RFunc fe ->
+                    call ld fr fe (Array.unsafe_get c_funcs fe.Vm.fe_index).params
+                | r ->
+                    Vm.dispatch_resolved ld ~name
+                      ~argvals:(source_values fr ss) ~rets r;
+                    finish ld fr)
             | None ->
                 raise
                   (Trap
                      (Runtime_error
                         (Printf.sprintf
-                           "indirect call to non-function address 0x%x" v))));
-            finish ld fr)
+                           "indirect call to non-function address 0x%x" v))))
 
 (** Compile a terminator.  [entries.(t)] is the join-point array — the
     head closure of every block of this function, filled after all
     blocks are compiled, so forward branches resolve to closures without
     a compile-order constraint. *)
-let compile_term (f : Ir.func) (entries : k array) (term : Ir.terminator) : k =
+let compile_term c_funcs (f : Ir.func) (entries : k array)
+    (term : Ir.terminator) : k =
   match term with
-  | Ir.TRet ops ->
-      let evs = List.map (ev_value f) ops in
+  | Ir.TRet ops when first_trapping ops <> None ->
+      let e = ev_value f (Option.get (first_trapping ops)) in
       fun ld fr ->
         tick ld.st;
-        Vm.pop_frame ld (List.map (fun e -> e fr) evs)
-        (* the frame changed: always bounce to the driver *)
+        ignore (e fr)
+  | Ir.TRet ops ->
+      let ss = sources f ops in
+      fun ld fr ->
+        let st = ld.st in
+        tick st;
+        Vm.pop_frame ld;
+        (* [fr] is popped but still readable: copy straight into the
+           caller's registers, or box for [last_rets] and program exit *)
+        (match fr.fr_ret_regs with
+        | _ :: _ as regs when st.n_frames > 0 -> copy_rets fr ss 0 (top st) regs
+        | _ -> Vm.return_values ld fr (source_values fr ss));
+        (* continue the caller in place, unless it waits in host code *)
+        if st.n_frames > st.floor then resume c_funcs ld (top st)
   | Ir.TJmp t ->
       fun ld fr ->
         let st = ld.st in
@@ -771,7 +848,9 @@ let compile_term (f : Ir.func) (entries : k array) (term : Ir.terminator) : k =
 
 let dummy_k : k = fun _ _ -> assert false
 
-let compile_func img c_funcs (fe : Vm.fentry) : func_chains =
+(** Compile [fe]; [c_funcs] is the module's table, still being filled,
+    which call and return closures read when they run. *)
+let compile_func img c_funcs (fe : Vm.fentry) : func_code =
   let f = fe.Vm.fe_func in
   let nblocks = Array.length fe.Vm.fe_code in
   let entries = Array.make nblocks dummy_k in
@@ -780,7 +859,7 @@ let compile_func img c_funcs (fe : Vm.fentry) : func_chains =
         let insts = fe.Vm.fe_code.(b) in
         let n = Array.length insts in
         let arr = Array.make (n + 1) dummy_k in
-        arr.(n) <- compile_term f entries fe.Vm.fe_terms.(b);
+        arr.(n) <- compile_term c_funcs f entries fe.Vm.fe_terms.(b);
         (* fill backward so each closure captures its successor
            directly — the common case never touches an array *)
         for i = n - 1 downto 0 do
@@ -789,34 +868,28 @@ let compile_func img c_funcs (fe : Vm.fentry) : func_chains =
         arr)
   in
   Array.iteri (fun b chain -> entries.(b) <- chain.(0)) chains;
-  chains
+  { chains; params = Array.map (vreg f) fe.Vm.fe_params }
 
 (* ------------------------------------------------------------------ *)
 (* The driver                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let chains_for comp (fr : frame) : func_chains =
-  match fr.fr_resume with
-  | Chains c -> c
-  | _ ->
-      let c = Hashtbl.find comp.c_funcs fr.fr_func.Ir.fname in
-      fr.fr_resume <- Chains c;
-      c
-
 (** Run the top frame (and everything it calls) until the frame stack
-    shrinks back to [depth].  A chain bounces back here only at frame
-    boundaries; the loop then re-enters the new top frame at its
+    shrinks back to [depth].  Calls and returns continue in place, so a
+    chain comes back here only when a return reaches [depth] (the
+    frame below waits in host code) or a longjmp moves control to
+    another frame; the loop then re-enters the new top frame at its
     recorded position. *)
 let drive comp (ld : Vm.loaded) (depth : int) : unit =
   let st = ld.st in
+  let outer = st.floor in
+  st.floor <- depth;
   while st.n_frames > depth do
-    match st.frames with
-    | [] -> ()
-    | fr :: _ ->
-        let chains = chains_for comp fr in
-        (Array.unsafe_get (Array.unsafe_get chains fr.fr_block) fr.fr_inst)
-          ld fr
-  done
+    resume comp.c_funcs ld (top st)
+  done;
+  (* a trap leaves the inner floor behind: higher than the outer one,
+     which costs only a driver round trip on a later return *)
+  st.floor <- outer
 
 (** Re-entrant call on this engine (installed as {!Vm.loaded.reenter}):
     qsort/bsearch comparators execute compiled chains, not the decode
@@ -825,7 +898,7 @@ let reenter comp (ld : Vm.loaded) (fe : Vm.fentry) (args : value list) :
     value list =
   let st = ld.st in
   let depth = st.n_frames in
-  Vm.push_frame ld fe args [];
+  Vm.push_call ld fe args [];
   drive comp ld depth;
   st.last_rets
 
@@ -838,12 +911,15 @@ let reenter comp (ld : Vm.loaded) (fe : Vm.fentry) (args : value list) :
    by every later run of the module on any scheme or domain. *)
 
 let compile_image (img : Vm.image) : compiled =
-  let c_funcs = Hashtbl.create 64 in
+  let c_funcs =
+    Array.make
+      (List.length img.Vm.im_modul.Ir.mfunc_order)
+      { chains = [||]; params = [||] }
+  in
   Hashtbl.iter
-    (fun name r ->
+    (fun _ r ->
       match r with
-      | Vm.RFunc fe ->
-          Hashtbl.replace c_funcs name (compile_func img c_funcs fe)
+      | Vm.RFunc fe -> c_funcs.(fe.Vm.fe_index) <- compile_func img c_funcs fe
       | _ -> ())
     img.Vm.im_resolved;
   { c_funcs }

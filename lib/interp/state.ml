@@ -124,36 +124,40 @@ let ht_max_probes = 64
 (* Frames                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(** Engine-private per-frame scratch.  The threaded-code engine caches
-    the frame's compiled block chains here so re-entering a suspended
-    frame (returns, longjmp) needs no hash lookup; the decoding engine
-    leaves it at [No_resume].  An extensible variant keeps [state]
-    independent of the compiler's types. *)
-type resume = ..
-
-type resume += No_resume
-
+(** A frame record.  The run keeps one record per stack depth and
+    reuses it for the next call at that depth ({!t.stack}), so every
+    field a call sets is mutable.  [fr_pinned] marks a record that a
+    setjmp context may still name: it is not reused.  A return drops
+    the frame's contexts and unpins it; a frame that longjmp unwinds
+    keeps its stale contexts and stays pinned. *)
 type frame = {
-  fr_func : Ir.func;
-  fr_code : Ir.inst array array;  (** per-block instruction arrays *)
-  fr_terms : Ir.terminator array;  (** per-block terminators *)
+  mutable fr_func : Ir.func;
+  mutable fr_code : Ir.inst array array;  (** per-block instruction arrays *)
+  mutable fr_terms : Ir.terminator array;  (** per-block terminators *)
+  mutable fr_index : int;
+      (** the function's index in the module's definition order — the
+          engine's key for its compiled code *)
   (* The register file is stored unboxed: parallel int/float payload
      arrays plus a one-byte-per-register tag ('\001' = the register
      currently holds a float).  Writing an integer result is then two
      plain stores — no [VI] allocation and no [caml_modify] write
      barrier, which together dominated the interpreters' host time when
-     registers were a [value array]. *)
-  fr_iregs : int array;
-  fr_fregs : float array;
-  fr_isf : Bytes.t;
+     registers were a [value array].  A reused record keeps its arrays
+     when they are large enough, so they may be longer than the
+     function's register count; the registers past it are never
+     read. *)
+  mutable fr_iregs : int array;
+  mutable fr_fregs : float array;
+  mutable fr_isf : Bytes.t;
   mutable fr_block : int;
   mutable fr_inst : int;
-  fr_fp : int;  (** frame base (old sp); slots below fp-16 *)
-  fr_uid : int;
-  fr_ret_regs : Ir.reg list;  (** caller registers receiving our returns *)
-  fr_expected_token : int;
-  fr_expected_savedfp : int;
-  mutable fr_resume : resume;
+  mutable fr_fp : int;  (** frame base (old sp); slots below fp-16 *)
+  mutable fr_uid : int;  (** the return token is [ret_token_magic + fr_uid] *)
+  mutable fr_ret_regs : Ir.reg list;
+      (** caller registers receiving our returns; [[]] when the caller
+          reads them from [last_rets] instead *)
+  mutable fr_expected_savedfp : int;
+  mutable fr_pinned : bool;
 }
 
 (* Register accessors.  The boxed [value] view is reconstructed on
@@ -219,6 +223,37 @@ let jmp_token_magic = 0x6a7_0000_0000
 
 let slot_addr fr (sl : Ir.slot) =
   fr.fr_fp - 16 - fr.fr_func.Ir.fframe_size + sl.Ir.sl_offset
+
+(** The filler of stack slots no call has reached yet.  It is pinned,
+    so {!Vm.push_frame} never reuses it. *)
+let no_frame =
+  {
+    fr_func =
+      {
+        Ir.fname = "";
+        fparams = [];
+        frets = [];
+        fvariadic = false;
+        fva_regs = None;
+        fslots = [||];
+        fframe_size = 0;
+        fblocks = [||];
+        fnregs = 0;
+      };
+    fr_code = [||];
+    fr_terms = [||];
+    fr_index = -1;
+    fr_iregs = [||];
+    fr_fregs = [||];
+    fr_isf = Bytes.empty;
+    fr_block = 0;
+    fr_inst = 0;
+    fr_fp = 0;
+    fr_uid = 0;
+    fr_ret_regs = [];
+    fr_expected_savedfp = 0;
+    fr_pinned = true;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* VM configuration and state                                           *)
@@ -322,28 +357,32 @@ type t = {
   stats : stats;
   obs : Obs.t;
   mutable sp : int;
-  mutable frames : frame list;
+  mutable stack : frame array;
+      (** [stack.(d)] for [d < n_frames] is the live frame at depth [d]
+          (the top is [stack.(n_frames - 1)]).  Past the top each slot
+          keeps the record last popped or unwound at that depth, and
+          the next call there reuses it with its register file, so a
+          call allocates nothing.  A pinned record is replaced instead,
+          and an unreached slot holds {!no_frame}. *)
   mutable n_frames : int;
-      (** [List.length frames], maintained incrementally — the depth
-          checks on every call must not walk the frame list *)
+  mutable floor : int;
+      (** frames at depth below [floor] wait in host code (a builtin
+          running a comparator, or the harness) for a frame above them
+          to return: a return onto such a frame hands control back to
+          the engine's driver instead of continuing the caller in
+          place *)
   mutable next_uid : int;
   mutable steps : int;
   out : Buffer.t;
   mutable inputs : string list;
   mutable rand_state : int;
   mutable last_rets : value list;
-      (** return values of the most recently popped frame — consumed by
-          re-entrant builtin-to-interpreted calls (qsort comparators) *)
+      (** return values of the most recent return that had no receiving
+          registers: a re-entrant builtin-to-interpreted call (qsort
+          comparators), a harness boundary call, or the bottom frame *)
   jmp_bufs : (int, frame * int * int * Ir.reg) Hashtbl.t;
       (** live setjmp sites: uid -> (frame, resume block, resume inst,
           result register) *)
-  reg_pool : (int array * float array * Bytes.t) list array;
-      (** per-size free lists of popped frames' register files, reused
-          by [push_frame] to keep [Array.make] (a C call plus minor-GC
-          traffic) off the call path.  Sound because a popped frame is
-          unreachable once its setjmp contexts are dropped; reused
-          arrays are re-zeroed (the float lane lazily: the tag bytes
-          are all '\000', so stale floats are unobservable). *)
   mutable ht_entries : int;
       (** current hash-table capacity (always a power of two) *)
   mutable ht_live : int;
@@ -351,8 +390,8 @@ type t = {
           [ht_entries] so probe chains stay short *)
 }
 
-(** Register files of up to this many registers are pooled. *)
-let reg_pool_buckets = 64
+(** The top frame; the stack must not be empty. *)
+let top st = st.stack.(st.n_frames - 1)
 
 (* ------------------------------------------------------------------ *)
 (* Accounting helpers                                                   *)

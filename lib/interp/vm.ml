@@ -28,6 +28,7 @@ type fentry = {
   fe_code : Ir.inst array array;
   fe_terms : Ir.terminator array;
   fe_params : Ir.reg array;
+  fe_index : int;  (** position in the module's definition order *)
   fe_addr : int;  (** code address *)
   fe_sig : int;
       (** signature hash of the (transformed) parameter and return
@@ -258,6 +259,7 @@ let build_image (m : Ir.modul) : image =
                 predecode resolve Ir.map_term_operands b.Ir.term)
               f.Ir.fblocks;
           fe_params = Array.of_list (List.map fst f.Ir.fparams);
+          fe_index = Hashtbl.find func_index f.Ir.fname;
           fe_addr = L.func_addr (Hashtbl.find func_index f.Ir.fname);
           fe_sig =
             Ir.sig_hash
@@ -410,8 +412,9 @@ let create ?(cfg = default_config) (m : Ir.modul) : loaded =
         Obs.create ~enabled:cfg.obs_enabled
           ~trace_depth:(if cfg.obs_enabled then cfg.trace_depth else 0) ();
       sp = L.stack_top;
-      frames = [];
+      stack = Array.make 16 no_frame;
       n_frames = 0;
+      floor = 0;
       next_uid = 1;
       steps = 0;
       out = Buffer.create 256;
@@ -419,7 +422,6 @@ let create ?(cfg = default_config) (m : Ir.modul) : loaded =
       rand_state = 42;
       last_rets = [];
       jmp_bufs = Hashtbl.create 1;
-      reg_pool = Array.make reg_pool_buckets [];
       ht_entries = ht_entries0;
       ht_live = 0;
     }
@@ -673,22 +675,31 @@ let do_store st (t : Ir.ity) addr (v : value) : unit =
 exception Program_exit of int
 
 (** Assign returned values to the caller's receiving registers (extra
-    values on either side are ignored, as before). *)
+    values on either side are ignored). *)
 let assign_rets (fr : frame) (ret_regs : Ir.reg list) (out : value list) : unit =
-  match (ret_regs, out) with
-  | [], _ | _, [] -> ()
-  | [ r ], v :: _ -> reg_set fr r v
-  | rs, _ ->
-      let rec go rs out =
-        match (rs, out) with
-        | r :: rs, v :: out ->
-            reg_set fr r v;
-            go rs out
-        | _, _ -> ()
-      in
-      go rs out
+  let rec go rs out =
+    match (rs, out) with
+    | r :: rs, v :: out ->
+        reg_set fr r v;
+        go rs out
+    | _, _ -> ()
+  in
+  go ret_regs out
 
-let push_frame ld (fe : fentry) (args : value list) (ret_regs : Ir.reg list) =
+(** Double the frame stack's capacity. *)
+let grow_stack st =
+  let n = Array.length st.stack in
+  let a = Array.make (2 * n) no_frame in
+  Array.blit st.stack 0 a 0 n;
+  st.stack <- a
+
+(** Push a frame for [fe], called with [nargs] arguments whose values the
+    caller then writes into the parameter registers (the engine copies
+    them straight from its own register file; see {!push_call} for a
+    list of values).  The arguments cannot trap, so writing them after
+    the push is unobservable.  The record and register file at the new
+    depth are reused unless pinned: a call allocates nothing. *)
+let push_frame ld (fe : fentry) ~nargs (ret_regs : Ir.reg list) : frame =
   let st = ld.st in
   let f = fe.fe_func in
   st.stats.calls <- st.stats.calls + 1;
@@ -703,9 +714,8 @@ let push_frame ld (fe : fentry) (args : value list) (ret_regs : Ir.reg list) =
   let uid = st.next_uid in
   st.next_uid <- uid + 1;
   let token = ret_token_magic + uid in
-  let saved_fp =
-    match st.frames with [] -> L.stack_top | fr :: _ -> fr.fr_fp
-  in
+  let depth = st.n_frames in
+  let saved_fp = if depth = 0 then L.stack_top else (top st).fr_fp in
   (* the return token and saved frame pointer live in simulated memory,
      where an overflowing local buffer can reach them *)
   Mem.write_int st.mem (fp - 8) 8 token;
@@ -715,61 +725,55 @@ let push_frame ld (fe : fentry) (args : value list) (ret_regs : Ir.reg list) =
      program's own memory operations *)
   cache_access st (fp - 8);
   cache_access st (fp - 16);
-  let nregs = max 1 f.Ir.fnregs in
-  let iregs, fregs, isf =
-    if nregs < reg_pool_buckets then
-      match st.reg_pool.(nregs) with
-      | (ir, fg, sf) :: tl ->
-          st.reg_pool.(nregs) <- tl;
-          for i = 0 to nregs - 1 do
-            Array.unsafe_set ir i 0
-          done;
-          Bytes.fill sf 0 nregs '\000';
-          (ir, fg, sf)
-      | [] -> (Array.make nregs 0, Array.make nregs 0.0, Bytes.make nregs '\000')
-    else (Array.make nregs 0, Array.make nregs 0.0, Bytes.make nregs '\000')
-  in
   let nparams = Array.length fe.fe_params in
-  let nargs = List.length args in
   if nargs <> nparams then
     raise
       (Trap
          (Runtime_error
             (Printf.sprintf "%s: called with %d args, expects %d" f.Ir.fname
                nargs nparams)));
-  let rec set_args i = function
-    | [] -> ()
-    | v :: tl ->
-        let r = fe.fe_params.(i) in
-        (match v with
-        | VI n -> iregs.(r) <- n
-        | VF x ->
-            Bytes.set isf r '\001';
-            fregs.(r) <- x);
-        set_args (i + 1) tl
-  in
-  set_args 0 args;
+  let nregs = Int.max 1 f.Ir.fnregs in
+  if depth = Array.length st.stack then grow_stack st;
   let fr =
-    {
-      fr_func = f;
-      fr_code = fe.fe_code;
-      fr_terms = fe.fe_terms;
-      fr_iregs = iregs;
-      fr_fregs = fregs;
-      fr_isf = isf;
-      fr_block = 0;
-      fr_inst = 0;
-      fr_fp = fp;
-      fr_uid = uid;
-      fr_ret_regs = ret_regs;
-      fr_expected_token = token;
-      fr_expected_savedfp = saved_fp;
-      fr_resume = No_resume;
-    }
+    let fr = Array.unsafe_get st.stack depth in
+    if not fr.fr_pinned then fr
+    else begin
+      (* a setjmp context may still name the record here: leave it *)
+      let fresh = { no_frame with fr_pinned = false } in
+      Array.unsafe_set st.stack depth fresh;
+      fresh
+    end
   in
+  (* pointer fields are written only when they change: a recursive call
+     reuses its own function's record without a write barrier *)
+  if fr.fr_index <> fe.fe_index then begin
+    fr.fr_func <- f;
+    fr.fr_code <- fe.fe_code;
+    fr.fr_terms <- fe.fe_terms;
+    fr.fr_index <- fe.fe_index
+  end;
+  if Array.length fr.fr_iregs < nregs then begin
+    fr.fr_iregs <- Array.make nregs 0;
+    fr.fr_fregs <- Array.make nregs 0.0;
+    fr.fr_isf <- Bytes.make nregs '\000'
+  end
+  else begin
+    (* a fresh register file reads as integer zero; the float lane
+       needs no clearing, since no tag byte selects it *)
+    let ir = fr.fr_iregs and tags = fr.fr_isf in
+    for i = 0 to nregs - 1 do
+      Array.unsafe_set ir i 0;
+      Bytes.unsafe_set tags i '\000'
+    done
+  end;
+  fr.fr_block <- 0;
+  fr.fr_inst <- 0;
+  fr.fr_fp <- fp;
+  fr.fr_uid <- uid;
+  if fr.fr_ret_regs != ret_regs then fr.fr_ret_regs <- ret_regs;
+  fr.fr_expected_savedfp <- saved_fp;
   st.sp <- new_sp;
-  st.frames <- fr :: st.frames;
-  st.n_frames <- st.n_frames + 1;
+  st.n_frames <- depth + 1;
   if st.n_frames > st.stats.max_frames then
     st.stats.max_frames <- st.n_frames;
   (* baseline checkers track each slot as an object *)
@@ -778,7 +782,15 @@ let push_frame ld (fe : fentry) (args : value list) (ret_regs : Ir.reg list) =
       (fun sl ->
         checker_event st
           (Ev_alloc { base = slot_addr fr sl; size = sl.Ir.sl_size; kind = AStack }))
-      f.Ir.fslots
+      f.Ir.fslots;
+  fr
+
+(** {!push_frame} with the argument values in a list: the entry into
+    [main], re-entrant calls from builtins, and the reference loop. *)
+let push_call ld (fe : fentry) (args : value list) (ret_regs : Ir.reg list) :
+    unit =
+  let fr = push_frame ld fe ~nargs:(List.length args) ret_regs in
+  List.iteri (fun i v -> reg_set fr fe.fe_params.(i) v) args
 
 let describe_code_value ld v =
   if L.is_function_addr v then begin
@@ -788,71 +800,76 @@ let describe_code_value ld v =
   end
   else None
 
-let pop_frame ld (rets : value list) : unit =
+(** Pop the top frame, up to handing over its return values: charge the
+    return, verify the control data read back from simulated memory,
+    release the slots to a checker and drop the frame's setjmp contexts.
+    The popped record stays readable until the next push. *)
+let pop_frame ld : unit =
   let st = ld.st in
   charge st Cost.ret;
-  match st.frames with
-  | [] -> raise (Trap (Runtime_error "return with no frame"))
-  | fr :: rest ->
-      (* control-data integrity: read the return token and saved frame
-         pointer back from simulated memory *)
-      let token = Mem.read_int st.mem (fr.fr_fp - 8) 8 in
-      let savedfp = Mem.read_int st.mem (fr.fr_fp - 16) 8 in
-      cache_access st (fr.fr_fp - 8);
-      cache_access st (fr.fr_fp - 16);
-      if token <> fr.fr_expected_token then begin
-        match describe_code_value ld token with
-        | Some f ->
-            raise
-              (Trap
-                 (Hijack
-                    (Printf.sprintf
-                       "return address overwritten; control transfers to %s"
-                       f)))
-        | None ->
-            raise
-              (Trap
-                 (Hijack
-                    (Printf.sprintf "return address corrupted (0x%x)" token)))
-      end;
-      if savedfp <> fr.fr_expected_savedfp then
+  if st.n_frames = 0 then raise (Trap (Runtime_error "return with no frame"));
+  let fr = top st in
+  (* control-data integrity: read the return token and saved frame
+     pointer back from simulated memory *)
+  let token = Mem.read_int st.mem (fr.fr_fp - 8) 8 in
+  let savedfp = Mem.read_int st.mem (fr.fr_fp - 16) 8 in
+  cache_access st (fr.fr_fp - 8);
+  cache_access st (fr.fr_fp - 16);
+  if token <> ret_token_magic + fr.fr_uid then begin
+    match describe_code_value ld token with
+    | Some f ->
         raise
           (Trap
              (Hijack
-                (Printf.sprintf "saved frame pointer corrupted (0x%x)" savedfp)));
-      if Option.is_some st.cfg.checker then
-        Array.iter
-          (fun sl ->
-            checker_event st
-              (Ev_free
-                 { base = slot_addr fr sl; size = sl.Ir.sl_size; kind = AStack }))
-          fr.fr_func.Ir.fslots;
-      (* drop this frame's setjmp contexts (collect first, then remove:
-         no mutation under iteration, and no per-return table copy) *)
-      if Hashtbl.length st.jmp_bufs > 0 then begin
-        let dead =
-          Hashtbl.fold
-            (fun uid ((f : frame), _, _, _) acc ->
-              if f.fr_uid = fr.fr_uid then uid :: acc else acc)
-            st.jmp_bufs []
-        in
-        List.iter (fun uid -> Hashtbl.remove st.jmp_bufs uid) dead
-      end;
-      st.sp <- fr.fr_fp;
-      st.frames <- rest;
-      st.n_frames <- st.n_frames - 1;
-      st.last_rets <- rets;
-      (* the frame is now unreachable (its setjmp contexts are gone):
-         recycle its register file *)
-      (let nregs = Array.length fr.fr_iregs in
-       if nregs < reg_pool_buckets then
-         st.reg_pool.(nregs) <-
-           (fr.fr_iregs, fr.fr_fregs, fr.fr_isf) :: st.reg_pool.(nregs));
-      (match rest with
-      | [] ->
-          let code = match rets with VI v :: _ -> v | _ -> 0 in
-          raise (Program_exit code)
-      | caller :: _ -> assign_rets caller fr.fr_ret_regs rets)
+                (Printf.sprintf
+                   "return address overwritten; control transfers to %s" f)))
+    | None ->
+        raise
+          (Trap
+             (Hijack (Printf.sprintf "return address corrupted (0x%x)" token)))
+  end;
+  if savedfp <> fr.fr_expected_savedfp then
+    raise
+      (Trap
+         (Hijack
+            (Printf.sprintf "saved frame pointer corrupted (0x%x)" savedfp)));
+  if Option.is_some st.cfg.checker then
+    Array.iter
+      (fun sl ->
+        checker_event st
+          (Ev_free
+             { base = slot_addr fr sl; size = sl.Ir.sl_size; kind = AStack }))
+      fr.fr_func.Ir.fslots;
+  (* only a frame that called setjmp has contexts to drop (collect
+     first, then remove: no mutation under iteration); once they are
+     gone no context names the record, and the next call at this depth
+     may reuse it *)
+  if fr.fr_pinned then begin
+    let dead =
+      Hashtbl.fold
+        (fun uid ((f : frame), _, _, _) acc ->
+          if f.fr_uid = fr.fr_uid then uid :: acc else acc)
+        st.jmp_bufs []
+    in
+    List.iter (fun uid -> Hashtbl.remove st.jmp_bufs uid) dead;
+    fr.fr_pinned <- false
+  end;
+  st.sp <- fr.fr_fp;
+  st.n_frames <- st.n_frames - 1
+
+(** Hand the popped frame [fr]'s return values to its caller: into the
+    caller's receiving registers, or into [last_rets] when there are
+    none.  Popping the bottom frame ends the program with the first
+    value as exit code. *)
+let return_values ld (fr : frame) (rets : value list) : unit =
+  let st = ld.st in
+  if st.n_frames = 0 then begin
+    st.last_rets <- rets;
+    raise (Program_exit (match rets with VI v :: _ -> v | _ -> 0))
+  end;
+  match fr.fr_ret_regs with
+  | [] -> st.last_rets <- rets
+  | regs -> assign_rets (top st) regs rets
 
 (* ------------------------------------------------------------------ *)
 (* setjmp / longjmp                                                     *)
@@ -860,7 +877,7 @@ let pop_frame ld (rets : value list) : unit =
 
 let exec_setjmp ld ~checked (args : value list) (ret_regs : Ir.reg list) =
   let st = ld.st in
-  let fr = List.hd st.frames in
+  let fr = top st in
   let buf, meta =
     match args with
     | VI b :: rest -> (b, rest)
@@ -879,6 +896,7 @@ let exec_setjmp ld ~checked (args : value list) (ret_regs : Ir.reg list) =
   (* resume point: the PC was pre-incremented, so it already denotes the
      instruction after this setjmp call *)
   Hashtbl.replace st.jmp_bufs uid (fr, fr.fr_block, fr.fr_inst, ret_reg);
+  fr.fr_pinned <- true;
   let token = jmp_token_magic + uid in
   let pc = func_addr_of ld fr.fr_func.Ir.fname in
   program_write st buf 8;
@@ -924,12 +942,14 @@ let exec_longjmp ld ~checked (args : value list) =
       (* the stored pc must still denote the frame's own function *)
       if pc <> func_addr_of ld target.fr_func.Ir.fname then hijack_diagnosis ();
       (* the target frame must still be live *)
-      if not (List.exists (fun f -> f.fr_uid = target.fr_uid) st.frames) then
-        hijack_diagnosis ();
+      let rec live d =
+        d < st.n_frames && (st.stack.(d).fr_uid = target.fr_uid || live (d + 1))
+      in
+      if not (live 0) then hijack_diagnosis ();
       (* unwind *)
       let rec unwind () =
-        match st.frames with
-        | fr :: rest when fr.fr_uid <> target.fr_uid ->
+        match top st with
+        | fr when fr.fr_uid <> target.fr_uid ->
             if Option.is_some st.cfg.checker then
               Array.iter
                 (fun sl ->
@@ -956,7 +976,6 @@ let exec_longjmp ld ~checked (args : value list) =
                       if b <> 0 || e <> 0 then meta_store st a 0 0)
                     sl.Ir.sl_ptr_offsets)
                 fr.fr_func.Ir.fslots;
-            st.frames <- rest;
             st.n_frames <- st.n_frames - 1;
             unwind ()
         | _ -> ()
@@ -1041,9 +1060,10 @@ let exec_sortsearch ld ~checked ~is_bsearch (argvals : value list)
   (* snapshot the caller's identity and program point: a longjmp out of
      the comparator either pops frames below us or redirects the caller *)
   let caller_snapshot () =
-    match st.frames with
-    | fr :: _ -> (fr.fr_uid, fr.fr_block, fr.fr_inst)
-    | [] -> (-1, -1, -1)
+    if st.n_frames = 0 then (-1, -1, -1)
+    else
+      let fr = top st in
+      (fr.fr_uid, fr.fr_block, fr.fr_inst)
   in
   let snap0 = caller_snapshot () in
   let invoke a b =
@@ -1073,7 +1093,7 @@ let exec_sortsearch ld ~checked ~is_bsearch (argvals : value list)
     (* degenerate calls are no-ops (bsearch finds nothing) *)
     if is_bsearch then begin
       let out = if checked then [ VI 0; VI 0; VI 0 ] else [ VI 0 ] in
-      assign_rets (List.hd st.frames) rets out
+      assign_rets (top st) rets out
     end
   end
   else if is_bsearch then begin
@@ -1095,7 +1115,7 @@ let exec_sortsearch ld ~checked ~is_bsearch (argvals : value list)
           VI (if !found = 0 then 0 else snd base_meta) ]
       else [ VI !found ]
     in
-    assign_rets (List.hd st.frames) rets out
+    assign_rets (top st) rets out
   end
   else begin
     (* in-place quicksort over simulated memory; element swaps are real
@@ -1171,7 +1191,7 @@ and dispatch_resolved ld ~name ~argvals ~rets (r : resolution) : unit =
   match r with
   | RFunc fe ->
       (* the caller's saved position already points past the call *)
-      push_frame ld fe argvals rets
+      push_call ld fe argvals rets
   | special ->
       let checked =
         match special with
@@ -1192,7 +1212,7 @@ and dispatch_resolved ld ~name ~argvals ~rets (r : resolution) : unit =
               try Builtins.dispatch st ~name ~args:argvals
               with Builtins.Exit_program n -> raise (Program_exit n)
             in
-            assign_rets (List.hd st.frames) rets out
+            assign_rets (top st) rets out
         | RFunc _ | RUndefined _ ->
             raise (Trap (Runtime_error ("call to undefined function " ^ name)))
       in
@@ -1356,7 +1376,8 @@ let exec_term ld (fr : frame) (term : Ir.terminator) : unit =
   match term with
   | Ir.TRet ops ->
       let vals = List.map (eval fr) ops in
-      pop_frame ld vals
+      pop_frame ld;
+      return_values ld fr vals
   | Ir.TJmp t ->
       charge st Cost.basic;
       fr.fr_block <- t;
@@ -1383,9 +1404,9 @@ let exec_term ld (fr : frame) (term : Ir.terminator) : unit =
     when no frames remain. *)
 let step_once ld : bool =
   let st = ld.st in
-  match st.frames with
-  | [] -> false
-  | fr :: _ ->
+  if st.n_frames = 0 then false
+  else begin
+      let fr = top st in
       st.steps <- st.steps + 1;
       if st.steps > st.cfg.max_steps then raise (Trap Step_limit);
       (match st.cfg.poll with
@@ -1402,6 +1423,7 @@ let step_once ld : bool =
       end
       else exec_term ld fr fr.fr_terms.(fr.fr_block);
       true
+  end
 
 (** Main execution loop.  Equivalent to [while step_once ld do () done]
     but with the top frame's instruction array hoisted: the inner loop
@@ -1417,9 +1439,9 @@ let run_until_done ld : int =
   try
     let live = ref true in
     while !live do
-      match st.frames with
-      | [] -> live := false
-      | fr :: _ ->
+      if st.n_frames = 0 then live := false
+      else begin
+          let fr = top st in
           let insts = Array.unsafe_get fr.fr_code fr.fr_block in
           let n = Array.length insts in
           let straight = ref true in
@@ -1442,6 +1464,7 @@ let run_until_done ld : int =
               exec_term ld fr (Array.unsafe_get fr.fr_terms fr.fr_block)
             end
           done
+      end
     done;
     0
   with Program_exit n -> n
@@ -1452,7 +1475,7 @@ let run_until_done ld : int =
 let call_function ld (fe : fentry) (args : value list) : value list =
   let st = ld.st in
   let depth = st.n_frames in
-  push_frame ld fe args [];
+  push_call ld fe args [];
   while st.n_frames > depth && step_once ld do
     ()
   done;
@@ -1541,7 +1564,7 @@ let run_main ?(exec = run_until_done) ld : outcome =
     (* transformed modules carry a synthetic global-metadata initializer *)
     (match find_func ld.img "__sb_global_init" with
     | Some fe ->
-        push_frame ld fe [] [];
+        push_call ld fe [] [];
         ignore (exec ld)
     | _ -> ());
     let module_func = find_func ld.img in
@@ -1566,7 +1589,7 @@ let run_main ?(exec = run_until_done) ld : outcome =
         else [ VI argc; VI argv ]
       end
     in
-    push_frame ld main args [];
+    push_call ld main args [];
     let code = exec ld in
     Exit code
   with

@@ -119,6 +119,74 @@ let regressions =
        fns[0] = stay; fns[1] = longjmp;\n\
        int r = setjmp(env); count = count + 1; fns[r == 0](env, 7);\n\
        printf(\"%d %ld\\n\", r, count); return 0; }" );
+    (* the call path: arguments and return values copied between
+       register files, frame records reused per depth *)
+    ( "float arguments and returns",
+      "float half(float v) { return v / 2; }\n\
+       double scale(double x, float y, long k) { return x * y + k; }\n\
+       int main(void) { double d = scale(1.5, half(3.0), 2);\n\
+       float h = half((float)d); printf(\"%f %f\\n\", d, h);\n\
+       return (int)(d * 10); }" );
+    ( "six arguments",
+      "long mix(long *p, long a, char *s, long b, double x, long c) {\n\
+       return p[1] + a * b - c + s[2] + (long)x; }\n\
+       int main(void) { long v[3]; char s[4]; v[0] = 1; v[1] = 20; v[2] = 3;\n\
+       s[0] = 'a'; s[1] = 'b'; s[2] = 'c'; s[3] = 0;\n\
+       printf(\"%ld\\n\", mix(v, 4, s, 5, 2.5, 6)); return 0; }" );
+    ( "mutual recursion",
+      "int is_odd(long n);\n\
+       int is_even(long n) { if (n == 0) return 1; return is_odd(n - 1); }\n\
+       int is_odd(long n) { if (n == 0) return 0; return is_even(n - 1); }\n\
+       int main(void) { printf(\"%d %d\\n\", is_even(40), is_odd(25));\n\
+       return 0; }" );
+    ( "arity mismatch through a function pointer",
+      "long add2(long a, long b) { return a + b; }\n\
+       int main(void) { long (*f)(long) = (long (*)(long))add2;\n\
+       printf(\"%ld\\n\", f(1)); return 0; }" );
+    ( "recursion to the frame limit",
+      "long down(long n) { if (n < 0) return 0; return down(n + 1) + 1; }\n\
+       int main(void) { printf(\"%ld\\n\", down(0)); return 0; }" );
+    ( "longjmp out of deep recursion",
+      "#include <setjmp.h>\n\
+       jmp_buf outer;\n\
+       jmp_buf inner_env;\n\
+       long deep(long n) { if (n == 0) longjmp(outer, 2); return deep(n - 1) + 1; }\n\
+       long inner(long n, long stale) { if (n < 0) return inner(n + 1, stale);\n\
+       if (stale) longjmp(inner_env, 1);\n\
+       if (setjmp(inner_env) == 0) return deep(n); return 9; }\n\
+       long sum(long n) { if (n == 0) return 0; return n + sum(n - 1); }\n\
+       int main(void) { int r = setjmp(outer);\n\
+       if (r == 0) { inner(120, 0); return 1; }\n\
+       printf(\"%d %ld\\n\", r, sum(200));\n\
+       return inner(0, 1); }" );
+    ( "qsort comparator that calls",
+      "long calls;\n\
+       long key(long *p) { calls = calls + 1; return *p; }\n\
+       int cmp(void *a, void *b) { long x = key((long *)a);\n\
+       long y = key((long *)b); return (x > y) - (x < y); }\n\
+       int main(void) { long a[9]; int i;\n\
+       for (i = 0; i < 9; i = i + 1) a[i] = (i * 7 + 3) % 10;\n\
+       qsort(a, 9, sizeof(long), cmp);\n\
+       for (i = 0; i < 9; i = i + 1) printf(\"%ld \", a[i]);\n\
+       printf(\"%ld\\n\", calls); return 0; }" );
+    ( "pointer return carries its bounds",
+      "long *pick(long *a, long *b, long k) {\n\
+       if (k < 0) return pick(a, b, k + 1); if (k) return a; return b; }\n\
+       int main(void) { long x[4]; long y[2]; long *p = pick(x, y, 1);\n\
+       p[3] = 5; long *q = pick(x, y, 0); q[1] = 6;\n\
+       printf(\"%ld %ld\\n\", x[3], y[1]); q[3] = 7; return 0; }" );
+    ( "setjmp in main, many calls, longjmp",
+      "#include <setjmp.h>\n\
+       jmp_buf env;\n\
+       jmp_buf g;\n\
+       long tri(long n) { if (n == 0) return 0; return n + tri(n - 1); }\n\
+       long guard(long n, long stale) { if (stale) longjmp(g, 1);\n\
+       if (setjmp(g) == 0) return tri(n) + 1; return 0; }\n\
+       int main(void) { long s = 0; long i; int r = setjmp(env);\n\
+       if (r == 0) { for (i = 0; i < 200; i = i + 1)\n\
+       s = s + tri(i % 17) + guard(i % 5, 0);\n\
+       longjmp(env, 5); }\n\
+       printf(\"%d %ld\\n\", r, s); return guard(0, 1); }" );
   ]
 
 let fuzz_corpus_size = 200
@@ -229,6 +297,55 @@ let test_create_allocation_budget () =
           fname words)
     facilities
 
+(* A simulated call allocates next to nothing: the frame record and
+   register file at each depth are reused, and arguments and return
+   values move between register files unboxed.  Measured like the
+   second-[Vm.create] budget above: the whole life of one run of the
+   recursive serve program (load, run, result), the least of three, per
+   call it makes. *)
+let words_per_call_budget = 24.0
+
+let test_call_allocation_budget () =
+  let opts = Softbound.Config.default in
+  let m =
+    Softbound.instrument ~opts
+      (Softbound.compile Harness.Exp_serve.run_sources.(4))
+  in
+  let cfg = Softbound.protected_cfg ~opts St.default_config in
+  let run () =
+    let w0 = Gc.minor_words () in
+    let ld = Vm.create ~cfg m in
+    let r = Vm.finish ld (Interp.Engine.run_main ld) in
+    let w = Gc.minor_words () -. w0 in
+    ignore (Sys.opaque_identity r);
+    (w, r.Vm.stats.St.calls)
+  in
+  ignore (run ());
+  let (w1, calls), (w2, _), (w3, _) = (run (), run (), run ()) in
+  let per_call = min w1 (min w2 w3) /. float_of_int calls in
+  if per_call > words_per_call_budget then
+    Alcotest.failf "%.1f words per call over %d calls (budget %.0f)" per_call
+      calls words_per_call_budget
+
+(* What the call-path regressions end in, on the engine every run uses.
+   Both engines share the frame code, so a fault there (a reused frame
+   record that a stale setjmp context still names, say) cannot make
+   them diverge; only the expected outcome catches it. *)
+let call_path_outcomes =
+  [
+    ( "arity mismatch through a function pointer",
+      "runtime error: add2: called with 1 args, expects 2", "" );
+    ("recursion to the frame limit", "runtime error: call stack overflow", "");
+    ( "longjmp out of deep recursion",
+      "CONTROL-FLOW HIJACKED: longjmp buffer overwritten; control transfers \
+       to inner",
+      "2 20100\n" );
+    ( "setjmp in main, many calls, longjmp",
+      "CONTROL-FLOW HIJACKED: longjmp buffer overwritten; control transfers \
+       to guard",
+      "5 10340\n" );
+  ]
+
 let suite =
   [
     Alcotest.test_case "regressions: decode = closure (unprotected + full)"
@@ -277,4 +394,20 @@ let suite =
                   regressions
             | Schemes.Transform _ -> ())
           Schemes.all);
+    Alcotest.test_case
+      (Printf.sprintf "call path: at most %.0f words per simulated call"
+         words_per_call_budget)
+      `Quick test_call_allocation_budget;
+    Alcotest.test_case "call path: regressions end as expected" `Quick
+      (fun () ->
+        List.iter
+          (fun (name, outcome, stdout) ->
+            let r =
+              Interp.Engine.run ~cfg (Softbound.compile (List.assoc name regressions))
+            in
+            Alcotest.(check string)
+              (name ^ " outcome") outcome
+              (St.string_of_outcome r.Vm.outcome);
+            Alcotest.(check string) (name ^ " stdout") stdout r.Vm.stdout_text)
+          call_path_outcomes);
   ]
