@@ -157,8 +157,9 @@ coverage:
 # profiler smoke run, --jobs determinism of every facility-dependent
 # artifact (vmspeed through its smoke target; the four simulated
 # artifacts — elim, breakdown, schemes, memory — in one run per width,
-# over one simulation matrix), and both fuzzing smoke campaigns
-# (differential and adversarial robust-safety)
+# over one simulation matrix), the serve protocol smoke run, the
+# fuzzing smoke campaigns (differential, adversarial robust-safety and
+# N-scheme), and the five examples, which drive the public API
 verify:
 	dune build
 	dune runtest
@@ -171,6 +172,7 @@ verify:
 	$(MAKE) fuzz-smoke
 	$(MAKE) adversarial-smoke
 	$(MAKE) schemes-smoke
+	$(MAKE) examples
 
 examples:
 	dune exec examples/quickstart.exe

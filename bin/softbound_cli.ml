@@ -121,15 +121,6 @@ let trace_arg =
            metadata operations, wrapper calls) in a bounded ring buffer \
            and dump them when the program traps.")
 
-let no_obs_arg =
-  Arg.(
-    value & flag
-    & info [ "no-obs" ]
-        ~doc:
-          "Disable the observability collector (per-site counters and \
-           the event ring).  Simulated cycle counts are identical either \
-           way; this only skips the host-side bookkeeping.")
-
 let prog_args =
   Arg.(
     value & pos_right 0 string []
@@ -180,20 +171,14 @@ let report_err f =
 let run_cmd =
   let doc = "compile, (optionally) instrument, and execute a program" in
   let f src unprotected checker mode facility no_shrink fptr_sigs no_elim
-      no_widen stats trace no_obs args =
+      no_widen stats trace args =
     report_err (fun () ->
         let m = Softbound.compile (read_file src) in
         let scheme =
           scheme_of unprotected checker mode facility no_shrink fptr_sigs
             no_elim no_widen
         in
-        let cfg =
-          {
-            Interp.State.default_config with
-            trace_depth = trace;
-            obs_enabled = not no_obs;
-          }
-        in
+        let cfg = { Interp.State.default_config with trace_depth = trace } in
         let r = Harness.Runner.run ~argv:args ~cfg scheme m in
         print_string r.stdout_text;
         Printf.eprintf "[%s] %s\n"
@@ -224,8 +209,7 @@ let run_cmd =
     Term.(
       const f $ src_arg $ unprotected_arg $ checker_arg $ mode_arg
       $ facility_arg $ no_shrink_arg $ fptr_sigs_arg $ no_elim_arg
-      $ no_widen_arg $ stats_arg $ trace_arg $ no_obs_arg
-      $ prog_args)
+      $ no_widen_arg $ stats_arg $ trace_arg $ prog_args)
 
 (* ---- check ---- *)
 

@@ -136,8 +136,6 @@ let functions : (string * fsig) list =
     ("va_arg_ptr", sg voidp [ Tptr longt ]);
   ]
 
-let is_builtin name = List.mem_assoc name functions
-
 (** Seed an environment with the builtin typedefs (the parser needs them
     to recognize declaration syntax). *)
 let seed_env (env : env) =

@@ -168,9 +168,6 @@ let fields_of env ty =
 let is_integer env ty =
   match resolve env ty with Tint _ -> true | _ -> false
 
-let is_float env ty =
-  match resolve env ty with Tfloat _ -> true | _ -> false
-
 let is_arith env ty =
   match resolve env ty with Tint _ | Tfloat _ -> true | _ -> false
 

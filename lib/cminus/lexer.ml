@@ -15,7 +15,6 @@
 
 type loc = { line : int; col : int }
 
-let pp_loc fmt { line; col } = Format.fprintf fmt "%d:%d" line col
 let no_loc = { line = 0; col = 0 }
 
 exception Lex_error of string * loc

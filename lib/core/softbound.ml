@@ -18,8 +18,6 @@ module Elim = Elim
 type mode = Config.mode = Full_checking | Store_only
 type options = Config.options
 
-let default_options = Config.default
-
 (** Parse + typecheck + lower a MiniC source to IR.  By default the
     optimizer (constant folding, copy propagation, DCE) and the
     small-function inliner run afterwards, matching the paper's
@@ -68,11 +66,6 @@ let run_protected ?(opts = Config.default)
     ?(cfg = Interp.State.default_config) (m : Ir.modul) : Interp.Vm.result =
   Interp.Engine.run ~cfg:(protected_cfg ~opts cfg) (instrument ~opts m)
 
-(** Convenience: compile a source and run it under SoftBound. *)
-let check_source ?(opts = Config.default)
-    ?(cfg = Interp.State.default_config) (src : string) : Interp.Vm.result =
-  run_protected ~opts ~cfg (compile src)
-
 (** Did the run abort with a SoftBound spatial-safety violation? *)
 let detected (r : Interp.Vm.result) =
   match r.Interp.Vm.outcome with
@@ -84,6 +77,3 @@ let hijacked (r : Interp.Vm.result) =
   match r.Interp.Vm.outcome with
   | Interp.State.Trapped (Interp.State.Hijack _) -> true
   | _ -> false
-
-let exited_cleanly (r : Interp.Vm.result) =
-  match r.Interp.Vm.outcome with Interp.State.Exit _ -> true | _ -> false

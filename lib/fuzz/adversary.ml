@@ -42,16 +42,16 @@
    The leak oracle is twin-run non-interference: every scenario runs
    twice with different protected secrets, and the attacker's
    per-action observations (return values, trap detail, output) must be
-   identical.  The integrity oracle snapshots the protected heap via
-   {!Interp.Snapshot} and additionally checks metadata *coherence*: each
-   protected pointer slot's facility entry must stay the entry of the
-   block the slot's value points into — which is exactly the invariant
-   a metadata-aware memmove must preserve. *)
+   identical.  The integrity oracle compares the protected secret's
+   bytes, blocks and pointer slots with what the protected component
+   wrote, and additionally checks metadata *coherence*: each protected
+   pointer slot's facility entry must stay the entry of the block the
+   slot's value points into — which is exactly the invariant a
+   metadata-aware memmove must preserve. *)
 
 module St = Interp.State
 module Vm = Interp.Vm
 module Compile = Interp.Compile
-module Snapshot = Interp.Snapshot
 module Builtins = Interp.Builtins
 module Mem = Machine.Memory
 module Heap = Machine.Heap
@@ -243,6 +243,13 @@ let global_value ctx name =
   | Some (a, _) -> Mem.read_int ctx.st.St.mem a 8
   | None -> raise (Skip_scenario ("missing protected global " ^ name))
 
+(** Raw byte image of [\[addr, addr+len)], observer-only: no accounting,
+    no cache traffic, and unmaterialized pages read as zero, like the
+    machine itself. *)
+let read_bytes (st : St.t) addr len =
+  String.init len (fun i ->
+      Char.chr (Mem.read_byte st.St.mem (addr + i) land 0xff))
+
 let setup (p : params) ~(secret : string) : ctx =
   let cfg =
     {
@@ -316,7 +323,7 @@ let setup (p : params) ~(secret : string) : ctx =
     blocks;
     block_meta;
     model = Array.copy blocks;
-    sec_img = Snapshot.read_bytes st psec p.sec;
+    sec_img = read_bytes st psec p.sec;
   }
 
 (** Trap-free corruption check: secret bytes, live protected blocks,
@@ -324,7 +331,7 @@ let setup (p : params) ~(secret : string) : ctx =
     slot.  [None] = intact. *)
 let integrity (ctx : ctx) : string option =
   let st = ctx.st in
-  if Snapshot.read_bytes st ctx.psec ctx.p.sec <> ctx.sec_img then
+  if read_bytes st ctx.psec ctx.p.sec <> ctx.sec_img then
     Some "secret bytes corrupted without a trap"
   else if Heap.block_size st.St.heap ctx.psec <> Some ctx.p.sec then
     Some "secret block retired without a trap"
@@ -380,7 +387,10 @@ let wrapper ctx name (args : (int * (int * int) option) list) : St.value list =
       (fun (_, m) -> match m with None -> [] | Some (b, e) -> [ vi b; vi e ])
       args
   in
-  Builtins.dispatch ctx.st ~name:("_sb_" ^ name) ~args:(plain @ metas)
+  let name = "_sb_" ^ name in
+  Builtins.dispatch ctx.st
+    (List.find (fun (t : Builtins.target) -> t.tg_name = name) Builtins.targets)
+    (plain @ metas)
 
 let call_protected ctx name (args : St.value list) : St.value list =
   match Vm.find_func ctx.ld.Vm.img ("_sb_" ^ name) with

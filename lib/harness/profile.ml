@@ -28,7 +28,7 @@ let profile ?(label = "program") ?(opts = Softbound.Config.default)
     ?(cfg = S.default_config) ?(argv = []) ?(inputs = [])
     ?(with_baseline = true) (m : Ir.modul) : t =
   let m', sites_assigned = Runner.instrument_cached ~opts m in
-  let cfg = { cfg with S.argv; inputs; obs_enabled = true } in
+  let cfg = { cfg with S.argv; inputs } in
   let base = if with_baseline then Some (Interp.Engine.run ~cfg m) else None in
   let run_cfg =
     {

@@ -49,21 +49,7 @@ let range_access st addr len ~is_store =
 (* Wrapper context                                                      *)
 (* ------------------------------------------------------------------ *)
 
-type wctx = {
-  st : t;
-  checked : bool;
-  fname : string;
-  mutable meta : (int * int) list;  (** metadata pairs, in argument order *)
-}
-
-let pop_meta w =
-  if not w.checked then (0, 0)
-  else
-    match w.meta with
-    | m :: rest ->
-        w.meta <- rest;
-        m
-    | [] -> raise (Trap (Runtime_error (w.fname ^ ": missing metadata args")))
+type wctx = { st : t; checked : bool; fname : string }
 
 (** Check a read of [size] bytes — skipped in store-only mode. *)
 let check_read w ~ptr ~meta:(b, e) ~size =
@@ -311,30 +297,121 @@ let scan_double (s : string) : float * int =
     (float_of_string (String.sub s mstart (!i - mstart)), !i)
   end
 
-(** C prototypes of all builtins, keyed by base name (both plain and
-    wrapper forms resolve here).  Built once per process and read-only
-    afterwards, so every VM and domain shares it. *)
-let table : (string, C.fsig) Hashtbl.t = Hashtbl.create 128
+(* ------------------------------------------------------------------ *)
+(* Call targets                                                         *)
+(* ------------------------------------------------------------------ *)
 
-let () =
-  List.iter
-    (fun (n, sg) -> Hashtbl.replace table n sg)
+(* The transformation renames every instrumented function and every libc
+   entry point to an [_sb_] form that takes base/bound arguments (paper
+   section 5.2).  A callee name is decoded once, into a {!target}, when a
+   module image is built; both engines, the wrappers, the
+   function-pointer signature check and the adversarial harness read
+   that record instead of the name. *)
+
+(** The libc entry points the VM runs itself, because they transfer
+    control or call back into the program. *)
+type control = Setjmp | Longjmp | Qsort | Bsearch
+
+(** [_sb_free_withmeta] also clears the freed block's metadata;
+    [_sb_memcpy_nometa] and [_sb_memmove_nometa] copy no metadata. *)
+type variant = Plain | Free_meta | No_meta
+
+type libc = {
+  lc_base : string;  (** prototype name: [free] for [_sb_free_withmeta] *)
+  lc_variant : variant;
+  lc_n_fixed : int;
+      (** prototype parameters, plus [va_ptr] and [va_count] when
+          variadic; metadata arguments follow these *)
+  lc_meta_args : bool array;
+      (** per fixed argument: a pointer, whose metadata pair a wrapper
+          call appends *)
+  lc_sig_hash : int;
+      (** {!Ir.sig_hash} of the form called, for the function-pointer
+          signature check *)
+  lc_control : control option;
+}
+
+type kind =
+  | Func of int  (** a module function: its index in definition order *)
+  | Libc of libc
+  | Undefined
+
+type target = { tg_name : string; tg_checked : bool; tg_kind : kind }
+
+(** Split the [_sb_] prefix off a callee name. *)
+let split_checked name =
+  if String.length name > 4 && String.sub name 0 4 = "_sb_" then
+    (true, String.sub name 4 (String.length name - 4))
+  else (false, name)
+
+let func_target name index =
+  { tg_name = name; tg_checked = fst (split_checked name); tg_kind = Func index }
+
+let libc_of ~checked ~variant base (proto : C.fsig) : libc =
+  let kind t =
+    match C.resolve dummy_env t with
+    | C.Tptr _ | C.Tarray _ | C.Tfunc _ -> Ir.P
+    | C.Tfloat C.FFloat -> Ir.F32
+    | C.Tfloat C.FDouble -> Ir.F64
+    | _ -> Ir.I64
+  in
+  let fixed =
+    List.map kind proto.C.params
+    @ if proto.C.variadic then [ Ir.P; Ir.I64 ] else []
+  in
+  let cargs =
+    if checked then
+      fixed @ List.concat_map (fun t -> if t = Ir.P then [ Ir.P; Ir.P ] else []) fixed
+    else fixed
+  in
+  let crets =
+    match C.resolve dummy_env proto.C.ret with
+    | C.Tvoid -> []
+    | t -> (
+        match kind t with Ir.P when checked -> [ Ir.P; Ir.P; Ir.P ] | t -> [ t ])
+  in
+  {
+    lc_base = base;
+    lc_variant = variant;
+    lc_n_fixed = List.length fixed;
+    lc_meta_args = Array.of_list (List.map (fun t -> t = Ir.P) fixed);
+    lc_sig_hash = Ir.sig_hash { Ir.cargs; crets; cvariadic = proto.C.variadic };
+    lc_control =
+      (match base with
+      | "setjmp" -> Some Setjmp
+      | "longjmp" -> Some Longjmp
+      | "qsort" -> Some Qsort
+      | "bsearch" -> Some Bsearch
+      | _ -> None);
+  }
+
+(** Decode a callee name that no module function answers to: a libc
+    entry point, plain or [_sb_] form, or an undefined function. *)
+let decode name : target =
+  let checked, base = split_checked name in
+  let variant, base =
+    if not checked then (Plain, base)
+    else
+      match base with
+      | "free_withmeta" -> (Free_meta, "free")
+      | "memcpy_nometa" -> (No_meta, "memcpy")
+      | "memmove_nometa" -> (No_meta, "memmove")
+      | b -> (Plain, b)
+  in
+  let kind =
+    match List.assoc_opt base Cminus.Builtins.functions with
+    | Some proto -> Libc (libc_of ~checked ~variant base proto)
+    | None -> Undefined
+  in
+  { tg_name = name; tg_checked = checked; tg_kind = kind }
+
+(** Every libc entry point, plain and [_sb_] form, in prototype order:
+    the code addresses that follow a module's own functions.  Decoded
+    once per process and shared read-only by every image and domain. *)
+let targets : target list =
+  List.concat_map
+    (fun (n, _) -> [ decode n; decode ("_sb_" ^ n) ])
     Cminus.Builtins.functions
-
-let is_builtin_name name =
-  Hashtbl.mem table name
-  || (String.length name > 4
-     && String.sub name 0 4 = "_sb_"
-     &&
-     let base = String.sub name 4 (String.length name - 4) in
-     let base =
-       match base with
-       | "free_withmeta" -> "free"
-       | "memcpy_nometa" -> "memcpy"
-       | "memmove_nometa" -> "memmove"
-       | b -> b
-     in
-     Hashtbl.mem table base)
 
 (** malloc and friends *)
 let do_malloc w size : int * (int * int) =
@@ -379,55 +456,52 @@ let copy_meta_range w ~dst ~src ~len =
     Array.iteri (fun i (b, e) -> meta_store w.st (dst + (8 * i)) b e) snap
   end
 
-(** Dispatch a builtin call.
+(** Dispatch a call to the libc target [t].
 
-    [checked] marks [_sb_]-prefixed wrapper calls; for those, [args] ends
-    with the metadata pairs for each pointer argument (including the
-    hidden [va_ptr] of variadic calls).  Returns the result values —
-    including result metadata when a checked builtin returns a pointer. *)
-let dispatch st ~(name : string) ~(args : value list) : value list =
-  let checked, base_name =
-    if String.length name > 4 && String.sub name 0 4 = "_sb_" then
-      (true, String.sub name 4 (String.length name - 4))
-    else (false, name)
+    For an [_sb_] wrapper, [args] ends with the metadata pairs for each
+    pointer argument (including the hidden [va_ptr] of variadic calls).
+    Returns the result values — including result metadata when a checked
+    builtin returns a pointer. *)
+let dispatch st (t : target) (args : value list) : value list =
+  let name = t.tg_name and checked = t.tg_checked in
+  let l =
+    match t.tg_kind with
+    | Libc l -> l
+    | Func _ | Undefined ->
+        raise (Trap (Runtime_error ("unknown builtin " ^ name)))
   in
-  let variant, base_name =
-    match base_name with
-    | "free_withmeta" -> (`Free_meta, "free")
-    | "memcpy_nometa" -> (`No_meta, "memcpy")
-    | "memmove_nometa" -> (`No_meta, "memmove")
-    | b -> (`Plain, b)
-  in
-  let sg =
-    match Hashtbl.find_opt table base_name with
-    | Some sg -> sg
-    | None -> raise (Trap (Runtime_error ("unknown builtin " ^ name)))
-  in
+  let base_name = l.lc_base and variant = l.lc_variant in
   (* split plain args from metadata args *)
-  let n_fixed =
-    List.length sg.C.params + if sg.C.variadic then 2 else 0
+  let all = Array.of_list args in
+  let n_plain = Int.min l.lc_n_fixed (Array.length all) in
+  let n_meta = Array.length all - n_plain in
+  let meta_int i =
+    match all.(n_plain + i) with
+    | VI v -> v
+    | VF _ -> raise (Trap (Runtime_error (name ^ ": malformed metadata args")))
   in
-  let plain = List.filteri (fun i _ -> i < n_fixed) args in
-  let meta_vals = List.filteri (fun i _ -> i >= n_fixed) args in
-  let rec pair = function
-    | [] -> []
-    | VI b :: VI e :: rest -> (b, e) :: pair rest
-    | _ -> raise (Trap (Runtime_error (name ^ ": malformed metadata args")))
-  in
-  let w = { st; checked; fname = name; meta = pair meta_vals } in
-  let plain_arr = Array.of_list plain in
+  if n_meta land 1 = 1 then
+    raise (Trap (Runtime_error (name ^ ": malformed metadata args")));
+  for i = 0 to n_meta - 1 do
+    ignore (meta_int i)
+  done;
+  let w = { st; checked; fname = name } in
+  let plain_arr = Array.sub all 0 n_plain in
   let int_args = Array.map as_int plain_arr in
   (* bind pointer-arg metadata in order *)
-  let metas =
-    List.map
-      (fun ty ->
-        match C.resolve dummy_env ty with
-        | C.Tptr _ -> pop_meta w
-        | _ -> (0, 0))
-      (sg.C.params @ if sg.C.variadic then [ C.Tptr C.Tvoid; C.Tint C.ILong ]
-                     else [])
-    |> Array.of_list
-  in
+  let metas = Array.make l.lc_n_fixed (0, 0) in
+  if checked then begin
+    let next = ref 0 in
+    Array.iteri
+      (fun i is_ptr ->
+        if is_ptr then begin
+          if !next >= n_meta then
+            raise (Trap (Runtime_error (name ^ ": missing metadata args")));
+          metas.(i) <- (meta_int !next, meta_int (!next + 1));
+          next := !next + 2
+        end)
+      l.lc_meta_args
+  end;
   let meta_of i = metas.(i) in
   let argi i = int_args.(i) in
   let argf i = as_float plain_arr.(i) in
@@ -469,7 +543,7 @@ let dispatch st ~(name : string) ~(args : value list) : value list =
                 the block was resized in place) *)
              (match old_size with
              | Some osz when w.checked && a <> old ->
-                 copy_meta_range w ~dst:a ~src:old ~len:(min osz size)
+                 copy_meta_range w ~dst:a ~src:old ~len:(Int.min osz size)
              | _ -> ());
              ret_ptr a (a, a + size)
        with Machine.Heap.Bad_free a -> raise (Trap (Bad_free a)))
@@ -479,7 +553,7 @@ let dispatch st ~(name : string) ~(args : value list) : value list =
          bounds (size-0 containment check): a forged pointer carrying
          unrelated metadata cannot retire somebody else's live block *)
       if p <> 0 then check_write w ~ptr:p ~meta:(meta_of 0) ~size:0;
-      do_free w ~with_meta:(variant = `Free_meta) p;
+      do_free w ~with_meta:(variant = Free_meta) p;
       ret0
   (* ---- memory ---- *)
   | "memcpy" | "memmove" ->
@@ -492,7 +566,7 @@ let dispatch st ~(name : string) ~(args : value list) : value list =
       range_access st dst len ~is_store:true;
       Mem.blit st.mem ~src ~dst ~len;
       charge st (Cost.bulk_cost len);
-      if variant <> `No_meta then copy_meta_range w ~dst ~src ~len;
+      if variant <> No_meta then copy_meta_range w ~dst ~src ~len;
       ret_ptr dst (meta_of 0)
   | "memset" ->
       let dst = argi 0 and v = argi 1 and len = argi 2 in
@@ -535,14 +609,14 @@ let dispatch st ~(name : string) ~(args : value list) : value list =
       charge st (Cost.bulk_cost (len + 1));
       ret_ptr dst (meta_of 0)
   | "strncpy" ->
-      let dst = argi 0 and src = argi 1 and n = max (argi 2) 0 in
+      let dst = argi 0 and src = argi 1 and n = Int.max (argi 2) 0 in
       (* bounded scan: strncpy reads min(strlen+1, n) source bytes and
          must not look past either [n] or the source's bounds — the old
          unbounded scan read past both, and the read check also missed
          the terminator byte when the string is shorter than [n] *)
       let len = checked_strnlen w ~ptr:src ~meta:(meta_of 1) n in
       if n > 0 then check_write w ~ptr:dst ~meta:(meta_of 0) ~size:n;
-      range_access st src (min (len + 1) n) ~is_store:false;
+      range_access st src (Int.min (len + 1) n) ~is_store:false;
       range_access st dst n ~is_store:true;
       Mem.blit st.mem ~src ~dst ~len;
       if len < n then Mem.fill st.mem (dst + len) (n - len) 0;
@@ -563,12 +637,12 @@ let dispatch st ~(name : string) ~(args : value list) : value list =
       charge st (Cost.bulk_cost (dlen + slen + 1));
       ret_ptr dst (meta_of 0)
   | "strncat" ->
-      let dst = argi 0 and src = argi 1 and n = max (argi 2) 0 in
+      let dst = argi 0 and src = argi 1 and n = Int.max (argi 2) 0 in
       let dlen = checked_strlen w ~ptr:dst ~meta:(meta_of 0) in
       let slen = checked_strnlen w ~ptr:src ~meta:(meta_of 1) n in
       check_write w ~ptr:dst ~meta:(meta_of 0) ~size:(dlen + slen + 1);
       range_access st dst (dlen + 1) ~is_store:false;
-      range_access st src (min (slen + 1) n) ~is_store:false;
+      range_access st src (Int.min (slen + 1) n) ~is_store:false;
       range_access st (dst + dlen) (slen + 1) ~is_store:true;
       Mem.blit st.mem ~src ~dst:(dst + dlen) ~len:slen;
       Mem.write_byte st.mem (dst + dlen + slen) 0;
@@ -576,7 +650,7 @@ let dispatch st ~(name : string) ~(args : value list) : value list =
       ret_ptr dst (meta_of 0)
   | "strcmp" | "strncmp" ->
       let a = argi 0 and b = argi 1 in
-      let limit = if base_name = "strncmp" then max (argi 2) 0 else max_int in
+      let limit = if base_name = "strncmp" then Int.max (argi 2) 0 else max_int in
       (* bounded checked scans: neither operand is read past its bounds,
          and strncmp never looks past [limit] — a short compare over an
          unterminated buffer is well-defined, not a scan of what follows *)
@@ -586,9 +660,9 @@ let dispatch st ~(name : string) ~(args : value list) : value list =
       in
       let la = scan a (meta_of 0) in
       let lb = scan b (meta_of 1) in
-      range_access st a (min (la + 1) limit) ~is_store:false;
-      range_access st b (min (lb + 1) limit) ~is_store:false;
-      charge st (Cost.bulk_cost (min (la + 1) limit));
+      range_access st a (Int.min (la + 1) limit) ~is_store:false;
+      range_access st b (Int.min (lb + 1) limit) ~is_store:false;
+      charge st (Cost.bulk_cost (Int.min (la + 1) limit));
       let rec go i =
         if i >= limit then 0
         else
@@ -786,7 +860,7 @@ let dispatch st ~(name : string) ~(args : value list) : value list =
       match State.next_input_line st with
       | None -> [ vi (-1) ]
       | Some line ->
-          let n = min (String.length line) (max 0 (cap - 1)) in
+          let n = Int.min (String.length line) (Int.max 0 (cap - 1)) in
           check_write w ~ptr:buf ~meta:(meta_of 0) ~size:(n + 1);
           range_access st buf (n + 1) ~is_store:true;
           Mem.write_string st.mem buf (String.sub line 0 n);

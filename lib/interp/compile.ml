@@ -736,9 +736,10 @@ let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
       in
       match callee with
       | Ir.Func name -> (
-          (* direct call: classify the target once, at compile time *)
-          match Vm.resolve img name with
-          | Vm.RFunc fe ->
+          (* direct call: resolve the target once, at compile time *)
+          match Vm.callee img name with
+          | { tg_kind = Func i; _ } ->
+              let fe = img.Vm.im_funcs.(i) in
               let params =
                 if nargs = Array.length fe.Vm.fe_params then
                   Array.map (vreg fe.Vm.fe_func) fe.Vm.fe_params
@@ -748,12 +749,11 @@ let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
                 tick ld.st;
                 fr.fr_inst <- nexti;
                 call ld fr fe params
-          | r ->
+          | t ->
               fun ld fr ->
                 tick ld.st;
                 fr.fr_inst <- nexti;
-                Vm.dispatch_resolved ld ~name ~argvals:(source_values fr ss)
-                  ~rets r;
+                Vm.dispatch_call ld t ~argvals:(source_values fr ss) ~rets;
                 finish ld fr)
       | op ->
           let ic = ev_int f op in
@@ -761,15 +761,13 @@ let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
             tick ld.st;
             fr.fr_inst <- nexti;
             let v = ic fr in
-            match Vm.describe_code_value ld v with
-            | Some name -> (
-                match Vm.resolve ld.img name with
-                | Vm.RFunc fe ->
-                    call ld fr fe (Array.unsafe_get c_funcs fe.Vm.fe_index).params
-                | r ->
-                    Vm.dispatch_resolved ld ~name
-                      ~argvals:(source_values fr ss) ~rets r;
-                    finish ld fr)
+            match Vm.target_at ld v with
+            | Some { tg_kind = Func i; _ } ->
+                call ld fr img.Vm.im_funcs.(i)
+                  (Array.unsafe_get c_funcs i).params
+            | Some t ->
+                Vm.dispatch_call ld t ~argvals:(source_values fr ss) ~rets;
+                finish ld fr
             | None ->
                 raise
                   (Trap
@@ -912,16 +910,11 @@ let reenter comp (ld : Vm.loaded) (fe : Vm.fentry) (args : value list) :
 
 let compile_image (img : Vm.image) : compiled =
   let c_funcs =
-    Array.make
-      (List.length img.Vm.im_modul.Ir.mfunc_order)
-      { chains = [||]; params = [||] }
+    Array.make (Array.length img.Vm.im_funcs) { chains = [||]; params = [||] }
   in
-  Hashtbl.iter
-    (fun _ r ->
-      match r with
-      | Vm.RFunc fe -> c_funcs.(fe.Vm.fe_index) <- compile_func img c_funcs fe
-      | _ -> ())
-    img.Vm.im_resolved;
+  Array.iteri
+    (fun i fe -> c_funcs.(i) <- compile_func img c_funcs fe)
+    img.Vm.im_funcs;
   { c_funcs }
 
 let compiled_for (ld : Vm.loaded) : compiled =

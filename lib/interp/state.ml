@@ -274,9 +274,6 @@ type config = {
       (** store-only checking mode: runtime wrappers skip read checks
           (the transformation independently omits load checks) *)
   checker : checker option;
-  obs_enabled : bool;
-      (** collect per-site observability counters (never affects
-          simulated cycle counts; disable with [--no-obs]) *)
   trace_depth : int;
       (** ring-buffer capacity for the last-N safety-relevant events
           ([--trace=N]); 0 disables tracing *)
@@ -301,7 +298,6 @@ let default_config =
     meta = None;
     store_only = false;
     checker = None;
-    obs_enabled = true;
     trace_depth = 0;
     inputs = [];
     argv = [];
@@ -402,8 +398,7 @@ let charge st c = st.stats.cycles <- st.stats.cycles + c
 let cache_access st addr =
   let penalty = Machine.Cache.access st.cache addr in
   charge st penalty;
-  if st.cfg.obs_enabled then
-    Obs.record_cache st.obs (L.segment_of addr) ~hit:(penalty = 0)
+  Obs.record_cache st.obs (L.segment_of addr) ~hit:(penalty = 0)
 
 (** A program-level read of [size] bytes at [addr]: validity check,
     checker event, accounting. *)
@@ -628,12 +623,10 @@ let meta_load ?(site = 0) st addr : int * int =
         cache_access st (addr + 8);
         shadow_read st addr
   in
-  if st.cfg.obs_enabled then begin
-    Obs.record_op st.obs Obs.KMetaLoad ~site ~cycles:(st.stats.cycles - cy0);
-    if Obs.trace_on st.obs then
-      Obs.trace_event st.obs
-        (Obs.E_meta_load { site; addr; base = mb; bound = me })
-  end;
+  Obs.record_op st.obs Obs.KMetaLoad ~site ~cycles:(st.stats.cycles - cy0);
+  if Obs.trace_on st.obs then
+    Obs.trace_event st.obs
+      (Obs.E_meta_load { site; addr; base = mb; bound = me });
   res
 
 let meta_store ?(site = 0) st addr base bound : unit =
@@ -661,11 +654,9 @@ let meta_store ?(site = 0) st addr base bound : unit =
       charge st Cost.wide_update;
       cache_access st (addr + 8);
       shadow_write st addr base bound);
-  if st.cfg.obs_enabled then begin
-    Obs.record_op st.obs Obs.KMetaStore ~site ~cycles:(st.stats.cycles - cy0);
-    if Obs.trace_on st.obs then
-      Obs.trace_event st.obs (Obs.E_meta_store { site; addr; base; bound })
-  end
+  Obs.record_op st.obs Obs.KMetaStore ~site ~cycles:(st.stats.cycles - cy0);
+  if Obs.trace_on st.obs then
+    Obs.trace_event st.obs (Obs.E_meta_store { site; addr; base; bound })
 
 (** Observer-only metadata read: no cycle accounting, no cache traffic
     and no observability events.  For harness-side integrity oracles
@@ -687,12 +678,9 @@ let sb_check ?(site = 0) st ~where ~ptr ~base ~bound ~size =
   let cy0 = st.stats.cycles in
   charge st Cost.check;
   let ok = not (ptr < base || ptr + size > bound) in
-  if st.cfg.obs_enabled then begin
-    Obs.record_op st.obs Obs.KCheck ~site ~cycles:(st.stats.cycles - cy0);
-    if Obs.trace_on st.obs then
-      Obs.trace_event st.obs
-        (Obs.E_check { site; addr = ptr; base; bound; size; ok })
-  end;
+  Obs.record_op st.obs Obs.KCheck ~site ~cycles:(st.stats.cycles - cy0);
+  if Obs.trace_on st.obs then
+    Obs.trace_event st.obs (Obs.E_check { site; addr = ptr; base; bound; size; ok });
   if not ok then
     raise (Trap (Bounds_violation { addr = ptr; base; bound; size; where }))
 
@@ -728,13 +716,10 @@ let sb_check_span ?(site = 0) ?(sites = [||]) st ~where ~first ~count ~stride
     else None
   in
   let ok = fail_k = None in
-  if st.cfg.obs_enabled then begin
-    Obs.record_op st.obs Obs.KCheck ~site ~cycles:(st.stats.cycles - cy0);
-    if Obs.trace_on st.obs then
-      Obs.trace_event st.obs
-        (Obs.E_check_span { site; first; count; stride; width; base; bound;
-                            ok })
-  end;
+  Obs.record_op st.obs Obs.KCheck ~site ~cycles:(st.stats.cycles - cy0);
+  if Obs.trace_on st.obs then
+    Obs.trace_event st.obs
+      (Obs.E_check_span { site; first; count; stride; width; base; bound; ok });
   match fail_k with
   | None -> ()
   | Some k ->
@@ -743,7 +728,7 @@ let sb_check_span ?(site = 0) ?(sites = [||]) st ~where ~first ~count ~stride
       (* also trace the failing element as a plain check event, with its
          original per-access site: a trapping --trace dump then ends on
          the same line as the unwidened run's *)
-      if st.cfg.obs_enabled && Obs.trace_on st.obs then
+      if Obs.trace_on st.obs then
         Obs.trace_event st.obs
           (Obs.E_check
              { site = fsite; addr; base; bound; size = width; ok = false });

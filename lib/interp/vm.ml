@@ -35,18 +35,6 @@ type fentry = {
           kinds, for the dynamic function-pointer signature check *)
 }
 
-(** What a call target resolves to — computed once per distinct name
-    instead of re-classifying (prefix tests, prototype-list walks) on
-    every call.  The [bool] is the [_sb_] checked-wrapper flag. *)
-type resolution =
-  | RFunc of fentry
-  | RSetjmp of bool
-  | RLongjmp of bool
-  | RQsort of bool
-  | RBsearch of bool
-  | RBuiltin of bool
-  | RUndefined of bool
-
 (** Engine-specific code hung off an image: the threaded-code engine
     attaches its compiled chains here.  An extensible variant keeps this
     module independent of the compiler's types. *)
@@ -61,103 +49,22 @@ type attached += No_code
     [im_code], exactly once, under the image lock. *)
 type image = {
   im_modul : Ir.modul;  (** cache key, compared physically *)
-  im_func_names : string array;
-      (** code-address index -> name: the module's functions in
+  im_funcs : fentry array;  (** the module's functions, in definition order *)
+  im_targets : Builtins.target array;
+      (** code-address index -> call target: the module's functions in
           definition order, then the builtins the module does not
           define, plain and [_sb_] form *)
+  im_callees : (string, Builtins.target) Hashtbl.t;
+      (** name -> call target, for the module's functions and every
+          direct callee *)
   im_globals : (string, int * int) Hashtbl.t;  (** name -> (addr, size) *)
   im_globals_size : int;
       (** bytes of the globals segment in use, alignment included *)
   im_inits : (int * Ir.gval) array;
       (** initializer writes in order, at absolute addresses; address
           initializers are already folded to [GInt (addr, 8)] *)
-  im_resolved : (string, resolution) Hashtbl.t;
-      (** the module's functions and every direct callee; other names
-          are classified on each use, see {!resolve} *)
   im_code : attached Atomic.t;
 }
-
-(** Classify a call target that is not a module function. *)
-let classify name : resolution =
-  let checked = String.length name > 4 && String.sub name 0 4 = "_sb_" in
-  let base =
-    if checked then String.sub name 4 (String.length name - 4) else name
-  in
-  match base with
-  | "setjmp" -> RSetjmp checked
-  | "longjmp" -> RLongjmp checked
-  | "qsort" -> RQsort checked
-  | "bsearch" -> RBsearch checked
-  | _ ->
-      if Builtins.is_builtin_name name then RBuiltin checked
-      else RUndefined checked
-
-(** Signature hash of a builtin's wrapper (or plain) form, derived from
-    its C prototype; [None] for names that are not builtins. *)
-let builtin_sig_hash (name : string) : int option =
-  let checked = String.length name > 4 && String.sub name 0 4 = "_sb_" in
-  let base =
-    if checked then String.sub name 4 (String.length name - 4) else name
-  in
-  let base =
-    match base with
-    | "free_withmeta" -> "free"
-    | "memcpy_nometa" -> "memcpy"
-    | "memmove_nometa" -> "memmove"
-    | b -> b
-  in
-  match Hashtbl.find_opt Builtins.table base with
-  | None -> None
-  | Some sg ->
-      let dummy = Cminus.Ctypes.create_env () in
-      let ity_of t =
-        match Cminus.Ctypes.resolve dummy t with
-        | Cminus.Ctypes.Tptr _ | Cminus.Ctypes.Tarray _
-        | Cminus.Ctypes.Tfunc _ ->
-            Ir.P
-        | Cminus.Ctypes.Tfloat Cminus.Ctypes.FFloat -> Ir.F32
-        | Cminus.Ctypes.Tfloat Cminus.Ctypes.FDouble -> Ir.F64
-        | _ -> Ir.I64
-      in
-      let cargs = List.map ity_of sg.Cminus.Ctypes.params in
-      let cargs =
-        if sg.Cminus.Ctypes.variadic then cargs @ [ Ir.P; Ir.I64 ] else cargs
-      in
-      let cargs =
-        if checked then
-          cargs
-          @ List.concat_map
-              (fun t -> if t = Ir.P then [ Ir.P; Ir.P ] else [])
-              cargs
-        else cargs
-      in
-      let crets =
-        match Cminus.Ctypes.resolve dummy sg.Cminus.Ctypes.ret with
-        | Cminus.Ctypes.Tvoid -> []
-        | t -> (
-            match ity_of t with
-            | Ir.P when checked -> [ Ir.P; Ir.P; Ir.P ]
-            | t -> [ t ])
-      in
-      Some
-        (Ir.sig_hash { Ir.cargs; crets; cvariadic = sg.Cminus.Ctypes.variadic })
-
-(** Builtins get code addresses too (so &strcmp etc. are callable): every
-    builtin, plain and [_sb_] form.  Their classifications and signature
-    hashes are module-independent, so they are computed once per process
-    and shared read-only. *)
-let builtin_names : string list =
-  List.concat_map (fun (n, _) -> [ n; "_sb_" ^ n ]) Cminus.Builtins.functions
-
-let builtin_resolutions : (string, resolution) Hashtbl.t =
-  let t = Hashtbl.create 256 in
-  List.iter (fun n -> Hashtbl.replace t n (classify n)) builtin_names;
-  t
-
-let builtin_sig_hashes : (string, int option) Hashtbl.t =
-  let t = Hashtbl.create 256 in
-  List.iter (fun n -> Hashtbl.replace t n (builtin_sig_hash n)) builtin_names;
-  t
 
 (* --- pre-decode: resolve name-valued operands to addresses --- *)
 
@@ -209,10 +116,22 @@ let build_image (m : Ir.modul) : image =
   let func_index = Hashtbl.create (2 * (n_funcs + 64)) in
   List.iteri (fun i n -> Hashtbl.replace func_index n i) m.Ir.mfunc_order;
   let builtins =
-    List.filter (fun n -> not (Hashtbl.mem func_index n)) builtin_names
+    List.filter
+      (fun (t : Builtins.target) -> not (Hashtbl.mem func_index t.tg_name))
+      Builtins.targets
   in
-  let func_names = Array.of_list (m.Ir.mfunc_order @ builtins) in
-  Array.iteri (fun i n -> Hashtbl.replace func_index n i) func_names;
+  let targets =
+    Array.of_list
+      (List.mapi (fun i n -> Builtins.func_target n i) m.Ir.mfunc_order
+      @ builtins)
+  in
+  Array.iteri
+    (fun i (t : Builtins.target) -> Hashtbl.replace func_index t.tg_name i)
+    targets;
+  let callees = Hashtbl.create (2 * n_funcs) in
+  for i = 0 to n_funcs - 1 do
+    Hashtbl.replace callees targets.(i).tg_name targets.(i)
+  done;
   (* lay out globals: addresses first, then initializers, which may
      reference other globals' addresses *)
   let globals = Hashtbl.create 16 in
@@ -242,54 +161,57 @@ let build_image (m : Ir.modul) : image =
           g.Ir.ginit)
       m.Ir.mglobals
   in
-  let resolved = Hashtbl.create (2 * n_funcs) in
   let resolve = resolve_operand globals func_index in
-  Ir.iter_funcs m (fun f ->
-      let fe =
-        {
-          fe_func = f;
-          fe_code =
-            Array.map
-              (fun (b : Ir.block) ->
-                Array.of_list (List.map (predecode_inst resolve) b.Ir.insts))
-              f.Ir.fblocks;
-          fe_terms =
-            Array.map
-              (fun (b : Ir.block) ->
-                predecode resolve Ir.map_term_operands b.Ir.term)
-              f.Ir.fblocks;
-          fe_params = Array.of_list (List.map fst f.Ir.fparams);
-          fe_index = Hashtbl.find func_index f.Ir.fname;
-          fe_addr = L.func_addr (Hashtbl.find func_index f.Ir.fname);
-          fe_sig =
-            Ir.sig_hash
-              {
-                Ir.cargs = List.map snd f.Ir.fparams;
-                crets = f.Ir.frets;
-                cvariadic = f.Ir.fvariadic;
-              };
-        }
-      in
-      Hashtbl.replace resolved f.Ir.fname (RFunc fe));
-  (* classify the direct callees that are not module functions *)
+  let entry i name =
+    let f = Hashtbl.find m.Ir.mfuncs name in
+    {
+      fe_func = f;
+      fe_code =
+        Array.map
+          (fun (b : Ir.block) ->
+            Array.of_list (List.map (predecode_inst resolve) b.Ir.insts))
+          f.Ir.fblocks;
+      fe_terms =
+        Array.map
+          (fun (b : Ir.block) -> predecode resolve Ir.map_term_operands b.Ir.term)
+          f.Ir.fblocks;
+      fe_params = Array.of_list (List.map fst f.Ir.fparams);
+      fe_index = i;
+      fe_addr = L.func_addr i;
+      fe_sig =
+        Ir.sig_hash
+          {
+            Ir.cargs = List.map snd f.Ir.fparams;
+            crets = f.Ir.frets;
+            cvariadic = f.Ir.fvariadic;
+          };
+    }
+  in
+  let funcs = Array.of_list (List.mapi entry m.Ir.mfunc_order) in
+  (* the direct callees: a builtin's target is the one at its code
+     address; only a name without one is decoded here *)
   Ir.iter_funcs m (fun f ->
       Array.iter
         (fun (b : Ir.block) ->
           List.iter
             (function
               | Ir.Call { callee = Ir.Func n; _ }
-                when not (Hashtbl.mem resolved n) ->
-                  Hashtbl.replace resolved n (classify n)
+                when not (Hashtbl.mem callees n) ->
+                  Hashtbl.replace callees n
+                    (match Hashtbl.find_opt func_index n with
+                    | Some i -> targets.(i)
+                    | None -> Builtins.decode n)
               | _ -> ())
             b.Ir.insts)
         f.Ir.fblocks);
   {
     im_modul = m;
-    im_func_names = func_names;
+    im_funcs = funcs;
+    im_targets = targets;
+    im_callees = callees;
     im_globals = globals;
     im_globals_size = brk - L.globals_base;
     im_inits = Array.of_list inits;
-    im_resolved = resolved;
     im_code = Atomic.make No_code;
   }
 
@@ -346,22 +268,16 @@ let attached_code (img : image) (build : unit -> attached) : attached =
           | c -> c)
   | c -> c
 
+(** The call target named [name]; every module function and every
+    direct callee has one. *)
+let callee (img : image) (name : string) : Builtins.target =
+  Hashtbl.find img.im_callees name
+
 (** A module function of the image, if [name] is one. *)
 let find_func (img : image) (name : string) : fentry option =
-  match Hashtbl.find_opt img.im_resolved name with
-  | Some (RFunc fe) -> Some fe
+  match Hashtbl.find_opt img.im_callees name with
+  | Some { tg_kind = Func i; _ } -> Some img.im_funcs.(i)
   | _ -> None
-
-(** Resolve a call target.  Read-only: module functions, direct callees
-    and builtins are looked up; any other name (an indirect call to an
-    undefined function) is classified afresh. *)
-let resolve (img : image) (name : string) : resolution =
-  match Hashtbl.find_opt img.im_resolved name with
-  | Some r -> r
-  | None -> (
-      match Hashtbl.find_opt builtin_resolutions name with
-      | Some r -> r
-      | None -> classify name)
 
 (* ------------------------------------------------------------------ *)
 (* Loading                                                              *)
@@ -408,9 +324,7 @@ let create ?(cfg = default_config) (m : Ir.modul) : loaded =
       heap = Machine.Heap.create mem;
       cache = Machine.Cache.create ();
       stats = mk_stats ();
-      obs =
-        Obs.create ~enabled:cfg.obs_enabled
-          ~trace_depth:(if cfg.obs_enabled then cfg.trace_depth else 0) ();
+      obs = Obs.create ~trace_depth:cfg.trace_depth ();
       sp = L.stack_top;
       stack = Array.make 16 no_frame;
       n_frames = 0;
@@ -792,13 +706,17 @@ let push_call ld (fe : fentry) (args : value list) (ret_regs : Ir.reg list) :
   let fr = push_frame ld fe ~nargs:(List.length args) ret_regs in
   List.iteri (fun i v -> reg_set fr fe.fe_params.(i) v) args
 
-let describe_code_value ld v =
+(** The call target at code address [v], if [v] is one. *)
+let target_at ld v : Builtins.target option =
   if L.is_function_addr v then begin
-    let names = ld.img.im_func_names in
+    let targets = ld.img.im_targets in
     let idx = L.func_index v in
-    if idx >= 0 && idx < Array.length names then Some names.(idx) else None
+    if idx >= 0 && idx < Array.length targets then Some targets.(idx) else None
   end
   else None
+
+let describe_code_value ld v =
+  match target_at ld v with Some t -> Some t.tg_name | None -> None
 
 (** Pop the top frame, up to handing over its return values: charge the
     return, verify the control data read back from simulated memory,
@@ -1039,9 +957,9 @@ let exec_sortsearch ld ~checked ~is_bsearch (argvals : value list)
               { addr = cmp; base = fst cmp_meta; bound = snd cmp_meta;
                 size = 0; where = "qsort/bsearch (function pointer check)" }))
   end;
-  let cmp_name =
-    match describe_code_value ld cmp with
-    | Some name -> name
+  let cmp_target =
+    match target_at ld cmp with
+    | Some t -> t
     | None ->
         raise
           (Trap
@@ -1050,11 +968,15 @@ let exec_sortsearch ld ~checked ~is_bsearch (argvals : value list)
   (* resolve the comparator once; _sb_-convention targets (transformed
      module functions and wrapper builtins alike) receive per-element
      bounds after the two element pointers *)
-  let cmp_func = find_func ld.img cmp_name in
+  let cmp_func =
+    match cmp_target.tg_kind with
+    | Func i -> Some ld.img.im_funcs.(i)
+    | Libc _ | Undefined -> None
+  in
   let wants_meta =
     match cmp_func with
     | Some fe -> Array.length fe.fe_params = 6
-    | None -> String.length cmp_name > 4 && String.sub cmp_name 0 4 = "_sb_"
+    | None -> cmp_target.tg_checked
   in
   let qsort_depth = st.n_frames in
   (* snapshot the caller's identity and program point: a longjmp out of
@@ -1078,7 +1000,7 @@ let exec_sortsearch ld ~checked ~is_bsearch (argvals : value list)
           match ld.reenter with
           | Some f -> f ld fe args
           | None -> !call_function_fwd ld fe args)
-      | None -> Builtins.dispatch st ~name:cmp_name ~args
+      | None -> Builtins.dispatch st cmp_target args
     in
     (* a longjmp out of the comparator would leave this sort running
        against an unwound (or redirected) stack; C calls that undefined,
@@ -1165,14 +1087,14 @@ let exec_sortsearch ld ~checked ~is_bsearch (argvals : value list)
     sort 0 (n - 1)
   end
 
-let rec exec_call ld (fr : frame) ~rets ~callee ~args : unit =
+let rec exec_call ld (fr : frame) ~rets ~callee:c ~args : unit =
   let argvals = List.map (eval fr) args in
-  match callee with
-  | Ir.Func name -> dispatch_call ld ~name ~argvals ~rets
+  match c with
+  | Ir.Func name -> dispatch_call ld (callee ld.img name) ~argvals ~rets
   | op -> (
       let v = eval_int fr op in
-      match describe_code_value ld v with
-      | Some name -> dispatch_call ld ~name ~argvals ~rets
+      match target_at ld v with
+      | Some t -> dispatch_call ld t ~argvals ~rets
       | None ->
           raise
             (Trap
@@ -1180,43 +1102,37 @@ let rec exec_call ld (fr : frame) ~rets ~callee ~args : unit =
                   (Printf.sprintf "indirect call to non-function address 0x%x"
                      v))))
 
-and dispatch_call ld ~name ~argvals ~rets : unit =
-  dispatch_resolved ld ~name ~argvals ~rets (resolve ld.img name)
-
-(** Dispatch a call whose target classification is already in hand — the
-    threaded-code compiler resolves direct callees once at compile time
-    and jumps straight here from the call closure. *)
-and dispatch_resolved ld ~name ~argvals ~rets (r : resolution) : unit =
+(** Call [t] with [argvals], shared by both engines: the threaded-code
+    compiler resolves direct callees once at compile time and jumps
+    straight here from the call closure. *)
+and dispatch_call ld (t : Builtins.target) ~argvals ~rets : unit =
   let st = ld.st in
-  match r with
-  | RFunc fe ->
+  match t.tg_kind with
+  | Func i ->
       (* the caller's saved position already points past the call *)
-      push_call ld fe argvals rets
-  | special ->
-      let checked =
-        match special with
-        | RSetjmp c | RLongjmp c | RQsort c | RBsearch c | RBuiltin c
-        | RUndefined c ->
-            c
-        | RFunc _ -> false
-      in
+      push_call ld ld.img.im_funcs.(i) argvals rets
+  | kind ->
+      let checked = t.tg_checked and name = t.tg_name in
       let go () =
-        match special with
-        | RSetjmp _ -> exec_setjmp ld ~checked argvals rets
-        | RLongjmp _ -> exec_longjmp ld ~checked argvals
-        | RQsort _ -> exec_sortsearch ld ~checked ~is_bsearch:false argvals rets
-        | RBsearch _ ->
+        match kind with
+        | Libc { lc_control = Some Setjmp; _ } ->
+            exec_setjmp ld ~checked argvals rets
+        | Libc { lc_control = Some Longjmp; _ } ->
+            exec_longjmp ld ~checked argvals
+        | Libc { lc_control = Some Qsort; _ } ->
+            exec_sortsearch ld ~checked ~is_bsearch:false argvals rets
+        | Libc { lc_control = Some Bsearch; _ } ->
             exec_sortsearch ld ~checked ~is_bsearch:true argvals rets
-        | RBuiltin _ ->
+        | Libc { lc_control = None; _ } ->
             let out =
-              try Builtins.dispatch st ~name ~args:argvals
+              try Builtins.dispatch st t argvals
               with Builtins.Exit_program n -> raise (Program_exit n)
             in
             assign_rets (top st) rets out
-        | RFunc _ | RUndefined _ ->
+        | Func _ | Undefined ->
             raise (Trap (Runtime_error ("call to undefined function " ^ name)))
       in
-      if checked && st.cfg.obs_enabled then begin
+      if checked then begin
         (* attribute the wrapper's whole cycle delta (including its
            internal site-0 metadata traffic) to the wrapper by name; the
            context makes site-0 operations "wrapper-attributed" rather
@@ -1237,17 +1153,6 @@ and dispatch_resolved ld ~name ~argvals ~rets (r : resolution) : unit =
 (* The step loop                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Signature hash of a callable, for the dynamic function-pointer
-    signature check.  Module functions hash their (transformed) parameter
-    and return kinds; builtin wrappers hash the extended wrapper
-    signature derived from the C prototype. *)
-let callee_sig_hash ld (name : string) : int option =
-  match find_func ld.img name with
-  | Some fe -> Some fe.fe_sig
-  | None ->
-      (* code addresses only name module functions and builtins *)
-      Option.join (Hashtbl.find_opt builtin_sig_hashes name)
-
 (** The [CheckFptr] dynamic check after operand evaluation, shared by
     both engines: function-pointer encoding check plus the optional
     signature-hash comparison.  [cy0] is the cycle count before the
@@ -1263,19 +1168,21 @@ let check_fptr ld ~fname ~site ~expected_sig ~cy0 pv bv ev : unit =
       | None -> None
       | Some h -> (
           charge st Cost.check;
-          match describe_code_value ld pv with
-          | Some name -> (
-              match callee_sig_hash ld name with
-              | Some h' when h' <> h -> Some name
-              | _ -> None)
-          | None -> None)
+          (* module functions hash their (transformed) parameter and
+             return kinds; builtins the form called, derived from the C
+             prototype *)
+          match target_at ld pv with
+          | Some ({ tg_kind = Func i; _ } as t)
+            when ld.img.im_funcs.(i).fe_sig <> h ->
+              Some t.tg_name
+          | Some ({ tg_kind = Libc l; _ } as t) when l.lc_sig_hash <> h ->
+              Some t.tg_name
+          | _ -> None)
   in
-  if st.cfg.obs_enabled then begin
-    Obs.record_op st.obs Obs.KCheckFptr ~site ~cycles:(st.stats.cycles - cy0);
-    if Obs.trace_on st.obs then
-      Obs.trace_event st.obs
-        (Obs.E_fptr_check { site; addr = pv; ok = ok_addr && sig_mismatch = None })
-  end;
+  Obs.record_op st.obs Obs.KCheckFptr ~site ~cycles:(st.stats.cycles - cy0);
+  if Obs.trace_on st.obs then
+    Obs.trace_event st.obs
+      (Obs.E_fptr_check { site; addr = pv; ok = ok_addr && sig_mismatch = None });
   if not ok_addr then
     raise
       (Trap
@@ -1531,8 +1438,7 @@ type result = {
           related-work schemes' analytic metadata-footprint models *)
   obs : Obs.t;
       (** per-site observability counters and (optionally) the event
-          ring; a disabled collector when the run had [obs_enabled]
-          off *)
+          ring *)
 }
 
 let finish ld outcome : result =

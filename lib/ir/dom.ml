@@ -135,8 +135,6 @@ type loop = {
 let loop_size (l : loop) =
   Array.fold_left (fun acc m -> if m then acc + 1 else acc) 0 l.body
 
-let loop_mem (l : loop) (b : int) = l.body.(b)
-
 (** Natural loops of the CFG: one loop per header, merging the bodies of
     all back edges that share that header, sorted smallest-body-first so
     inner loops come before the loops that enclose them. *)

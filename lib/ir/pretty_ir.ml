@@ -119,11 +119,6 @@ let pp_func buf (f : func) =
       Buffer.add_string buf ("  " ^ str_term b.term ^ "\n"))
     f.fblocks
 
-let dump_func f =
-  let buf = Buffer.create 1024 in
-  pp_func buf f;
-  Buffer.contents buf
-
 let dump_module (m : modul) =
   let buf = Buffer.create 4096 in
   List.iter

@@ -30,13 +30,9 @@ let check = 2
     on the modeled in-order pipeline. *)
 let hash_lookup = 16
 
-let hash_lookup_mem_ops = 3
-
 (** Hash-table metadata update: same addressing arithmetic, three stores
     (tag, base, bound). *)
 let hash_update = 14
-
-let hash_update_mem_ops = 3
 
 (** Collision probe: one extra compare+load+branch round per probe. *)
 let hash_probe = 3
@@ -46,9 +42,7 @@ let hash_probe = 3
     cycle-equivalents. *)
 let shadow_lookup = 6
 
-let shadow_lookup_mem_ops = 2
 let shadow_update = 6
-let shadow_update_mem_ops = 2
 
 (** CGuard-style object-header lookup: the bounds live in a 16-byte
     header placed immediately before the object, so a metadata load is
@@ -56,8 +50,6 @@ let shadow_update_mem_ops = 2
     cheaper than either SoftBound facility but tied to the object, not
     the pointer. *)
 let header_lookup = 4
-
-let header_lookup_mem_ops = 2
 
 (** CGuard-style metadata "update" on a pointer store: the object tag
     travels in the pointer's spare bits, so propagating it is a single
@@ -70,8 +62,6 @@ let header_update = 1
     per-access price of keeping pointers one word wide. *)
 let frame_lookup = 8
 
-let frame_lookup_mem_ops = 2
-
 (** FRAMER tag propagation on a pointer store: the tag rides in the
     pointer's top byte, one mask/or. *)
 let frame_update = 1
@@ -81,12 +71,8 @@ let frame_update = 1
     upper half — one extra load adjacent to the pointer plus a shift. *)
 let wide_lookup = 2
 
-let wide_lookup_mem_ops = 1
-
 (** Writing a wide pointer stores both halves: one extra store. *)
 let wide_update = 2
-
-let wide_update_mem_ops = 1
 
 (** Cost of one libc runtime call's fixed overhead. *)
 let libc_call = 4

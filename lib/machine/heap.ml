@@ -54,7 +54,7 @@ let create mem =
     grabbed_bytes = 0;
   }
 
-let round_cap size = Memory.align_up (max size 1) 16
+let round_cap size = Memory.align_up (Int.max size 1) 16
 
 (** Allocate [size] bytes; returns the payload address, or [None] when the
     simulated heap is exhausted. *)
@@ -92,7 +92,7 @@ let malloc h size =
     | Some (a, bcap) ->
         Hashtbl.replace h.blocks a { baddr = a; bsize = size; bcap; live = true };
         h.live_bytes <- h.live_bytes + size;
-        h.peak_bytes <- max h.peak_bytes h.live_bytes;
+        h.peak_bytes <- Int.max h.peak_bytes h.live_bytes;
         h.total_allocs <- h.total_allocs + 1;
         Some a
   end
@@ -118,7 +118,7 @@ let realloc h addr size =
         if size >= 0 && round_cap size <= b.bcap then begin
           (* grow or shrink in place within the block's capacity *)
           h.live_bytes <- h.live_bytes + size - b.bsize;
-          h.peak_bytes <- max h.peak_bytes h.live_bytes;
+          h.peak_bytes <- Int.max h.peak_bytes h.live_bytes;
           b.bsize <- size;
           Some addr
         end
@@ -126,7 +126,7 @@ let realloc h addr size =
           match malloc h size with
           | None -> None
           | Some a' ->
-              Memory.blit h.mem ~src:addr ~dst:a' ~len:(min b.bsize size);
+              Memory.blit h.mem ~src:addr ~dst:a' ~len:(Int.min b.bsize size);
               free h addr;
               Some a'
         end

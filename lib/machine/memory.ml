@@ -505,7 +505,7 @@ let read_cstring ?(max = 1 lsl 20) m a =
       let p = page_for_read m (addr lsr page_bits) in
       if p == no_page then Buffer.contents buf
       else
-        let avail = min (page_size - off) (max - i) in
+        let avail = Int.min (page_size - off) (max - i) in
         match Bytes.index_from_opt p off '\000' with
         | Some j when j < off + avail ->
             Buffer.add_subbytes buf p off (j - off);
@@ -526,7 +526,7 @@ let write_string m a s =
       let addr = a + i in
       let off = addr land page_mask in
       let p = page_for_write m (addr lsr page_bits) in
-      let n = min (page_size - off) (len - i) in
+      let n = Int.min (page_size - off) (len - i) in
       Bytes.blit_string s i p off n;
       go (i + n)
     end
@@ -553,7 +553,7 @@ let blit m ~src ~dst ~len =
     while !i < len do
       let addr = src + !i in
       let off = addr land page_mask in
-      let n = min (page_size - off) (len - !i) in
+      let n = Int.min (page_size - off) (len - !i) in
       let p = page_for_read m (addr lsr page_bits) in
       if p != no_page then Bytes.blit p off tmp !i n;
       i := !i + n
@@ -562,7 +562,7 @@ let blit m ~src ~dst ~len =
     while !i < len do
       let addr = dst + !i in
       let off = addr land page_mask in
-      let n = min (page_size - off) (len - !i) in
+      let n = Int.min (page_size - off) (len - !i) in
       let p = page_for_write m (addr lsr page_bits) in
       Bytes.blit tmp !i p off n;
       i := !i + n
@@ -580,7 +580,7 @@ let fill m a len v =
     while !i < len do
       let addr = a + !i in
       let off = addr land page_mask in
-      let n = min (page_size - off) (len - !i) in
+      let n = Int.min (page_size - off) (len - !i) in
       let p = page_for_write m (addr lsr page_bits) in
       Bytes.fill p off n c;
       i := !i + n

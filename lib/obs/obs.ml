@@ -2,8 +2,8 @@
    per-segment cache statistics, and a bounded event ring.
 
    The collector is purely observational — it never charges simulated
-   cycles, so every simulated-cost result is bit-identical whether
-   observability is enabled or not.  Cycle *attribution* works by
+   cycles, so recording changes no simulated-cost result.  Cycle
+   *attribution* works by
    difference: the interpreter snapshots its cycle counter around each
    safety-relevant operation and reports the delta here.
 
@@ -128,8 +128,8 @@ let string_of_event = function
 type wrapper_stat = { mutable w_count : int; mutable w_cycles : int }
 
 type t = {
-  enabled : bool;
-  (* per-kind per-site tallies; arrays grow on demand, index = site id *)
+  (* per-kind per-site tallies; arrays grow on demand from empty, index =
+     site id *)
   mutable counts : int array array;  (* [kind].[site] *)
   mutable cycles : int array array;
   wrappers : (string, wrapper_stat) Hashtbl.t;
@@ -152,11 +152,10 @@ type t = {
 
 let dummy_event = E_trap { detail = "" }
 
-let create ?(enabled = true) ?(trace_depth = 0) () =
+let create ?(trace_depth = 0) () =
   {
-    enabled;
-    counts = Array.init n_kinds (fun _ -> Array.make 64 0);
-    cycles = Array.init n_kinds (fun _ -> Array.make 64 0);
+    counts = Array.make n_kinds [||];
+    cycles = Array.make n_kinds [||];
     wrappers = Hashtbl.create 32;
     in_wrapper = None;
     attr_site = 0;
@@ -164,19 +163,16 @@ let create ?(enabled = true) ?(trace_depth = 0) () =
     attr_runtime = 0;
     seg_hits = Array.make L.n_segments 0;
     seg_misses = Array.make L.n_segments 0;
-    ring = (if enabled && trace_depth > 0 then Array.make trace_depth dummy_event
-            else [||]);
-    ring_cap = (if enabled then max 0 trace_depth else 0);
+    ring = (if trace_depth > 0 then Array.make trace_depth dummy_event else [||]);
+    ring_cap = Int.max 0 trace_depth;
     ring_len = 0;
     ring_next = 0;
   }
 
-let disabled = create ~enabled:false ()
-
 let ensure_site t site =
   let k0 = t.counts.(0) in
   if site >= Array.length k0 then begin
-    let cap = ref (Array.length k0) in
+    let cap = ref (Int.max 64 (Array.length k0)) in
     while site >= !cap do
       cap := !cap * 2
     done;
@@ -190,45 +186,39 @@ let ensure_site t site =
   end
 
 let record_op t kind ~site ~cycles =
-  if t.enabled then begin
-    ensure_site t site;
-    let k = kind_index kind in
-    t.counts.(k).(site) <- t.counts.(k).(site) + 1;
-    t.cycles.(k).(site) <- t.cycles.(k).(site) + cycles;
-    if site > 0 then t.attr_site <- t.attr_site + 1
-    else
-      match t.in_wrapper with
-      | Some _ -> t.attr_wrapper <- t.attr_wrapper + 1
-      | None -> t.attr_runtime <- t.attr_runtime + 1
-  end
+  ensure_site t site;
+  let k = kind_index kind in
+  t.counts.(k).(site) <- t.counts.(k).(site) + 1;
+  t.cycles.(k).(site) <- t.cycles.(k).(site) + cycles;
+  if site > 0 then t.attr_site <- t.attr_site + 1
+  else
+    match t.in_wrapper with
+    | Some _ -> t.attr_wrapper <- t.attr_wrapper + 1
+    | None -> t.attr_runtime <- t.attr_runtime + 1
 
 let record_wrapper t name ~cycles =
-  if t.enabled then begin
-    let ws =
-      match Hashtbl.find_opt t.wrappers name with
-      | Some ws -> ws
-      | None ->
-          let ws = { w_count = 0; w_cycles = 0 } in
-          Hashtbl.add t.wrappers name ws;
-          ws
-    in
-    ws.w_count <- ws.w_count + 1;
-    ws.w_cycles <- ws.w_cycles + cycles
-  end
+  let ws =
+    match Hashtbl.find_opt t.wrappers name with
+    | Some ws -> ws
+    | None ->
+        let ws = { w_count = 0; w_cycles = 0 } in
+        Hashtbl.add t.wrappers name ws;
+        ws
+  in
+  ws.w_count <- ws.w_count + 1;
+  ws.w_cycles <- ws.w_cycles + cycles
 
 let set_wrapper t name =
   let prev = t.in_wrapper in
-  if t.enabled then t.in_wrapper <- name;
+  t.in_wrapper <- name;
   prev
 
-let restore_wrapper t prev = if t.enabled then t.in_wrapper <- prev
+let restore_wrapper t prev = t.in_wrapper <- prev
 
 let record_cache t seg ~hit =
-  if t.enabled then begin
-    let i = L.segment_index seg in
-    if hit then t.seg_hits.(i) <- t.seg_hits.(i) + 1
-    else t.seg_misses.(i) <- t.seg_misses.(i) + 1
-  end
+  let i = L.segment_index seg in
+  if hit then t.seg_hits.(i) <- t.seg_hits.(i) + 1
+  else t.seg_misses.(i) <- t.seg_misses.(i) + 1
 
 let trace_on t = t.ring_cap > 0
 

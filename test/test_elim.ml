@@ -62,12 +62,7 @@ let refuses name src =
    cases carry an injected violation), run widen-on vs widen-off under
    a sampled facility.  Outcome, stdout, and the failing check's site id
    must be identical. *)
-let obs_cfg =
-  {
-    Interp.State.default_config with
-    Interp.State.obs_enabled = true;
-    trace_depth = 1 lsl 12;
-  }
+let obs_cfg = { Interp.State.default_config with trace_depth = 1 lsl 12 }
 
 let fail_site (r : Interp.Vm.result) =
   List.fold_left

@@ -275,23 +275,18 @@ let test_image_shared_across_domains () =
 
 (* Loading a module again allocates only the run's own state.  The word
    count is deterministic, so this guards the budget where timings are
-   too noisy to.  A collection inside the measured window distorts
-   [Gc.allocated_bytes], so the least of three loads counts. *)
+   too noisy to.  [Gc.minor_words] counts every word allocated on the
+   minor heap, including what it still holds. *)
 let test_create_allocation_budget () =
   let m = Softbound.instrument (Softbound.compile globals_fptr_source) in
   List.iter
     (fun (fname, fac) ->
       let cfg = protected_cfg fac in
       ignore (Vm.create ~cfg m);
-      let load_words () =
-        Gc.minor ();
-        let a0 = Gc.allocated_bytes () in
-        let ld = Vm.create ~cfg m in
-        let words = int_of_float ((Gc.allocated_bytes () -. a0) /. 8.0) in
-        ignore (Sys.opaque_identity ld);
-        words
-      in
-      let words = min (load_words ()) (min (load_words ()) (load_words ())) in
+      let w0 = Gc.minor_words () in
+      let ld = Vm.create ~cfg m in
+      let words = int_of_float (Gc.minor_words () -. w0) in
+      ignore (Sys.opaque_identity ld);
       if words > 2_000 then
         Alcotest.failf "%s: second Vm.create allocated %d words (budget 2000)"
           fname words)

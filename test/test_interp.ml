@@ -50,6 +50,91 @@ let traps name pred src =
       | Interp.State.Trapped t when pred t -> ()
       | o -> Alcotest.fail (Interp.State.string_of_outcome o))
 
+(* Call targets: both engines share the target table and
+   [Builtins.dispatch], so these pin absolute outcomes and output, under
+   every configuration named, rather than compare engines. *)
+let full_hash =
+  { Softbound.Config.default with
+    Softbound.Config.facility = Softbound.Config.Hash_table }
+
+let fptr_sigs =
+  { Softbound.Config.default with Softbound.Config.fptr_signatures = true }
+
+let call_target name src expected =
+  Alcotest.test_case name `Quick (fun () ->
+      let m = Softbound.compile src in
+      List.iter
+        (fun (tag, opts, outcome, stdout) ->
+          let r =
+            match opts with
+            | None -> Softbound.run_unprotected m
+            | Some opts -> Softbound.run_protected ~opts m
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s [%s] outcome" name tag)
+            outcome
+            (Interp.State.string_of_outcome r.Interp.Vm.outcome);
+          Alcotest.(check string)
+            (Printf.sprintf "%s [%s] stdout" name tag)
+            stdout r.Interp.Vm.stdout_text)
+        expected)
+
+let undefined_callee = "int foo(int); int main(void) { return foo(1); }"
+
+let undefined_address =
+  "int foo(int); int main(void) { int (*p)(int) = foo; return p(1); }"
+
+let builtin_comparator =
+  {|int main(void) {
+  char a[3][8];
+  strcpy(a[0], "pear"); strcpy(a[1], "apple"); strcpy(a[2], "fig");
+  qsort(a, 3, 8, strcmp);
+  printf("%s %s %s\n", a[0], a[1], a[2]);
+  return 0;
+}|}
+
+let sorted = "apple fig pear\n"
+
+let call_target_suite =
+  [
+    call_target "call target: undefined direct callee" undefined_callee
+      [
+        ("unprotected", None,
+         "runtime error: call to undefined function foo", "");
+        ("full/shadow", Some Softbound.Config.default,
+         "runtime error: call to undefined function _sb_foo", "");
+      ];
+    call_target "call target: address of an undefined function"
+      undefined_address
+      [
+        ("unprotected", None, "runtime error: unknown function foo", "");
+        ("full/shadow", Some Softbound.Config.default,
+         "runtime error: unknown function _sb_foo", "");
+      ];
+    call_target "call target: builtin qsort comparator" builtin_comparator
+      [
+        ("unprotected", None, "exit 0", sorted);
+        ("full/shadow", Some Softbound.Config.default, "exit 0", sorted);
+        ("full/hash", Some full_hash, "exit 0", sorted);
+      ];
+    call_target "call target: builtin passes the signature check"
+      "int main(void) { long (*len)(char *) = strlen; return (int)len(\"abcd\"); }"
+      [ ("fptr signatures", Some fptr_sigs, "exit 4", "") ];
+    Alcotest.test_case "call target: builtin fails the signature check" `Quick
+      (fun () ->
+        let m =
+          Softbound.compile
+            "int main(void) { int (*bad)(int) = (int(*)(int))strlen; \
+             return bad(3); }"
+        in
+        match (Softbound.run_protected ~opts:fptr_sigs m).Interp.Vm.outcome with
+        | Interp.State.Trapped (Interp.State.Bounds_violation { where; _ }) ->
+            Alcotest.(check string) "where"
+              "_sb_main (function pointer signature mismatch: _sb_strlen)"
+              where
+        | o -> Alcotest.fail (Interp.State.string_of_outcome o));
+  ]
+
 let suite =
   [
     (* --- arithmetic semantics --- *)
@@ -385,4 +470,4 @@ let suite =
     traps "assert failure traps"
       (function Interp.State.Runtime_error _ -> true | _ -> false)
       "int main(void) { assert(1 == 2); return 0; }";
-  ]
+  ] @ call_target_suite

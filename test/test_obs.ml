@@ -38,33 +38,7 @@ let trace_dump name =
   in
   Obs.dump_trace p.Harness.Profile.result.Interp.Vm.obs
 
-(* ---- invariance / attribution / cache ---- *)
-
-let full_hash =
-  { Softbound.Config.default with
-    Softbound.Config.facility = Softbound.Config.Hash_table }
-
-let same_simulation src opts =
-  let m = Softbound.compile src in
-  let cfg_on = S.default_config in
-  let cfg_off = { cfg_on with S.obs_enabled = false } in
-  let a = Softbound.run_protected ~opts ~cfg:cfg_on m in
-  let b = Softbound.run_protected ~opts ~cfg:cfg_off m in
-  Alcotest.(check string) "outcome"
-    (S.string_of_outcome a.Interp.Vm.outcome)
-    (S.string_of_outcome b.Interp.Vm.outcome);
-  Alcotest.(check string) "stdout" a.Interp.Vm.stdout_text
-    b.Interp.Vm.stdout_text;
-  Alcotest.(check int) "cycles" a.Interp.Vm.stats.S.cycles
-    b.Interp.Vm.stats.S.cycles;
-  Alcotest.(check int) "insts" a.Interp.Vm.stats.S.insts
-    b.Interp.Vm.stats.S.insts;
-  Alcotest.(check int) "checks" a.Interp.Vm.stats.S.checks
-    b.Interp.Vm.stats.S.checks;
-  Alcotest.(check int) "cache hits" a.Interp.Vm.cache_hits
-    b.Interp.Vm.cache_hits;
-  Alcotest.(check int) "cache misses" a.Interp.Vm.cache_misses
-    b.Interp.Vm.cache_misses
+(* ---- attribution / cache ---- *)
 
 let loopy =
   "int main(void) { int a[64]; int *p = (int*)malloc(4); int i; \
@@ -86,10 +60,6 @@ let suite =
           "two same-seed profiles"
           (profile_json "oob_read.c")
           (profile_json "oob_read.c"));
-    tc "obs off: simulated results identical (shadow)" (fun () ->
-        same_simulation loopy Softbound.Config.default);
-    tc "obs off: simulated results identical (hash)" (fun () ->
-        same_simulation loopy full_hash);
     tc "attribution: >=95% on every workload, quick arguments" (fun () ->
         List.iter
           (fun (w : Workloads.workload) ->
