@@ -9,7 +9,10 @@
    host-second.  Simulated cycle counts are deterministic and
    golden-checked elsewhere; only the fields the artifact declares as
    host timing vary from run to run, and [experiments determinism
-   vmspeed] compares everything except those.
+   vmspeed] compares everything except those.  Each row also records
+   the engine's closure dispatches per simulated instruction, a host-work
+   proxy that is exact where timings are noisy: fewer than one means
+   superinstructions ran several instructions per dispatch.
 
    The recorded baseline below was measured with this same harness on
    the PR 4 engine (pre-decoded dispatch, word-granular memory — the
@@ -21,6 +24,8 @@ type row = {
   name : string;
   scheme : string;
   sim_cycles : int;  (** cycles of one run — deterministic *)
+  dispatches_per_inst : float;
+      (** {!Interp.Vm.result.dispatches} over instructions — deterministic *)
   runs : int;  (** timed iterations behind [host_seconds] *)
   host_seconds : float;
 }
@@ -111,6 +116,9 @@ let measure_one ~quick ~iters (w : Workloads.workload)
     name = w.Workloads.name;
     scheme = sname;
     sim_cycles = r0.Interp.Vm.stats.Interp.State.cycles;
+    dispatches_per_inst =
+      float_of_int r0.Interp.Vm.dispatches
+      /. float_of_int (max 1 r0.Interp.Vm.stats.Interp.State.insts);
     runs = iters;
     host_seconds = t1 -. t0;
   }
@@ -192,7 +200,7 @@ let render (rows : row list) : string =
     (Texttable.render
        ~headers:
          ([ "benchmark" ]
-         @ List.concat_map (fun s -> [ s; "vs base" ]) scheme_names)
+         @ List.concat_map (fun s -> [ s; "vs base"; "disp/inst" ]) scheme_names)
        (List.map
           (fun k ->
             let cells =
@@ -201,13 +209,13 @@ let render (rows : row list) : string =
                   match
                     List.find_opt (fun r -> r.name = k && r.scheme = s) rows
                   with
-                  | None -> [ "-"; "-" ]
-                  | Some r -> (
-                      [ mcps (cps r) ]
-                      @
-                      match row_speedup r with
-                      | Some x -> [ Printf.sprintf "%.2fx" x ]
-                      | None -> [ "-" ]))
+                  | None -> [ "-"; "-"; "-" ]
+                  | Some r ->
+                      [ mcps (cps r);
+                        (match row_speedup r with
+                        | Some x -> Printf.sprintf "%.2fx" x
+                        | None -> "-");
+                        Printf.sprintf "%.3f" r.dispatches_per_inst ])
                 scheme_names
             in
             k :: cells)
@@ -232,7 +240,10 @@ let render (rows : row list) : string =
 let artifact : Artifact.t =
   let open Artifact in
   let row =
-    Fields (nums [ "sim_cycles"; "cycles_per_host_sec"; "speedup_vs_baseline" ])
+    Fields
+      (nums
+         [ "sim_cycles"; "dispatches_per_inst"; "cycles_per_host_sec";
+           "speedup_vs_baseline" ])
   in
   let rows_per_scheme = List.map (fun s -> (s, Any)) scheme_names in
   { name = "vmspeed"; tag = "vmspeed";
@@ -277,6 +288,7 @@ let to_json ?(quick = false) ?(iters = 1) (rows : row list) : Json.t =
     Json.Obj
       [ ("name", Json.Str r.name); ("scheme", Json.Str r.scheme);
         ("sim_cycles", Json.int r.sim_cycles);
+        ("dispatches_per_inst", Json.decimals 4 r.dispatches_per_inst);
         ("runs", Json.int r.runs);
         ("host_seconds", Json.decimals 6 r.host_seconds);
         ("cycles_per_host_sec", cps_num (cps r));

@@ -4,14 +4,24 @@
    Executing a block is a tail-call chain with no constructor dispatch:
    each closure captures its resolved operands and call-target
    resolution as preallocated state, and ends by tail-calling the next
-   closure (a 2-argument application, which the native compiler turns
-   into a real jump through [caml_apply2]).  Control flow links blocks through a per-function
-   join-point array resolved at compile time.  Calls and returns are
-   tail calls too: a call pushes the callee's frame and enters its
-   chain, a return pops and continues the caller where it left off, so
-   the driver loop below regains control only when a return reaches a
-   frame waiting in host code (a qsort comparator's caller) or a
-   longjmp moves control to another frame.
+   closure.  A closure takes the run ({!Vm.loaded}) as its one argument
+   and finds the current frame in [ld.cur], so the call to the next
+   closure is a direct one-argument application (a load of its code
+   pointer and a jump), not a [caml_apply2] round trip.  Control flow
+   links blocks through a per-function join-point array resolved at
+   compile time.  Calls and returns are tail calls too: a call pushes
+   the callee's frame and enters its chain, a return pops and continues
+   the caller where it left off, so the driver loop below regains
+   control only when a return reaches a frame waiting in host code (a
+   qsort comparator's caller) or a longjmp moves control to another
+   frame.
+
+   Superinstructions: the short runs of instructions that dominate the
+   dynamic instruction stream of Figure 2 run as one closure (see
+   {!fuse} and {!goto_h}).  A fused closure performs each instruction's
+   tick, charges, cache accesses, checker events, obs records and traps
+   in the original order, so a trap or [Step_limit] in any part ends
+   the run exactly as the unfused chain would.
 
    Invariant: every simulated output — cycles, instruction counts,
    cache traffic, metadata probes, obs attribution, trap identity and
@@ -22,21 +32,23 @@
    goldens pin this.
 
    The compiled artifact captures no per-run state: closures take the
-   [(loaded, frame)] pair as arguments, and what they close over —
-   pre-decoded [fentry] values, join-point arrays, constants — is
-   immutable or race-safe.  Artifacts are therefore attached to the
-   module image ({!Vm.image}) and shared across runs, configurations,
-   and domains. *)
+   run as their argument, and what they close over — pre-decoded
+   [fentry] values, join-point arrays, constants — is immutable or
+   race-safe.  Artifacts are therefore attached to the module image
+   ({!Vm.image}) and shared across runs, configurations, and
+   domains. *)
 
 module Ir = Sbir.Ir
 open State
 open Vm
 module L = Machine.Layout
+module Mem = Machine.Memory
 module Cost = Machine.Cost
 
 (** A compiled instruction: execute it (and, inline, whatever follows it
-    up to the next frame boundary) against the given run. *)
-type k = Vm.loaded -> frame -> unit
+    up to the next frame boundary) against the given run, in its
+    current frame [ld.cur]. *)
+type k = Vm.loaded -> unit
 
 (** Per-function compiled code.  [chains.(b).(i)] enters block [b] at
     instruction index [i]; index [n] (one past the last instruction) is
@@ -56,16 +68,41 @@ type Vm.attached += Compiled of compiled
 (* Per-step accounting                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Raised by a closure whose step needs the slow check; the driver
+   runs {!State.tick_slow} and re-enters the closure at the position it
+   recorded in its frame. *)
+exception Tick_due
+
 (* identical counters in identical order to the decoding engine's step
-   loop, so [Step_limit] fires at exactly the same instruction — and the
-   poll hook observes the same step counts on both engines *)
-let[@inline] tick st =
-  st.steps <- st.steps + 1;
-  if st.steps > st.cfg.max_steps then raise (Trap Step_limit);
-  (match st.cfg.poll with
-  | Some p when st.steps land poll_mask = 0 -> p ()
-  | _ -> ());
+   loop: the step limit and the poll points are folded into one bound,
+   [tick_limit], so the common step is one compare.  When the step
+   about to run is the limit or a poll point, the closure at [idx] of
+   the current block records its position and raises to the driver,
+   which raises [Step_limit] or runs the poll hook on exactly the step
+   the reference loop would and re-enters it.  A raise, unlike a call,
+   leaves no register to save, so the common path spills nothing. *)
+let[@inline] tick ld fr idx =
+  let st = ld.st in
+  let s = st.steps in
+  if s >= st.tick_limit then begin
+    fr.fr_inst <- idx;
+    raise_notrace Tick_due
+  end;
+  st.steps <- s + 1;
   st.stats.insts <- st.stats.insts + 1
+
+(** Tick the instruction at [idx] and return the current frame: the
+    start of every closure. *)
+let[@inline] step ld idx =
+  let fr = ld.cur in
+  tick ld fr idx;
+  fr
+
+(** The tick of the instruction at [idx] run inside a superinstruction,
+    which the dispatch counter tells apart. *)
+let[@inline] tick_half ld fr idx =
+  tick ld fr idx;
+  ld.st.fused <- ld.st.fused + 1
 
 (* ------------------------------------------------------------------ *)
 (* Operand compilation                                                  *)
@@ -149,6 +186,111 @@ let pure_parts_f (f : Ir.func) (o : Ir.operand) : int * float =
 let[@inline] fetchf fr sel imm = if sel >= 0 then ureg_float fr sel else imm
 
 (* ------------------------------------------------------------------ *)
+(* Integer widths                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(** An integer type's width as a compile-time (shift, mask) pair:
+    [norm sh mask v] is {!Ir.norm_int}, and also a load's sign or zero
+    extension of the bytes {!Machine.Memory.read_int} composes; [v land
+    mask] is the view {!Vm.exec_cmp_int} compares — the unsigned view of
+    a narrow unsigned type, the raw value otherwise. *)
+let width (t : Ir.ity) : int * int =
+  let bits = 8 * Ir.ity_size t in
+  if bits >= 64 then (0, -1)
+  else (63 - bits, if Ir.ity_signed t then -1 else (1 lsl bits) - 1)
+
+let[@inline] norm sh mask v = ((v lsl sh) asr sh) land mask
+
+let int_type t = not (Ir.ity_is_float t)
+
+(** Integer ALU ops computed as [norm (x op y)] on the raw operands.
+    Division and remainder trap, and a narrow unsigned [Shr] shifts the
+    unsigned view: those go through {!Vm.exec_bin_int}. *)
+let plain_alu (op : Ir.binop) (t : Ir.ity) =
+  int_type t
+  &&
+  match op with
+  | Ir.Div | Ir.Rem -> false
+  | Ir.Shr -> Ir.ity_signed t || Ir.ity_size t = 8
+  | _ -> true
+
+(** A compare as one of three relations and a negation flag: [Cne] is
+    not [Ceq], [Cge] not [Clt] and [Cgt] not [Cle]. *)
+type rel = Eq | Lt | Le
+
+let relation : Ir.cmpop -> rel * int = function
+  | Ir.Ceq -> (Eq, 0)
+  | Ir.Cne -> (Eq, 1)
+  | Ir.Clt -> (Lt, 0)
+  | Ir.Cge -> (Lt, 1)
+  | Ir.Cle -> (Le, 0)
+  | Ir.Cgt -> (Le, 1)
+
+(* ------------------------------------------------------------------ *)
+(* Instruction bodies                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The effect of one instruction on the run after its tick, for the
+   closures below to inline: a plain closure ticks, runs one body and
+   continues; a superinstruction ticks and runs several in a row. *)
+
+let[@inline] alu_h st fr cost r sh mask v =
+  charge st cost;
+  ureg_set_int fr r (norm sh mask v)
+
+(** A compare's result register gets [c] (negated by [neg]). *)
+let[@inline] cmp_h st fr r neg c =
+  charge st Cost.basic;
+  ureg_set_int fr r (Bool.to_int c lxor neg)
+
+(** [Mov] of a pure operand: a register copies its tag and both lanes —
+    no box, no coercion branch. *)
+let[@inline] mov_h st fr r s j =
+  charge st Cost.basic;
+  if s >= 0 then begin
+    Bytes.unsafe_set fr.fr_isf r (Bytes.unsafe_get fr.fr_isf s);
+    Array.unsafe_set fr.fr_iregs r (Array.unsafe_get fr.fr_iregs s);
+    Array.unsafe_set fr.fr_fregs r (Array.unsafe_get fr.fr_fregs s)
+  end
+  else ureg_set_int fr r j
+
+(** [Gep]: returns the address it wrote. *)
+let[@inline] gep_h st fr r b off =
+  charge st Cost.basic;
+  let d = b + off in
+  (match st.cfg.checker with
+  | Some _ -> checker_event st (Ev_ptr_arith { src = b; dst = d })
+  | None -> ());
+  ureg_set_int fr r d;
+  d
+
+(** An integer [Load] of [size] bytes ({!Vm.do_load}). *)
+let[@inline] load_h st fr r ~size ~sh ~mask ~ptr addr =
+  program_read st addr size;
+  if ptr then st.stats.ptr_mem_ops <- st.stats.ptr_mem_ops + 1;
+  ureg_set_int fr r (norm sh mask (Mem.read_int st.mem addr size))
+
+(** An integer [Store] of [size] bytes ({!Vm.do_store}). *)
+let[@inline] store_h st ~size ~ptr addr v =
+  program_write st addr size;
+  if ptr then st.stats.ptr_mem_ops <- st.stats.ptr_mem_ops + 1;
+  Mem.write_int st.mem addr size v
+
+(** A [TJmp] or [TBr] to block [t], after its tick.  When [t] holds
+    nothing but a [TJmp] to [hop], that jump runs here too, as the
+    second half of a superinstruction; [hop] is -1 otherwise. *)
+let[@inline] goto_h ld fr (entries : k array) t hop =
+  charge ld.st Cost.basic;
+  fr.fr_block <- t;
+  if hop < 0 then (Array.unsafe_get entries t) ld
+  else begin
+    tick_half ld fr 0;
+    charge ld.st Cost.basic;
+    fr.fr_block <- hop;
+    (Array.unsafe_get entries hop) ld
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Calls and returns                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -211,13 +353,14 @@ let rec copy_rets src ss j dst = function
       copy_rets src ss (j + 1) dst ds
   | _ -> ()
 
-(** Continue frame [fr] at its recorded position. *)
-let[@inline] resume (c_funcs : func_code array) ld (fr : frame) =
+(** Continue the current frame at its recorded position. *)
+let[@inline] resume (c_funcs : func_code array) ld =
+  let fr = ld.cur in
   (Array.unsafe_get
      (Array.unsafe_get (Array.unsafe_get c_funcs fr.fr_index).chains
         fr.fr_block)
      fr.fr_inst)
-    ld fr
+    ld
 
 (** The first operand of [ops] that is not pure: an unresolved name,
     whose evaluation always traps. *)
@@ -232,338 +375,245 @@ let first_trapping ops = List.find_opt (fun o -> not (pure_operand_f o)) ops
 let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
     (next : k) (inst : Ir.inst) : k =
   match inst with
-  | Ir.Mov (r, _, Ir.Reg ra) ->
-      (* register-to-register: copy both lanes and the tag — no box, no
-         coercion branch *)
+  | Ir.Mov (r, _, o) when pure_operand o ->
       let r = vreg f r in
-      let ra = vreg f ra in
-      fun ld fr ->
-        let st = ld.st in
-        tick st;
-        charge st Cost.basic;
-        Bytes.unsafe_set fr.fr_isf r (Bytes.unsafe_get fr.fr_isf ra);
-        Array.unsafe_set fr.fr_iregs r (Array.unsafe_get fr.fr_iregs ra);
-        Array.unsafe_set fr.fr_fregs r (Array.unsafe_get fr.fr_fregs ra);
-        next ld fr
-  | Ir.Mov (r, _, Ir.ImmI n) ->
-      let r = vreg f r in
-      fun ld fr ->
-        let st = ld.st in
-        tick st;
-        charge st Cost.basic;
-        ureg_set_int fr r n;
-        next ld fr
+      let s, j = pure_parts f o in
+      fun ld ->
+        mov_h ld.st (step ld idx) r s j;
+        next ld
   | Ir.Mov (r, _, Ir.ImmF x) ->
       let r = vreg f r in
-      fun ld fr ->
-        let st = ld.st in
-        tick st;
-        charge st Cost.basic;
+      fun ld ->
+        let fr = step ld idx in
+        charge ld.st Cost.basic;
         ureg_set_float fr r x;
-        next ld fr
+        next ld
   | Ir.Mov (r, _, o) ->
       let r = vreg f r in
       let e = ev_value f o in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         charge st Cost.basic;
         ureg_set fr r (e fr);
-        next ld fr
+        next ld
   | Ir.Bin (r, op, t, a, b)
-    when (match t with Ir.I64 | Ir.U64 | Ir.P -> true | _ -> false)
-         && pure_operand a && pure_operand b -> (
-      (* word-width integer ALU ops: [norm_int] is the identity, the
-         unsigned view is the identity, and the operands are effect-free
-         — fuse evaluation, charge, and normalization *)
+    when plain_alu op t && pure_operand a && pure_operand b -> (
+      (* one closure per operator serves every integer width: the
+         operands are effect-free, and the result is normalized by a
+         compile-time shift and mask *)
       let r = vreg f r in
       let sa, ja = pure_parts f a and sb, jb = pure_parts f b in
-      let signed = Ir.ity_signed t in
+      let sh, mask = width t in
+      let basic = Cost.basic in
       match op with
       | Ir.Add ->
-          fun ld fr ->
-            let st = ld.st in
-            tick st;
-            charge st Cost.basic;
-            ureg_set_int fr r (fetch fr sa ja + fetch fr sb jb);
-            next ld fr
+          fun ld ->
+            let fr = step ld idx in
+            alu_h ld.st fr basic r sh mask (fetch fr sa ja + fetch fr sb jb);
+            next ld
       | Ir.Sub ->
-          fun ld fr ->
-            let st = ld.st in
-            tick st;
-            charge st Cost.basic;
-            ureg_set_int fr r (fetch fr sa ja - fetch fr sb jb);
-            next ld fr
+          fun ld ->
+            let fr = step ld idx in
+            alu_h ld.st fr basic r sh mask (fetch fr sa ja - fetch fr sb jb);
+            next ld
       | Ir.Mul ->
-          fun ld fr ->
-            let st = ld.st in
-            tick st;
-            charge st Cost.mul;
-            ureg_set_int fr r (fetch fr sa ja * fetch fr sb jb);
-            next ld fr
+          fun ld ->
+            let fr = step ld idx in
+            alu_h ld.st fr Cost.mul r sh mask (fetch fr sa ja * fetch fr sb jb);
+            next ld
       | Ir.And ->
-          fun ld fr ->
-            let st = ld.st in
-            tick st;
-            charge st Cost.basic;
-            ureg_set_int fr r (fetch fr sa ja land fetch fr sb jb);
-            next ld fr
+          fun ld ->
+            let fr = step ld idx in
+            alu_h ld.st fr basic r sh mask (fetch fr sa ja land fetch fr sb jb);
+            next ld
       | Ir.Or ->
-          fun ld fr ->
-            let st = ld.st in
-            tick st;
-            charge st Cost.basic;
-            ureg_set_int fr r (fetch fr sa ja lor fetch fr sb jb);
-            next ld fr
+          fun ld ->
+            let fr = step ld idx in
+            alu_h ld.st fr basic r sh mask (fetch fr sa ja lor fetch fr sb jb);
+            next ld
       | Ir.Xor ->
-          fun ld fr ->
-            let st = ld.st in
-            tick st;
-            charge st Cost.basic;
-            ureg_set_int fr r (fetch fr sa ja lxor fetch fr sb jb);
-            next ld fr
+          fun ld ->
+            let fr = step ld idx in
+            alu_h ld.st fr basic r sh mask (fetch fr sa ja lxor fetch fr sb jb);
+            next ld
       | Ir.Shl ->
-          fun ld fr ->
-            let st = ld.st in
-            tick st;
-            charge st Cost.basic;
-            ureg_set_int fr r (fetch fr sa ja lsl (fetch fr sb jb land 63));
-            next ld fr
-      | Ir.Shr ->
-          if signed then fun ld fr ->
-            let st = ld.st in
-            tick st;
-            charge st Cost.basic;
-            ureg_set_int fr r (fetch fr sa ja asr (fetch fr sb jb land 63));
-            next ld fr
-          else fun ld fr ->
-            let st = ld.st in
-            tick st;
-            charge st Cost.basic;
-            ureg_set_int fr r (fetch fr sa ja lsr (fetch fr sb jb land 63));
-            next ld fr
-      | Ir.Div | Ir.Rem ->
-          (* division traps on zero; delegate to the shared unboxed
-             helper for the charge/trap sequence *)
-          fun ld fr ->
-            let st = ld.st in
-            tick st;
-            ureg_set_int fr r
-              (Vm.exec_bin_int st op t (fetch fr sa ja) (fetch fr sb jb));
-            next ld fr)
+          fun ld ->
+            let fr = step ld idx in
+            alu_h ld.st fr basic r sh mask
+              (fetch fr sa ja lsl (fetch fr sb jb land 63));
+            next ld
+      | Ir.Shr when Ir.ity_signed t ->
+          fun ld ->
+            let fr = step ld idx in
+            alu_h ld.st fr basic r sh mask
+              (fetch fr sa ja asr (fetch fr sb jb land 63));
+            next ld
+      | _ ->
+          (* [Shr] of a word-width unsigned type *)
+          fun ld ->
+            let fr = step ld idx in
+            alu_h ld.st fr basic r sh mask
+              (fetch fr sa ja lsr (fetch fr sb jb land 63));
+            next ld)
   | Ir.Bin (r, op, t, a, b)
-    when (not (Ir.ity_is_float t)) && pure_operand a && pure_operand b ->
-      (* narrow integer types: [norm_int]/unsigned views matter, so go
-         through the unboxed ALU helper — still no operand closures and
-         no boxing *)
+    when int_type t && pure_operand a && pure_operand b ->
+      (* division, remainder, narrow unsigned shift: the shared unboxed
+         helper has the trap and the unsigned view *)
       let r = vreg f r in
       let sa, ja = pure_parts f a and sb, jb = pure_parts f b in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         ureg_set_int fr r
           (Vm.exec_bin_int st op t (fetch fr sa ja) (fetch fr sb jb));
-        next ld fr
+        next ld
   | Ir.Bin (r, op, t, a, b)
     when Ir.ity_is_float t && pure_operand_f a && pure_operand_f b ->
       let r = vreg f r in
       let sa, ja = pure_parts_f f a and sb, jb = pure_parts_f f b in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         ureg_set_float fr r
           (Vm.exec_bin_float st op (fetchf fr sa ja) (fetchf fr sb jb));
-        next ld fr
+        next ld
   | Ir.Bin (r, op, t, a, b) ->
       let r = vreg f r in
       let ea = ev_value f a and eb = ev_value f b in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         (* mirror the decoding engine's right-to-left argument
            evaluation, so a trapping operand charges identically *)
         let vb = eb fr in
         let va = ea fr in
         ureg_set fr r (Vm.exec_bin st op t va vb);
-        next ld fr
+        next ld
   | Ir.Cmp (r, op, t, a, b)
-    when (match t with
-         | Ir.I8 | Ir.I16 | Ir.I32 | Ir.I64 | Ir.U64 | Ir.P -> true
-         | _ -> false)
-         && pure_operand a && pure_operand b -> (
-      (* signed types compare raw normalized values; for U64/P the
-         unsigned view is the identity — either way a direct native
-         comparison matches {!Vm.exec_cmp} *)
+    when int_type t && pure_operand a && pure_operand b -> (
+      (* every integer width: compare the views [v land mask] *)
       let r = vreg f r in
       let sa, ja = pure_parts f a and sb, jb = pure_parts f b in
-      match op with
-      | Ir.Ceq ->
-          fun ld fr ->
-            let st = ld.st in
-            tick st;
-            charge st Cost.basic;
-            ureg_set_int fr r (if fetch fr sa ja = fetch fr sb jb then 1 else 0);
-            next ld fr
-      | Ir.Cne ->
-          fun ld fr ->
-            let st = ld.st in
-            tick st;
-            charge st Cost.basic;
-            ureg_set_int fr r
-              (if fetch fr sa ja <> fetch fr sb jb then 1 else 0);
-            next ld fr
-      | Ir.Clt ->
-          fun ld fr ->
-            let st = ld.st in
-            tick st;
-            charge st Cost.basic;
-            ureg_set_int fr r (if fetch fr sa ja < fetch fr sb jb then 1 else 0);
-            next ld fr
-      | Ir.Cle ->
-          fun ld fr ->
-            let st = ld.st in
-            tick st;
-            charge st Cost.basic;
-            ureg_set_int fr r
-              (if fetch fr sa ja <= fetch fr sb jb then 1 else 0);
-            next ld fr
-      | Ir.Cgt ->
-          fun ld fr ->
-            let st = ld.st in
-            tick st;
-            charge st Cost.basic;
-            ureg_set_int fr r (if fetch fr sa ja > fetch fr sb jb then 1 else 0);
-            next ld fr
-      | Ir.Cge ->
-          fun ld fr ->
-            let st = ld.st in
-            tick st;
-            charge st Cost.basic;
-            ureg_set_int fr r
-              (if fetch fr sa ja >= fetch fr sb jb then 1 else 0);
-            next ld fr)
-  | Ir.Cmp (r, op, t, a, b)
-    when (not (Ir.ity_is_float t)) && pure_operand a && pure_operand b ->
-      (* remaining (narrow unsigned) integer types: the shared unboxed
-         helper applies the unsigned view *)
-      let r = vreg f r in
-      let sa, ja = pure_parts f a and sb, jb = pure_parts f b in
-      fun ld fr ->
-        let st = ld.st in
-        tick st;
-        ureg_set_int fr r
-          (Vm.exec_cmp_int st op t (fetch fr sa ja) (fetch fr sb jb));
-        next ld fr
+      let _, mask = width t in
+      match relation op with
+      | Eq, neg ->
+          fun ld ->
+            let fr = step ld idx in
+            cmp_h ld.st fr r neg
+              (fetch fr sa ja land mask = fetch fr sb jb land mask);
+            next ld
+      | Lt, neg ->
+          fun ld ->
+            let fr = step ld idx in
+            cmp_h ld.st fr r neg
+              (fetch fr sa ja land mask < fetch fr sb jb land mask);
+            next ld
+      | Le, neg ->
+          fun ld ->
+            let fr = step ld idx in
+            cmp_h ld.st fr r neg
+              (fetch fr sa ja land mask <= fetch fr sb jb land mask);
+            next ld)
   | Ir.Cmp (r, op, t, a, b)
     when Ir.ity_is_float t && pure_operand_f a && pure_operand_f b ->
       let r = vreg f r in
       let sa, ja = pure_parts_f f a and sb, jb = pure_parts_f f b in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         ureg_set_int fr r
           (Vm.exec_cmp_float st op (fetchf fr sa ja) (fetchf fr sb jb));
-        next ld fr
+        next ld
   | Ir.Cmp (r, op, t, a, b) ->
       let r = vreg f r in
       let ea = ev_value f a and eb = ev_value f b in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         let vb = eb fr in
         let va = ea fr in
         ureg_set fr r (Vm.exec_cmp st op t va vb);
-        next ld fr
+        next ld
   | Ir.Cast (r, to_, from_, o)
-    when (not (Ir.ity_is_float to_))
-         && (not (Ir.ity_is_float from_))
-         && pure_operand o ->
+    when int_type to_ && int_type from_ && pure_operand o ->
       (* int-to-int cast is charge + renormalize *)
       let r = vreg f r in
       let s, j = pure_parts f o in
-      fun ld fr ->
-        let st = ld.st in
-        tick st;
-        charge st Cost.basic;
-        ureg_set_int fr r (Ir.norm_int to_ (fetch fr s j));
-        next ld fr
+      let sh, mask = width to_ in
+      fun ld ->
+        let fr = step ld idx in
+        alu_h ld.st fr Cost.basic r sh mask (fetch fr s j);
+        next ld
   | Ir.Cast (r, to_, from_, o) ->
       let r = vreg f r in
       let e = ev_value f o in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         ureg_set fr r (Vm.exec_cast st to_ from_ (e fr));
-        next ld fr
-  | Ir.Load (r, t, a) when (not (Ir.ity_is_float t)) && pure_operand a ->
+        next ld
+  | Ir.Load (r, t, a) when int_type t && pure_operand a ->
       let r = vreg f r in
       let s, j = pure_parts f a in
-      fun ld fr ->
-        let st = ld.st in
-        tick st;
-        ureg_set_int fr r (Vm.do_load_int st t (fetch fr s j));
-        next ld fr
+      let size = Ir.ity_size t and ptr = t = Ir.P and sh, mask = width t in
+      fun ld ->
+        let fr = step ld idx in
+        load_h ld.st fr r ~size ~sh ~mask ~ptr (fetch fr s j);
+        next ld
   | Ir.Load (r, t, a) when Ir.ity_is_float t && pure_operand a ->
       let r = vreg f r in
       let s, j = pure_parts f a in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         ureg_set_float fr r (Vm.do_load_float st t (fetch fr s j));
-        next ld fr
+        next ld
   | Ir.Load (r, t, a) ->
       let r = vreg f r in
       let ia = ev_int f a in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         ureg_set fr r (Vm.do_load st t (ia fr));
-        next ld fr
-  | Ir.Store (t, a, v)
-    when (not (Ir.ity_is_float t)) && pure_operand a && pure_operand v ->
+        next ld
+  | Ir.Store (t, a, v) when int_type t && pure_operand a && pure_operand v ->
       let sa, ja = pure_parts f a and sv, jv = pure_parts f v in
-      fun ld fr ->
-        let st = ld.st in
-        tick st;
-        Vm.do_store_int st t (fetch fr sa ja) (fetch fr sv jv);
-        next ld fr
+      let size = Ir.ity_size t and ptr = t = Ir.P in
+      fun ld ->
+        let fr = step ld idx in
+        store_h ld.st ~size ~ptr (fetch fr sa ja) (fetch fr sv jv);
+        next ld
   | Ir.Store (t, a, v)
     when Ir.ity_is_float t && pure_operand a && pure_operand_f v ->
       let sa, ja = pure_parts f a and sv, jv = pure_parts_f f v in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         Vm.do_store_float st t (fetch fr sa ja) (fetchf fr sv jv);
-        next ld fr
+        next ld
   | Ir.Store (t, a, v) ->
       let ia = ev_int f a and ev = ev_value f v in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         let vv = ev fr in
         let addr = ia fr in
         Vm.do_store st t addr vv;
-        next ld fr
+        next ld
   | Ir.Gep (r, base, off, _) when pure_operand base && pure_operand off ->
       let r = vreg f r in
       let sb, jb = pure_parts f base and so, jo = pure_parts f off in
-      fun ld fr ->
-        let st = ld.st in
-        tick st;
-        charge st Cost.basic;
-        let b = fetch fr sb jb in
-        let d = b + fetch fr so jo in
-        (match st.cfg.checker with
-        | Some _ -> checker_event st (Ev_ptr_arith { src = b; dst = d })
-        | None -> ());
-        ureg_set_int fr r d;
-        next ld fr
+      fun ld ->
+        let fr = step ld idx in
+        ignore (gep_h ld.st fr r (fetch fr sb jb) (fetch fr so jo) : int);
+        next ld
   | Ir.Gep (r, base, off, _) ->
       let r = vreg f r in
       let ib = ev_int f base and io = ev_int f off in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         charge st Cost.basic;
         let b = ib fr in
         let d = b + io fr in
@@ -571,45 +621,44 @@ let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
         | Some _ -> checker_event st (Ev_ptr_arith { src = b; dst = d })
         | None -> ());
         ureg_set_int fr r d;
-        next ld fr
+        next ld
   | Ir.Slotaddr (r, s) ->
       let r = vreg f r in
       (* the slot address is a per-function constant offset from the
          frame pointer *)
       let off = -16 - f.Ir.fframe_size + f.Ir.fslots.(s).Ir.sl_offset in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         charge st Cost.alloca;
         ureg_set_int fr r (fr.fr_fp + off);
-        next ld fr
+        next ld
   | Ir.SetBoundMark _ ->
-      fun ld fr ->
-        tick ld.st;
-        next ld fr
+      fun ld ->
+        ignore (step ld idx : frame);
+        next ld
   | Ir.Check (p, b, e, size, site)
     when pure_operand p && pure_operand b && pure_operand e ->
       let sp, jp = pure_parts f p in
       let sb, jb = pure_parts f b in
       let se, je = pure_parts f e in
       let where = f.Ir.fname in
-      fun ld fr ->
-        let st = ld.st in
-        tick st;
-        sb_check st ~site ~where ~ptr:(fetch fr sp jp) ~base:(fetch fr sb jb)
+      fun ld ->
+        let fr = step ld idx in
+        sb_check ld.st ~site ~where ~ptr:(fetch fr sp jp) ~base:(fetch fr sb jb)
           ~bound:(fetch fr se je) ~size;
-        next ld fr
+        next ld
   | Ir.Check (p, b, e, size, site) ->
       let ip = ev_int f p and ib = ev_int f b and ie = ev_int f e in
       let where = f.Ir.fname in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         let bnd = ie fr in
         let bas = ib fr in
         let pv = ip fr in
         sb_check st ~site ~where ~ptr:pv ~base:bas ~bound:bnd ~size;
-        next ld fr
+        next ld
   | Ir.CheckSpan sp ->
       let ifirst = ev_int f sp.Ir.sp_first in
       let icount = ev_int f sp.Ir.sp_count in
@@ -618,37 +667,37 @@ let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
       let stride = sp.Ir.sp_stride and width = sp.Ir.sp_width in
       let site = sp.Ir.sp_site and sites = sp.Ir.sp_sites in
       let where = f.Ir.fname in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         let bound = ibound fr in
         let base = ibase fr in
         let count = icount fr in
         let first = ifirst fr in
         sb_check_span st ~site ~sites ~where ~first ~count ~stride ~width
           ~base ~bound;
-        next ld fr
+        next ld
   | Ir.CheckFptr (p, b, e, expected_sig, site)
     when pure_operand p && pure_operand b && pure_operand e ->
       let sp, jp = pure_parts f p in
       let sb, jb = pure_parts f b in
       let se, je = pure_parts f e in
       let fname = f.Ir.fname in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         st.stats.checks <- st.stats.checks + 1;
         let cy0 = st.stats.cycles in
         charge st Cost.check;
         Vm.check_fptr ld ~fname ~site ~expected_sig ~cy0 (fetch fr sp jp)
           (fetch fr sb jb) (fetch fr se je);
-        next ld fr
+        next ld
   | Ir.CheckFptr (p, b, e, expected_sig, site) ->
       let ip = ev_int f p and ib = ev_int f b and ie = ev_int f e in
       let fname = f.Ir.fname in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         st.stats.checks <- st.stats.checks + 1;
         let cy0 = st.stats.cycles in
         charge st Cost.check;
@@ -656,54 +705,54 @@ let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
         let bv = ib fr in
         let ev = ie fr in
         Vm.check_fptr ld ~fname ~site ~expected_sig ~cy0 pv bv ev;
-        next ld fr
+        next ld
   | Ir.MetaLoad (rb, re, a, site) when pure_operand a ->
       let rb = vreg f rb and re = vreg f re in
       let sa, ja = pure_parts f a in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         let b, e = meta_load ~site st (fetch fr sa ja) in
         ureg_set_int fr rb b;
         ureg_set_int fr re e;
-        next ld fr
+        next ld
   | Ir.MetaLoad (rb, re, a, site) ->
       let rb = vreg f rb and re = vreg f re in
       let ia = ev_int f a in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         let b, e = meta_load ~site st (ia fr) in
         ureg_set_int fr rb b;
         ureg_set_int fr re e;
-        next ld fr
+        next ld
   | Ir.MetaStore (a, b, e, site)
     when pure_operand a && pure_operand b && pure_operand e ->
       let sa, ja = pure_parts f a in
       let sb, jb = pure_parts f b in
       let se, je = pure_parts f e in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         meta_store ~site st (fetch fr sa ja) (fetch fr sb jb) (fetch fr se je);
-        next ld fr
+        next ld
   | Ir.MetaStore (a, b, e, site) ->
       let ia = ev_int f a and ib = ev_int f b and ie = ev_int f e in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         let ev = ie fr in
         let bv = ib fr in
         let av = ia fr in
         meta_store ~site st av bv ev;
-        next ld fr
+        next ld
   | Ir.Call { args; _ } when first_trapping args <> None ->
       (* arguments are evaluated before anything else of the call
          happens, so the first unresolved name traps first *)
       let e = ev_value f (Option.get (first_trapping args)) in
       let nexti = idx + 1 in
-      fun ld fr ->
-        tick ld.st;
+      fun ld ->
+        let fr = step ld idx in
         fr.fr_inst <- nexti;
         ignore (e fr)
   | Ir.Call { rets; callee; args; _ } -> (
@@ -719,11 +768,7 @@ let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
          [(blk, idx+1)] — a setjmp recorded there — passes it, and
          continuing inline is precisely the resume semantics. *)
       let finish ld fr =
-        let st = ld.st in
-        if
-          st.n_frames > 0 && top st == fr && fr.fr_block = blk
-          && fr.fr_inst = nexti
-        then next ld fr
+        if ld.cur == fr && fr.fr_block = blk && fr.fr_inst = nexti then next ld
       in
       (* a module function: push its frame, copy the arguments into it
          and tail-call its entry — no value list, no driver round trip.
@@ -732,7 +777,7 @@ let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
       let call ld fr fe params =
         let callee = Vm.push_frame ld fe ~nargs rets in
         copy_args fr ss callee params;
-        resume c_funcs ld callee
+        resume c_funcs ld
       in
       match callee with
       | Ir.Func name -> (
@@ -745,20 +790,20 @@ let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
                   Array.map (vreg fe.Vm.fe_func) fe.Vm.fe_params
                 else [||]
               in
-              fun ld fr ->
-                tick ld.st;
+              fun ld ->
+                let fr = step ld idx in
                 fr.fr_inst <- nexti;
                 call ld fr fe params
           | t ->
-              fun ld fr ->
-                tick ld.st;
+              fun ld ->
+                let fr = step ld idx in
                 fr.fr_inst <- nexti;
                 Vm.dispatch_call ld t ~argvals:(source_values fr ss) ~rets;
                 finish ld fr)
       | op ->
           let ic = ev_int f op in
-          fun ld fr ->
-            tick ld.st;
+          fun ld ->
+            let fr = step ld idx in
             fr.fr_inst <- nexti;
             let v = ic fr in
             match Vm.target_at ld v with
@@ -778,58 +823,51 @@ let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
 (** Compile a terminator.  [entries.(t)] is the join-point array — the
     head closure of every block of this function, filled after all
     blocks are compiled, so forward branches resolve to closures without
-    a compile-order constraint. *)
-let compile_term c_funcs (f : Ir.func) (entries : k array)
-    (term : Ir.terminator) : k =
+    a compile-order constraint.  [hops.(t)] is the target of block [t]
+    when [t] is empty but for a [TJmp], else -1 (see {!goto_h}). *)
+let compile_term c_funcs (f : Ir.func) (entries : k array) (hops : int array)
+    ~idx (term : Ir.terminator) : k =
   match term with
   | Ir.TRet ops when first_trapping ops <> None ->
       let e = ev_value f (Option.get (first_trapping ops)) in
-      fun ld fr ->
-        tick ld.st;
-        ignore (e fr)
+      fun ld -> ignore (e (step ld idx))
   | Ir.TRet ops ->
       let ss = sources f ops in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         Vm.pop_frame ld;
         (* [fr] is popped but still readable: copy straight into the
            caller's registers, or box for [last_rets] and program exit *)
         (match fr.fr_ret_regs with
-        | _ :: _ as regs when st.n_frames > 0 -> copy_rets fr ss 0 (top st) regs
+        | _ :: _ as regs when st.n_frames > 0 -> copy_rets fr ss 0 ld.cur regs
         | _ -> Vm.return_values ld fr (source_values fr ss));
         (* continue the caller in place, unless it waits in host code *)
-        if st.n_frames > st.floor then resume c_funcs ld (top st)
+        if st.n_frames > st.floor then resume c_funcs ld
   | Ir.TJmp t ->
-      fun ld fr ->
-        let st = ld.st in
-        tick st;
-        charge st Cost.basic;
-        fr.fr_block <- t;
-        (Array.unsafe_get entries t) ld fr
+      let h = hops.(t) in
+      fun ld -> goto_h ld (step ld idx) entries t h
   | Ir.TBr (c, t1, t2) when pure_operand c ->
       let s, j = pure_parts f c in
-      fun ld fr ->
-        let st = ld.st in
-        tick st;
-        charge st Cost.basic;
-        let t = if fetch fr s j <> 0 then t1 else t2 in
-        fr.fr_block <- t;
-        (Array.unsafe_get entries t) ld fr
+      let h1 = hops.(t1) and h2 = hops.(t2) in
+      fun ld ->
+        let fr = step ld idx in
+        let c = fetch fr s j <> 0 in
+        goto_h ld fr entries (if c then t1 else t2) (if c then h1 else h2)
   | Ir.TBr (c, t1, t2) ->
       let ic = ev_int f c in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         charge st Cost.basic;
         let t = if ic fr <> 0 then t1 else t2 in
         fr.fr_block <- t;
-        (Array.unsafe_get entries t) ld fr
+        (Array.unsafe_get entries t) ld
   | Ir.TSwitch (v, cases, default) ->
       let iv = ev_int f v in
-      fun ld fr ->
+      fun ld ->
+        let fr = step ld idx in
         let st = ld.st in
-        tick st;
         charge st (Cost.basic * 2);
         let x = iv fr in
         let rec find = function
@@ -838,13 +876,169 @@ let compile_term c_funcs (f : Ir.func) (entries : k array)
         in
         let t = find cases in
         fr.fr_block <- t;
-        (Array.unsafe_get entries t) ld fr
+        (Array.unsafe_get entries t) ld
   | Ir.TUnreachable ->
-      fun ld _ ->
-        tick ld.st;
+      fun ld ->
+        ignore (step ld idx : frame);
         raise (Trap (Runtime_error "unreachable executed (missing return?)"))
 
-let dummy_k : k = fun _ _ -> assert false
+(* ------------------------------------------------------------------ *)
+(* Superinstructions                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** One closure for the instructions from [i] on, when they form one of
+    the shapes that dominate Figure 2's dispatches: a compare and the
+    branch on its result; the array-index idiom (an int-to-int cast, a
+    multiply, a [Gep], and the load through it if one follows); a [Gep]
+    and the load through it; a [Mov] or a [Store] and a [TJmp]; a
+    [Check] and the load or store it guards.  [rest d] is the closure
+    [d] instructions past [i]; for a shape that ends the block, the
+    terminator's work is done here and [entries] and [hops] give the
+    branch target.  Each half runs the body its
+    plain closure runs, in order; {!tick_half} counts the later halves
+    for the dispatch counter. *)
+let fuse (f : Ir.func) (entries : k array) (hops : int array)
+    (insts : Ir.inst array) (term : Ir.terminator) i (rest : int -> k) :
+    k option =
+  let after d = if i + d < Array.length insts then Some insts.(i + d) else None in
+  let pure2 a b = pure_operand a && pure_operand b in
+  let int_access t a = int_type t && pure_operand a in
+  match (insts.(i), after 1, after 2, term) with
+  | Ir.Cmp (r, op, t, a, b), None, _, Ir.TBr (Ir.Reg c, t1, t2)
+    when c = r && int_type t && pure2 a b -> (
+      let r = vreg f r in
+      let sa, ja = pure_parts f a and sb, jb = pure_parts f b in
+      let _, mask = width t in
+      let rl, neg = relation op in
+      (* branch on the relation itself: a negated compare swaps the
+         targets *)
+      let t1, t2 = if neg = 1 then (t2, t1) else (t1, t2) in
+      let h1 = hops.(t1) and h2 = hops.(t2) in
+      let[@inline] branch ld fr c =
+        cmp_h ld.st fr r neg c;
+        tick_half ld fr (i + 1);
+        goto_h ld fr entries (if c then t1 else t2) (if c then h1 else h2)
+      in
+      match rl with
+      | Eq ->
+          Some
+            (fun ld ->
+              let fr = step ld i in
+              branch ld fr (fetch fr sa ja land mask = fetch fr sb jb land mask))
+      | Lt ->
+          Some
+            (fun ld ->
+              let fr = step ld i in
+              branch ld fr (fetch fr sa ja land mask < fetch fr sb jb land mask))
+      | Le ->
+          Some
+            (fun ld ->
+              let fr = step ld i in
+              branch ld fr (fetch fr sa ja land mask <= fetch fr sb jb land mask)))
+  | ( Ir.Cast (r1, to_, from_, o),
+      Some (Ir.Bin (r2, Ir.Mul, t, a, b)),
+      Some (Ir.Gep (r3, base, off, _)),
+      _ )
+    when int_type to_ && int_type from_ && pure_operand o && int_type t
+         && pure2 a b && pure2 base off -> (
+      let r1 = vreg f r1 and r2 = vreg f r2 and r3 = vreg f r3 in
+      let s, j = pure_parts f o in
+      let sh1, mask1 = width to_ and sh2, mask2 = width t in
+      let sa, ja = pure_parts f a and sb, jb = pure_parts f b in
+      let sc, jc = pure_parts f base and so, jo = pure_parts f off in
+      let[@inline] index ld fr =
+        alu_h ld.st fr Cost.basic r1 sh1 mask1 (fetch fr s j);
+        tick_half ld fr (i + 1);
+        alu_h ld.st fr Cost.mul r2 sh2 mask2 (fetch fr sa ja * fetch fr sb jb);
+        tick_half ld fr (i + 2);
+        gep_h ld.st fr r3 (fetch fr sc jc) (fetch fr so jo)
+      in
+      match after 3 with
+      | Some (Ir.Load (rl, lt, Ir.Reg a)) when a = r3 && int_type lt ->
+          (* and the load through the address: [a[i]] in one dispatch *)
+          let rl = vreg f rl and size = Ir.ity_size lt and ptr = lt = Ir.P in
+          let sh, mask = width lt and next = rest 4 in
+          Some
+            (fun ld ->
+              let fr = step ld i in
+              let d = index ld fr in
+              tick_half ld fr (i + 3);
+              load_h ld.st fr rl ~size ~sh ~mask ~ptr d;
+              next ld)
+      | _ ->
+          let next = rest 3 in
+          Some
+            (fun ld ->
+              let fr = step ld i in
+              ignore (index ld fr : int);
+              next ld))
+  | Ir.Gep (r, base, off, _), Some (Ir.Load (rl, t, Ir.Reg a)), _, _
+    when a = r && pure2 base off && int_type t ->
+      let r = vreg f r and rl = vreg f rl in
+      let sb, jb = pure_parts f base and so, jo = pure_parts f off in
+      let size = Ir.ity_size t and ptr = t = Ir.P and sh, mask = width t in
+      let next = rest 2 in
+      Some
+        (fun ld ->
+          let fr = step ld i in
+          let d = gep_h ld.st fr r (fetch fr sb jb) (fetch fr so jo) in
+          tick_half ld fr (i + 1);
+          load_h ld.st fr rl ~size ~sh ~mask ~ptr d;
+          next ld)
+  | Ir.Mov (r, _, o), None, _, Ir.TJmp t when pure_operand o ->
+      let r = vreg f r and h = hops.(t) in
+      let s, j = pure_parts f o in
+      Some
+        (fun ld ->
+          let fr = step ld i in
+          mov_h ld.st fr r s j;
+          tick_half ld fr (i + 1);
+          goto_h ld fr entries t h)
+  | Ir.Store (ty, a, v), None, _, Ir.TJmp t when int_access ty a && pure_operand v ->
+      let sa, ja = pure_parts f a and sv, jv = pure_parts f v in
+      let size = Ir.ity_size ty and ptr = ty = Ir.P and h = hops.(t) in
+      Some
+        (fun ld ->
+          let fr = step ld i in
+          store_h ld.st ~size ~ptr (fetch fr sa ja) (fetch fr sv jv);
+          tick_half ld fr (i + 1);
+          goto_h ld fr entries t h)
+  | Ir.Check (p, b, e, csize, site), Some access, _, _
+    when pure2 p b && pure_operand e -> (
+      let sp, jp = pure_parts f p in
+      let sb, jb = pure_parts f b in
+      let se, je = pure_parts f e in
+      let where = f.Ir.fname in
+      let[@inline] check ld fr =
+        sb_check ld.st ~site ~where ~ptr:(fetch fr sp jp) ~base:(fetch fr sb jb)
+          ~bound:(fetch fr se je) ~size:csize;
+        tick_half ld fr (i + 1)
+      in
+      let next = rest 2 in
+      match access with
+      | Ir.Load (r, t, a) when int_access t a ->
+          let r = vreg f r in
+          let s, j = pure_parts f a in
+          let size = Ir.ity_size t and ptr = t = Ir.P and sh, mask = width t in
+          Some
+            (fun ld ->
+              let fr = step ld i in
+              check ld fr;
+              load_h ld.st fr r ~size ~sh ~mask ~ptr (fetch fr s j);
+              next ld)
+      | Ir.Store (t, a, v) when int_access t a && pure_operand v ->
+          let sa, ja = pure_parts f a and sv, jv = pure_parts f v in
+          let size = Ir.ity_size t and ptr = t = Ir.P in
+          Some
+            (fun ld ->
+              let fr = step ld i in
+              check ld fr;
+              store_h ld.st ~size ~ptr (fetch fr sa ja) (fetch fr sv jv);
+              next ld)
+      | _ -> None)
+  | _ -> None
+
+let dummy_k : k = fun _ -> assert false
 
 (** Compile [fe]; [c_funcs] is the module's table, still being filled,
     which call and return closures read when they run. *)
@@ -852,16 +1046,28 @@ let compile_func img c_funcs (fe : Vm.fentry) : func_code =
   let f = fe.Vm.fe_func in
   let nblocks = Array.length fe.Vm.fe_code in
   let entries = Array.make nblocks dummy_k in
+  let hops =
+    Array.init nblocks (fun b ->
+        match (fe.Vm.fe_code.(b), fe.Vm.fe_terms.(b)) with
+        | [||], Ir.TJmp u -> u
+        | _ -> -1)
+  in
   let chains =
     Array.init nblocks (fun b ->
-        let insts = fe.Vm.fe_code.(b) in
+        let insts = fe.Vm.fe_code.(b) and term = fe.Vm.fe_terms.(b) in
         let n = Array.length insts in
         let arr = Array.make (n + 1) dummy_k in
-        arr.(n) <- compile_term c_funcs f entries fe.Vm.fe_terms.(b);
+        arr.(n) <- compile_term c_funcs f entries hops ~idx:n term;
         (* fill backward so each closure captures its successor
-           directly — the common case never touches an array *)
+           directly — the common case never touches an array.  Every
+           index keeps an entry, fused or not, for frames that resume
+           mid-block. *)
         for i = n - 1 downto 0 do
-          arr.(i) <- compile_inst img c_funcs f ~blk:b ~idx:i arr.(i + 1) insts.(i)
+          arr.(i) <-
+            (match fuse f entries hops insts term i (fun d -> arr.(i + d)) with
+            | Some k -> k
+            | None ->
+                compile_inst img c_funcs f ~blk:b ~idx:i arr.(i + 1) insts.(i))
         done;
         arr)
   in
@@ -883,7 +1089,8 @@ let drive comp (ld : Vm.loaded) (depth : int) : unit =
   let outer = st.floor in
   st.floor <- depth;
   while st.n_frames > depth do
-    resume comp.c_funcs ld (top st)
+    st.bounces <- st.bounces + 1;
+    try resume comp.c_funcs ld with Tick_due -> tick_slow st
   done;
   (* a trap leaves the inner floor behind: higher than the outer one,
      which costs only a driver round trip on a later return *)

@@ -145,7 +145,9 @@ type frame = {
      registers were a [value array].  A reused record keeps its arrays
      when they are large enough, so they may be longer than the
      function's register count; the registers past it are never
-     read. *)
+     read.  A float write also stores its [int_of_float] in the int
+     lane, so the engine's int read ({!ureg_int}) needs no tag test;
+     the reference loop's {!reg_int} still tests the tag. *)
   mutable fr_iregs : int array;
   mutable fr_fregs : float array;
   mutable fr_isf : Bytes.t;
@@ -183,7 +185,8 @@ let[@inline] reg_set fr r = function
       fr.fr_iregs.(r) <- n
   | VF f ->
       Bytes.set fr.fr_isf r '\001';
-      fr.fr_fregs.(r) <- f
+      fr.fr_fregs.(r) <- f;
+      fr.fr_iregs.(r) <- int_of_float f
 
 let[@inline] reg_set_int fr r n =
   Bytes.set fr.fr_isf r '\000';
@@ -194,9 +197,7 @@ let[@inline] ureg_value fr r =
     VI (Array.unsafe_get fr.fr_iregs r)
   else VF (Array.unsafe_get fr.fr_fregs r)
 
-let[@inline] ureg_int fr r =
-  if Bytes.unsafe_get fr.fr_isf r = '\000' then Array.unsafe_get fr.fr_iregs r
-  else int_of_float (Array.unsafe_get fr.fr_fregs r)
+let[@inline] ureg_int fr r = Array.unsafe_get fr.fr_iregs r
 
 let[@inline] ureg_float fr r =
   if Bytes.unsafe_get fr.fr_isf r = '\001' then Array.unsafe_get fr.fr_fregs r
@@ -208,7 +209,8 @@ let[@inline] ureg_set fr r = function
       Array.unsafe_set fr.fr_iregs r n
   | VF f ->
       Bytes.unsafe_set fr.fr_isf r '\001';
-      Array.unsafe_set fr.fr_fregs r f
+      Array.unsafe_set fr.fr_fregs r f;
+      Array.unsafe_set fr.fr_iregs r (int_of_float f)
 
 let[@inline] ureg_set_int fr r n =
   Bytes.unsafe_set fr.fr_isf r '\000';
@@ -216,7 +218,8 @@ let[@inline] ureg_set_int fr r n =
 
 let[@inline] ureg_set_float fr r f =
   Bytes.unsafe_set fr.fr_isf r '\001';
-  Array.unsafe_set fr.fr_fregs r f
+  Array.unsafe_set fr.fr_fregs r f;
+  Array.unsafe_set fr.fr_iregs r (int_of_float f)
 
 let ret_token_magic = 0x5e7_0000_0000
 let jmp_token_magic = 0x6a7_0000_0000
@@ -369,6 +372,16 @@ type t = {
           place *)
   mutable next_uid : int;
   mutable steps : int;
+  mutable tick_limit : int;
+      (** the engine leaves its per-step fast path once [steps] reaches
+          this: the next step is the step limit or a poll point
+          ({!tick_slow}) *)
+  mutable fused : int;
+      (** host-side counter: second and later instructions run inside a
+          fused closure (a superinstruction), so [steps - fused] closure
+          dispatches happened.  Not simulated state. *)
+  mutable bounces : int;
+      (** host-side counter: chains the engine's driver entered *)
   out : Buffer.t;
   mutable inputs : string list;
   mutable rand_state : int;
@@ -388,6 +401,37 @@ type t = {
 
 (** The top frame; the stack must not be empty. *)
 let top st = st.stack.(st.n_frames - 1)
+
+(* ------------------------------------------------------------------ *)
+(* Step accounting                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(** The engine's bound after step [steps]: the step count from which
+    the next step is one past [max_steps] or, when a hook is set, a poll
+    point. *)
+let next_tick_limit cfg steps =
+  match cfg.poll with
+  | None -> cfg.max_steps
+  | Some _ -> Int.min cfg.max_steps (steps lor poll_mask)
+
+(** The rare half of the engine's per-step check, for the step about to
+    run, [steps + 1], once [steps] has reached [tick_limit]: the same
+    [Step_limit] and poll hook, on the same steps, as the reference
+    loop's two tests.  The hook sees the step counted, as there; the
+    engine then re-runs the step, which counts it for good. *)
+let tick_slow st =
+  let s = st.steps + 1 in
+  if s > st.cfg.max_steps then begin
+    st.steps <- s;
+    raise (Trap Step_limit)
+  end;
+  st.tick_limit <- next_tick_limit st.cfg s;
+  match st.cfg.poll with
+  | Some p when s land poll_mask = 0 ->
+      st.steps <- s;
+      p ();
+      st.steps <- s - 1
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Accounting helpers                                                   *)

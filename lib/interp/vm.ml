@@ -286,6 +286,11 @@ let find_func (img : image) (name : string) : fentry option =
 type loaded = {
   st : t;  (** the run's own state *)
   img : image;  (** the shared module image *)
+  mutable cur : frame;
+      (** the top frame, {!State.no_frame} when the stack is empty: the
+          current frame of the threaded-code engine's closures.
+          {!set_depth}, the one writer of [st.n_frames], keeps it equal
+          to [top st]. *)
   mutable reenter : (loaded -> fentry -> value list -> value list) option;
       (** hook for re-entrant builtin-to-interpreted calls (qsort
           comparators): the threaded-code engine installs its own
@@ -331,6 +336,9 @@ let create ?(cfg = default_config) (m : Ir.modul) : loaded =
       floor = 0;
       next_uid = 1;
       steps = 0;
+      tick_limit = next_tick_limit cfg 0;
+      fused = 0;
+      bounces = 0;
       out = Buffer.create 256;
       inputs = cfg.inputs;
       rand_state = 42;
@@ -347,7 +355,7 @@ let create ?(cfg = default_config) (m : Ir.modul) : loaded =
         let base, size = Hashtbl.find img.im_globals g.Ir.gname in
         checker_event st (Ev_alloc { base; size; kind = AGlobal }))
       m.Ir.mglobals;
-  { st; img; reenter = None }
+  { st; img; cur = no_frame; reenter = None }
 
 (* ------------------------------------------------------------------ *)
 (* Operand evaluation                                                   *)
@@ -381,8 +389,8 @@ let eval_int fr o =
 (* ------------------------------------------------------------------ *)
 
 (** Integer half of {!exec_bin}, unboxed: [t] must not be a float type.
-    The threaded-code engine calls this directly for int-typed ALU ops
-    with effect-free operands, avoiding the [value] boxing. *)
+    The threaded-code engine specialises every other operator by width
+    and calls this for division, remainder and narrow unsigned [Shr]. *)
 let exec_bin_int st (op : Ir.binop) (t : Ir.ity) (x : int) (y : int) : int =
   let signed = Ir.ity_signed t in
   let r =
@@ -398,14 +406,16 @@ let exec_bin_int st (op : Ir.binop) (t : Ir.ity) (x : int) (y : int) : int =
         x * y
     | Ir.Div ->
         charge st Cost.div;
-        if y = 0 then raise (Trap (Runtime_error "division by zero"));
-        if signed then x / y
-        else Ir.unsigned_view t x / Ir.unsigned_view t y
+        (* an unsigned divisor is its view: nonzero bits above the type's
+           width must not reach the host division *)
+        let d = if signed then y else Ir.unsigned_view t y in
+        if d = 0 then raise (Trap (Runtime_error "division by zero"));
+        if signed then x / y else Ir.unsigned_view t x / d
     | Ir.Rem ->
         charge st Cost.div;
-        if y = 0 then raise (Trap (Runtime_error "modulo by zero"));
-        if signed then x mod y
-        else Ir.unsigned_view t x mod Ir.unsigned_view t y
+        let d = if signed then y else Ir.unsigned_view t y in
+        if d = 0 then raise (Trap (Runtime_error "modulo by zero"));
+        if signed then x mod y else Ir.unsigned_view t x mod d
     | Ir.And ->
         charge st Cost.basic;
         x land y
@@ -528,20 +538,6 @@ let do_load st (t : Ir.ity) addr : value =
       VI
         (if Ir.ity_signed t then Mem.sign_extend raw (Ir.ity_size t) else raw)
 
-(** [do_load] for a statically-known non-float [t]: same accounting and
-    result bits, but returns the raw int so the threaded-code engine can
-    store it without boxing. *)
-let do_load_int st (t : Ir.ity) addr : int =
-  let size = Ir.ity_size t in
-  program_read st addr size;
-  match t with
-  | Ir.P ->
-      st.stats.ptr_mem_ops <- st.stats.ptr_mem_ops + 1;
-      Mem.read_int st.mem addr 8
-  | t ->
-      let raw = Mem.read_int st.mem addr (Ir.ity_size t) in
-      if Ir.ity_signed t then Mem.sign_extend raw (Ir.ity_size t) else raw
-
 (** [do_store] for a statically-known non-float [t], taking the raw
     int. *)
 let do_store_int st (t : Ir.ity) addr (v : int) : unit =
@@ -599,6 +595,12 @@ let assign_rets (fr : frame) (ret_regs : Ir.reg list) (out : value list) : unit 
     | _, _ -> ()
   in
   go ret_regs out
+
+(** Set the frame stack's depth and the current frame with it. *)
+let set_depth ld n =
+  let st = ld.st in
+  st.n_frames <- n;
+  ld.cur <- (if n > 0 then Array.unsafe_get st.stack (n - 1) else no_frame)
 
 (** Double the frame stack's capacity. *)
 let grow_stack st =
@@ -687,7 +689,7 @@ let push_frame ld (fe : fentry) ~nargs (ret_regs : Ir.reg list) : frame =
   if fr.fr_ret_regs != ret_regs then fr.fr_ret_regs <- ret_regs;
   fr.fr_expected_savedfp <- saved_fp;
   st.sp <- new_sp;
-  st.n_frames <- depth + 1;
+  set_depth ld (depth + 1);
   if st.n_frames > st.stats.max_frames then
     st.stats.max_frames <- st.n_frames;
   (* baseline checkers track each slot as an object *)
@@ -773,7 +775,7 @@ let pop_frame ld : unit =
     fr.fr_pinned <- false
   end;
   st.sp <- fr.fr_fp;
-  st.n_frames <- st.n_frames - 1
+  set_depth ld (st.n_frames - 1)
 
 (** Hand the popped frame [fr]'s return values to its caller: into the
     caller's receiving registers, or into [last_rets] when there are
@@ -894,7 +896,7 @@ let exec_longjmp ld ~checked (args : value list) =
                       if b <> 0 || e <> 0 then meta_store st a 0 0)
                     sl.Ir.sl_ptr_offsets)
                 fr.fr_func.Ir.fslots;
-            st.n_frames <- st.n_frames - 1;
+            set_depth ld (st.n_frames - 1);
             unwind ()
         | _ -> ()
       in
@@ -1000,7 +1002,18 @@ let exec_sortsearch ld ~checked ~is_bsearch (argvals : value list)
           match ld.reenter with
           | Some f -> f ld fe args
           | None -> !call_function_fwd ld fe args)
-      | None -> Builtins.dispatch st cmp_target args
+      | None -> (
+          (* a builtin comparator gets the two element pointers too: a
+             prototype that takes another count is an arity mismatch,
+             reported as {!push_frame} reports a module function's *)
+          match cmp_target.tg_kind with
+          | Libc { lc_n_fixed; _ } when lc_n_fixed <> 2 ->
+              raise
+                (Trap
+                   (Runtime_error
+                      (Printf.sprintf "%s: called with 2 args, expects %d"
+                         cmp_target.tg_name lc_n_fixed)))
+          | _ -> Builtins.dispatch st cmp_target args)
     in
     (* a longjmp out of the comparator would leave this sort running
        against an unwound (or redirected) stack; C calls that undefined,
@@ -1439,6 +1452,11 @@ type result = {
   obs : Obs.t;
       (** per-site observability counters and (optionally) the event
           ring *)
+  dispatches : int;
+      (** host-side: closures the engine entered — steps less the ones
+          run inside a superinstruction (every step, on the decode
+          loop).  Not simulated; not compared across engines. *)
+  bounces : int;  (** host-side: chains entered from the engine's driver *)
 }
 
 let finish ld outcome : result =
@@ -1458,6 +1476,8 @@ let finish ld outcome : result =
     heap_live = Machine.Heap.live_bytes st.heap;
     heap_allocs = Machine.Heap.total_allocs st.heap;
     obs = st.obs;
+    dispatches = st.steps - st.fused;
+    bounces = st.bounces;
   }
 
 (** Run the loaded module's global initializer and [main] with [exec]

@@ -341,6 +341,177 @@ let call_path_outcomes =
       "5 10340\n" );
   ]
 
+(* Superinstructions.  One program holding every fused shape: a
+   compare and the branch on it (each relation, narrow and word types),
+   the array-index triple, a [Gep] and the load through it, a [Mov] or a
+   [Store] before a [TJmp], and — under full checking — a [Check] before
+   the load or store it guards.  The second ends on a wild load: the
+   unprotected run traps in the second half of a [Gep] and [Load] pair,
+   the protected one in the first half of a [Check] and [Load] pair. *)
+let fused_shapes =
+  {|struct P { long x; long y; };
+struct P q;
+int a[8];
+long b[8];
+int main(int argc, char **argv) {
+  int i;
+  long s = 0;
+  struct P *pp = &q;
+  unsigned char c = 250;
+  short h = -3;
+  q.y = 3;
+  for (i = 0; i < 8; i++) a[i] = (i * 5) & 7;
+  for (i = 0; i < 8; i++) b[a[i]] = b[a[i]] + i;
+  for (i = 0; i < 8; i++) {
+    if (a[i] == 3) s = s + pp->y;
+    if (a[i] != 2) s = s + 1;
+    if (a[i] >= 5) s = s + 2;
+    if (a[i] <= 1) s = s - 1;
+    if (a[i] > 6) s = s + 7;
+    s = s + a[i] * b[i];
+  }
+  c = c + 10;
+  if (c < 5) s = s + 100;
+  if (h < 0) s = s + 1000;
+  if (argc > 1) s = s + (pp + 100000000)->y;
+  return (int)(s & 63);
+}|}
+
+(* The simulated fingerprint plus the tail of the event trace, which a
+   trap dump prints. *)
+let traced_fingerprint (r : Vm.result) =
+  (fingerprint r, Obs.events r.Vm.obs)
+
+(* Run [m] on both engines at every step limit from 1 to one past its
+   length, so the limit lands on each part of each fused closure.  Then
+   force the engine's slow step check at each step in turn (as a poll
+   point does): the closure there must record its position and be
+   re-entered from the driver without a trace in the result. *)
+let step_sweep label ?opts argv src =
+  let m = Softbound.compile src in
+  let m, base =
+    match opts with
+    | None -> (m, cfg)
+    | Some opts -> (Softbound.instrument ~opts m, Softbound.protected_cfg ~opts cfg)
+  in
+  let cfg_at n = { base with St.max_steps = n; trace_depth = 8; argv } in
+  let full_cfg = cfg_at 1_000_000 in
+  let reference = traced_fingerprint (Vm.run ~cfg:full_cfg m) in
+  let full = Interp.Engine.run ~cfg:full_cfg m in
+  if full.Vm.dispatches >= full.Vm.stats.St.insts then
+    Alcotest.failf "%s: no superinstruction ran (%d dispatches, %d insts)"
+      label full.Vm.dispatches full.Vm.stats.St.insts;
+  for n = 1 to full.Vm.stats.St.insts + 1 do
+    let d = Vm.run ~cfg:(cfg_at n) m and c = Interp.Engine.run ~cfg:(cfg_at n) m in
+    if traced_fingerprint d <> traced_fingerprint c then
+      Alcotest.failf "%s: engines diverge at max_steps %d\n  decode:  %s\n  closure: %s"
+        label n
+        (St.string_of_outcome d.Vm.outcome)
+        (St.string_of_outcome c.Vm.outcome);
+    let ld = Vm.create ~cfg:full_cfg m in
+    ld.Vm.st.St.tick_limit <- n - 1;
+    let r = Vm.finish ld (Interp.Engine.run_main ld) in
+    if traced_fingerprint r <> reference then
+      Alcotest.failf "%s: re-entry at step %d changes the run: %s" label n
+        (St.string_of_outcome r.Vm.outcome)
+  done
+
+(* The step counts at which the poll hook runs, on one engine. *)
+let poll_steps run_main m =
+  let seen = ref [] and cur = ref None in
+  let poll () =
+    Option.iter (fun (ld : Vm.loaded) -> seen := ld.Vm.st.St.steps :: !seen) !cur
+  in
+  let ld = Vm.create ~cfg:{ cfg with St.poll = Some poll } m in
+  cur := Some ld;
+  ignore (run_main ld : St.outcome);
+  List.rev !seen
+
+let test_poll_steps () =
+  let m =
+    Softbound.compile
+      "int main(void) { long s = 0; int i; for (i = 0; i < 30000; i++) \
+       s = s + (i & 7); return (int)(s & 63); }"
+  in
+  let d = poll_steps (fun ld -> Vm.run_main ld) m in
+  let c = poll_steps Interp.Engine.run_main m in
+  if List.length d < 6 then
+    Alcotest.failf "the hook ran %d times; the program is too short"
+      (List.length d);
+  Alcotest.(check (list int)) "steps at each poll" d c
+
+(* The engine's width-specialised integer ALU and compares against the
+   reference helpers, on raw (possibly unnormalized) register values and
+   on immediates, for every integer type.  The last compare is fused
+   with the branch on it; its target is the fifth return value. *)
+let int_types = Sbir.Ir.[ I8; U8; I16; U16; I32; U32; I64; U64; P ]
+
+let binops =
+  Sbir.Ir.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr ]
+
+let cmpops = Sbir.Ir.[ Ceq; Cne; Clt; Cle; Cgt; Cge ]
+
+let alu_module op cop t x y =
+  let open Sbir.Ir in
+  let rets k = TRet [ Reg 2; Reg 5; Reg 3; Reg 4; ImmI k ] in
+  let main =
+    {
+      fname = "main"; fparams = []; frets = [ I64; I64; I64; I64; I64 ];
+      fvariadic = false; fva_regs = None; fslots = [||]; fframe_size = 0;
+      fnregs = 6;
+      fblocks =
+        [|
+          {
+            insts =
+              [
+                Mov (0, I64, ImmI x); Mov (1, I64, ImmI y);
+                Bin (2, op, t, Reg 0, Reg 1); Bin (5, op, t, ImmI x, ImmI y);
+                Cmp (3, cop, t, Reg 0, Reg 1); Cmp (4, cop, t, Reg 0, ImmI y);
+              ];
+            term = TBr (Reg 4, 1, 2);
+          };
+          { insts = []; term = rets 1 };
+          { insts = []; term = rets 0 };
+        |];
+    }
+  in
+  let mfuncs = Hashtbl.create 1 in
+  Hashtbl.replace mfuncs "main" main;
+  { mfuncs; mglobals = []; mfunc_order = [ "main" ]; mexterns = [] }
+
+let edge_ints =
+  [ 0; 1; -1; 2; 7; 8; 31; 32; 63; 64; 0x7f; 0x80; 0xff; 0x100; 0x7fff;
+    0x8000; 0xffff; 0x7fffffff; 0x80000000; 0xffffffff; 0x100000000;
+    max_int; min_int ]
+
+let test_alu_widths =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:2000
+       ~name:"engine Bin/Cmp = Vm.exec_bin_int/exec_cmp_int, every int type"
+       QCheck.(
+         quad
+           (make Gen.(oneofl binops))
+           (make Gen.(pair (oneofl cmpops) (oneofl int_types)))
+           (make Gen.(oneof [ oneofl edge_ints; int; small_signed_int ]))
+           (make Gen.(oneof [ oneofl edge_ints; int; small_signed_int ])))
+       (fun (op, (cop, t), x, y) ->
+         let m = alu_module op cop t x y in
+         let ld = Vm.create ~cfg m in
+         let st = ld.Vm.st in
+         let expected =
+           match Vm.exec_bin_int st op t x y with
+           | v ->
+               let c = Vm.exec_cmp_int st cop t x y in
+               Ok [ St.VI v; VI v; VI c; VI c; VI c ]
+           | exception St.Trap e -> Error (St.string_of_trap e)
+         in
+         let got =
+           match Interp.Engine.run_main ld with
+           | St.Exit _ -> Ok ld.Vm.st.St.last_rets
+           | St.Trapped e -> Error (St.string_of_trap e)
+         in
+         got = expected))
+
 let suite =
   [
     Alcotest.test_case "regressions: decode = closure (unprotected + full)"
@@ -405,4 +576,15 @@ let suite =
               (St.string_of_outcome r.Vm.outcome);
             Alcotest.(check string) (name ^ " stdout") stdout r.Vm.stdout_text)
           call_path_outcomes);
+    Alcotest.test_case
+      "superinstructions: step-limit sweep over every fused shape" `Quick
+      (fun () ->
+        step_sweep "unprotected" [] fused_shapes;
+        step_sweep "full" ~opts:Softbound.Config.default [] fused_shapes;
+        step_sweep "unprotected, wild load" [ "x" ] fused_shapes;
+        step_sweep "full, wild load" ~opts:Softbound.Config.default [ "x" ]
+          fused_shapes);
+    Alcotest.test_case "tick: the poll hook runs on the same steps" `Quick
+      test_poll_steps;
+    test_alu_widths;
   ]

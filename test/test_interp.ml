@@ -95,6 +95,16 @@ let builtin_comparator =
 
 let sorted = "apple fig pear\n"
 
+(* a builtin comparator gets two element pointers, whatever its
+   prototype: setjmp takes one *)
+let arity_comparator =
+  {|int main(void) {
+  long a[4];
+  a[0] = 3; a[1] = 1; a[2] = 2; a[3] = 0;
+  qsort(a, 4, 8, (int(*)(void*,void*))setjmp);
+  return 0;
+}|}
+
 let call_target_suite =
   [
     call_target "call target: undefined direct callee" undefined_callee
@@ -116,6 +126,14 @@ let call_target_suite =
         ("unprotected", None, "exit 0", sorted);
         ("full/shadow", Some Softbound.Config.default, "exit 0", sorted);
         ("full/hash", Some full_hash, "exit 0", sorted);
+      ];
+    call_target "call target: builtin comparator of another arity"
+      arity_comparator
+      [
+        ("unprotected", None,
+         "runtime error: setjmp: called with 2 args, expects 1", "");
+        ("full/shadow", Some Softbound.Config.default,
+         "runtime error: _sb_setjmp: called with 2 args, expects 1", "");
       ];
     call_target "call target: builtin passes the signature check"
       "int main(void) { long (*len)(char *) = strlen; return (int)len(\"abcd\"); }"
