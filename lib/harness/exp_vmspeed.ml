@@ -200,7 +200,9 @@ let render (rows : row list) : string =
     (Texttable.render
        ~headers:
          ([ "benchmark" ]
-         @ List.concat_map (fun s -> [ s; "vs base"; "disp/inst" ]) scheme_names)
+         @ List.concat_map
+             (fun s -> [ s; "vs base"; "disp/inst" ])
+             scheme_names)
        (List.map
           (fun k ->
             let cells =

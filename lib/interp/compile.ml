@@ -900,7 +900,9 @@ let compile_term c_funcs (f : Ir.func) (entries : k array) (hops : int array)
 let fuse (f : Ir.func) (entries : k array) (hops : int array)
     (insts : Ir.inst array) (term : Ir.terminator) i (rest : int -> k) :
     k option =
-  let after d = if i + d < Array.length insts then Some insts.(i + d) else None in
+  let after d =
+    if i + d < Array.length insts then Some insts.(i + d) else None
+  in
   let pure2 a b = pure_operand a && pure_operand b in
   let int_access t a = int_type t && pure_operand a in
   match (insts.(i), after 1, after 2, term) with
@@ -924,17 +926,20 @@ let fuse (f : Ir.func) (entries : k array) (hops : int array)
           Some
             (fun ld ->
               let fr = step ld i in
-              branch ld fr (fetch fr sa ja land mask = fetch fr sb jb land mask))
+              branch ld fr
+                (fetch fr sa ja land mask = fetch fr sb jb land mask))
       | Lt ->
           Some
             (fun ld ->
               let fr = step ld i in
-              branch ld fr (fetch fr sa ja land mask < fetch fr sb jb land mask))
+              branch ld fr
+                (fetch fr sa ja land mask < fetch fr sb jb land mask))
       | Le ->
           Some
             (fun ld ->
               let fr = step ld i in
-              branch ld fr (fetch fr sa ja land mask <= fetch fr sb jb land mask)))
+              branch ld fr
+                (fetch fr sa ja land mask <= fetch fr sb jb land mask)))
   | ( Ir.Cast (r1, to_, from_, o),
       Some (Ir.Bin (r2, Ir.Mul, t, a, b)),
       Some (Ir.Gep (r3, base, off, _)),
@@ -994,7 +999,8 @@ let fuse (f : Ir.func) (entries : k array) (hops : int array)
           mov_h ld.st fr r s j;
           tick_half ld fr (i + 1);
           goto_h ld fr entries t h)
-  | Ir.Store (ty, a, v), None, _, Ir.TJmp t when int_access ty a && pure_operand v ->
+  | Ir.Store (ty, a, v), None, _, Ir.TJmp t
+    when int_access ty a && pure_operand v ->
       let sa, ja = pure_parts f a and sv, jv = pure_parts f v in
       let size = Ir.ity_size ty and ptr = ty = Ir.P and h = hops.(t) in
       Some

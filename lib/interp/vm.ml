@@ -538,16 +538,6 @@ let do_load st (t : Ir.ity) addr : value =
       VI
         (if Ir.ity_signed t then Mem.sign_extend raw (Ir.ity_size t) else raw)
 
-(** [do_store] for a statically-known non-float [t], taking the raw
-    int. *)
-let do_store_int st (t : Ir.ity) addr (v : int) : unit =
-  let size = Ir.ity_size t in
-  program_write st addr size;
-  (match t with
-  | Ir.P -> st.stats.ptr_mem_ops <- st.stats.ptr_mem_ops + 1
-  | _ -> ());
-  Mem.write_int st.mem addr size v
-
 (** [do_load] for a statically-known float [t], unboxed. *)
 let do_load_float st (t : Ir.ity) addr : float =
   match t with
@@ -570,13 +560,14 @@ let do_store_float st (t : Ir.ity) addr (x : float) : unit =
 
 let do_store st (t : Ir.ity) addr (v : value) : unit =
   match t with
-  | Ir.F64 ->
-      program_write st addr 8;
-      Mem.write_f64 st.mem addr (as_float v)
-  | Ir.F32 ->
-      program_write st addr 4;
-      Mem.write_f32 st.mem addr (as_float v)
-  | t -> do_store_int st t addr (as_int v)
+  | Ir.F64 | Ir.F32 -> do_store_float st t addr (as_float v)
+  | t ->
+      let size = Ir.ity_size t in
+      program_write st addr size;
+      (match t with
+      | Ir.P -> st.stats.ptr_mem_ops <- st.stats.ptr_mem_ops + 1
+      | _ -> ());
+      Mem.write_int st.mem addr size (as_int v)
 
 (* ------------------------------------------------------------------ *)
 (* Frames                                                               *)

@@ -343,11 +343,13 @@ let call_path_outcomes =
 
 (* Superinstructions.  One program holding every fused shape: a
    compare and the branch on it (each relation, narrow and word types),
-   the array-index triple, a [Gep] and the load through it, a [Mov] or a
-   [Store] before a [TJmp], and — under full checking — a [Check] before
-   the load or store it guards.  The second ends on a wild load: the
-   unprotected run traps in the second half of a [Gep] and [Load] pair,
-   the protected one in the first half of a [Check] and [Load] pair. *)
+   the array-index idiom with and without its load, a [Gep] and the load
+   through it, a [Mov] or a [Store] before a [TJmp], jumps into blocks
+   that hold only a jump, and — under full checking — a [Check] before
+   the load or store it guards.  Given an argument it ends on a wild
+   load: the unprotected run traps in the second half of a [Gep] and
+   [Load] pair, the protected one in the first half of a [Check] and
+   [Load] pair. *)
 let fused_shapes =
   {|struct P { long x; long y; };
 struct P q;
@@ -392,7 +394,8 @@ let step_sweep label ?opts argv src =
   let m, base =
     match opts with
     | None -> (m, cfg)
-    | Some opts -> (Softbound.instrument ~opts m, Softbound.protected_cfg ~opts cfg)
+    | Some opts ->
+        (Softbound.instrument ~opts m, Softbound.protected_cfg ~opts cfg)
   in
   let cfg_at n = { base with St.max_steps = n; trace_depth = 8; argv } in
   let full_cfg = cfg_at 1_000_000 in
@@ -402,9 +405,11 @@ let step_sweep label ?opts argv src =
     Alcotest.failf "%s: no superinstruction ran (%d dispatches, %d insts)"
       label full.Vm.dispatches full.Vm.stats.St.insts;
   for n = 1 to full.Vm.stats.St.insts + 1 do
-    let d = Vm.run ~cfg:(cfg_at n) m and c = Interp.Engine.run ~cfg:(cfg_at n) m in
+    let d = Vm.run ~cfg:(cfg_at n) m in
+    let c = Interp.Engine.run ~cfg:(cfg_at n) m in
     if traced_fingerprint d <> traced_fingerprint c then
-      Alcotest.failf "%s: engines diverge at max_steps %d\n  decode:  %s\n  closure: %s"
+      Alcotest.failf
+        "%s: engines diverge at max_steps %d\n  decode:  %s\n  closure: %s"
         label n
         (St.string_of_outcome d.Vm.outcome)
         (St.string_of_outcome c.Vm.outcome);
@@ -420,7 +425,9 @@ let step_sweep label ?opts argv src =
 let poll_steps run_main m =
   let seen = ref [] and cur = ref None in
   let poll () =
-    Option.iter (fun (ld : Vm.loaded) -> seen := ld.Vm.st.St.steps :: !seen) !cur
+    Option.iter
+      (fun (ld : Vm.loaded) -> seen := ld.Vm.st.St.steps :: !seen)
+      !cur
   in
   let ld = Vm.create ~cfg:{ cfg with St.poll = Some poll } m in
   cur := Some ld;
@@ -435,7 +442,7 @@ let test_poll_steps () =
   in
   let d = poll_steps (fun ld -> Vm.run_main ld) m in
   let c = poll_steps Interp.Engine.run_main m in
-  if List.length d < 6 then
+  if List.length d < 7 then
     Alcotest.failf "the hook ran %d times; the program is too short"
       (List.length d);
   Alcotest.(check (list int)) "steps at each poll" d c
