@@ -100,7 +100,7 @@ let[@inline] step ld idx =
 
 (** The tick of the instruction at [idx] run inside a superinstruction,
     which the dispatch counter tells apart. *)
-let[@inline] tick_half ld fr idx =
+let[@inline] tick_fused ld fr idx =
   tick ld fr idx;
   ld.st.fused <- ld.st.fused + 1
 
@@ -278,13 +278,13 @@ let[@inline] store_h st ~size ~ptr addr v =
 
 (** A [TJmp] or [TBr] to block [t], after its tick.  When [t] holds
     nothing but a [TJmp] to [hop], that jump runs here too, as the
-    second half of a superinstruction; [hop] is -1 otherwise. *)
+    later part of a superinstruction; [hop] is -1 otherwise. *)
 let[@inline] goto_h ld fr (entries : k array) t hop =
   charge ld.st Cost.basic;
   fr.fr_block <- t;
   if hop < 0 then (Array.unsafe_get entries t) ld
   else begin
-    tick_half ld fr 0;
+    tick_fused ld fr 0;
     charge ld.st Cost.basic;
     fr.fr_block <- hop;
     (Array.unsafe_get entries hop) ld
@@ -894,8 +894,8 @@ let compile_term c_funcs (f : Ir.func) (entries : k array) (hops : int array)
     [Check] and the load or store it guards.  [rest d] is the closure
     [d] instructions past [i]; for a shape that ends the block, the
     terminator's work is done here and [entries] and [hops] give the
-    branch target.  Each half runs the body its
-    plain closure runs, in order; {!tick_half} counts the later halves
+    branch target.  Each part runs the body its
+    plain closure runs, in order; {!tick_fused} counts the later parts
     for the dispatch counter. *)
 let fuse (f : Ir.func) (entries : k array) (hops : int array)
     (insts : Ir.inst array) (term : Ir.terminator) i (rest : int -> k) :
@@ -918,7 +918,7 @@ let fuse (f : Ir.func) (entries : k array) (hops : int array)
       let h1 = hops.(t1) and h2 = hops.(t2) in
       let[@inline] branch ld fr c =
         cmp_h ld.st fr r neg c;
-        tick_half ld fr (i + 1);
+        tick_fused ld fr (i + 1);
         goto_h ld fr entries (if c then t1 else t2) (if c then h1 else h2)
       in
       match rl with
@@ -953,9 +953,9 @@ let fuse (f : Ir.func) (entries : k array) (hops : int array)
       let sc, jc = pure_parts f base and so, jo = pure_parts f off in
       let[@inline] index ld fr =
         alu_h ld.st fr Cost.basic r1 sh1 mask1 (fetch fr s j);
-        tick_half ld fr (i + 1);
+        tick_fused ld fr (i + 1);
         alu_h ld.st fr Cost.mul r2 sh2 mask2 (fetch fr sa ja * fetch fr sb jb);
-        tick_half ld fr (i + 2);
+        tick_fused ld fr (i + 2);
         gep_h ld.st fr r3 (fetch fr sc jc) (fetch fr so jo)
       in
       match after 3 with
@@ -967,7 +967,7 @@ let fuse (f : Ir.func) (entries : k array) (hops : int array)
             (fun ld ->
               let fr = step ld i in
               let d = index ld fr in
-              tick_half ld fr (i + 3);
+              tick_fused ld fr (i + 3);
               load_h ld.st fr rl ~size ~sh ~mask ~ptr d;
               next ld)
       | _ ->
@@ -987,7 +987,7 @@ let fuse (f : Ir.func) (entries : k array) (hops : int array)
         (fun ld ->
           let fr = step ld i in
           let d = gep_h ld.st fr r (fetch fr sb jb) (fetch fr so jo) in
-          tick_half ld fr (i + 1);
+          tick_fused ld fr (i + 1);
           load_h ld.st fr rl ~size ~sh ~mask ~ptr d;
           next ld)
   | Ir.Mov (r, _, o), None, _, Ir.TJmp t when pure_operand o ->
@@ -997,7 +997,7 @@ let fuse (f : Ir.func) (entries : k array) (hops : int array)
         (fun ld ->
           let fr = step ld i in
           mov_h ld.st fr r s j;
-          tick_half ld fr (i + 1);
+          tick_fused ld fr (i + 1);
           goto_h ld fr entries t h)
   | Ir.Store (ty, a, v), None, _, Ir.TJmp t
     when int_access ty a && pure_operand v ->
@@ -1007,7 +1007,7 @@ let fuse (f : Ir.func) (entries : k array) (hops : int array)
         (fun ld ->
           let fr = step ld i in
           store_h ld.st ~size ~ptr (fetch fr sa ja) (fetch fr sv jv);
-          tick_half ld fr (i + 1);
+          tick_fused ld fr (i + 1);
           goto_h ld fr entries t h)
   | Ir.Check (p, b, e, csize, site), Some access, _, _
     when pure2 p b && pure_operand e -> (
@@ -1018,7 +1018,7 @@ let fuse (f : Ir.func) (entries : k array) (hops : int array)
       let[@inline] check ld fr =
         sb_check ld.st ~site ~where ~ptr:(fetch fr sp jp) ~base:(fetch fr sb jb)
           ~bound:(fetch fr se je) ~size:csize;
-        tick_half ld fr (i + 1)
+        tick_fused ld fr (i + 1)
       in
       let next = rest 2 in
       match access with
