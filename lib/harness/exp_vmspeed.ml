@@ -12,7 +12,11 @@
    vmspeed] compares everything except those.  Each row also records
    the engine's closure dispatches per simulated instruction, a host-work
    proxy that is exact where timings are noisy: fewer than one means
-   superinstructions ran several instructions per dispatch.
+   superinstructions ran several instructions per dispatch.  Its
+   [bounces] count the chains the engine's driver entered: one per
+   entry function (main, and SoftBound's global-metadata initializer),
+   plus one per re-entry after a builtin's comparator returns, a longjmp
+   moves to another frame, or a poll hook runs.
 
    The recorded baseline below was measured with this same harness on
    the PR 4 engine (pre-decoded dispatch, word-granular memory — the
@@ -26,6 +30,7 @@ type row = {
   sim_cycles : int;  (** cycles of one run — deterministic *)
   dispatches_per_inst : float;
       (** {!Interp.Vm.result.dispatches} over instructions — deterministic *)
+  bounces : int;  (** {!Interp.Vm.result.bounces} of one run — deterministic *)
   runs : int;  (** timed iterations behind [host_seconds] *)
   host_seconds : float;
 }
@@ -119,6 +124,7 @@ let measure_one ~quick ~iters (w : Workloads.workload)
     dispatches_per_inst =
       float_of_int r0.Interp.Vm.dispatches
       /. float_of_int (max 1 r0.Interp.Vm.stats.Interp.State.insts);
+    bounces = r0.Interp.Vm.bounces;
     runs = iters;
     host_seconds = t1 -. t0;
   }
@@ -244,8 +250,8 @@ let artifact : Artifact.t =
   let row =
     Fields
       (nums
-         [ "sim_cycles"; "dispatches_per_inst"; "cycles_per_host_sec";
-           "speedup_vs_baseline" ])
+         [ "sim_cycles"; "dispatches_per_inst"; "bounces";
+           "cycles_per_host_sec"; "speedup_vs_baseline" ])
   in
   let rows_per_scheme = List.map (fun s -> (s, Any)) scheme_names in
   { name = "vmspeed"; tag = "vmspeed";
@@ -291,6 +297,7 @@ let to_json ?(quick = false) ?(iters = 1) (rows : row list) : Json.t =
       [ ("name", Json.Str r.name); ("scheme", Json.Str r.scheme);
         ("sim_cycles", Json.int r.sim_cycles);
         ("dispatches_per_inst", Json.decimals 4 r.dispatches_per_inst);
+        ("bounces", Json.int r.bounces);
         ("runs", Json.int r.runs);
         ("host_seconds", Json.decimals 6 r.host_seconds);
         ("cycles_per_host_sec", cps_num (cps r));
