@@ -2,21 +2,24 @@
 
    Every artifact in this repo is bottlenecked on the host speed of the
    IR interpreter, so the engine's throughput is tracked as a number
-   ([BENCH_vmspeed.json]), not a claim.  Each row times [iters] complete
-   runs of one kernel under one scheme — unprotected exercises the bare
+   ([BENCH_vmspeed.json]), not a claim.  Each row times complete runs
+   of one kernel under one scheme — unprotected exercises the bare
    dispatch/memory fast path, softbound-full-hash additionally hammers
    the metadata hash table — and reports simulated-cycles-per-
-   host-second.  Simulated cycle counts are deterministic and
-   golden-checked elsewhere; only the fields the artifact declares as
-   host timing vary from run to run, and [experiments determinism
-   vmspeed] compares everything except those.  Each row also records
-   the engine's closure dispatches per simulated instruction, a host-work
-   proxy that is exact where timings are noisy: fewer than one means
-   superinstructions ran several instructions per dispatch.  Its
-   [bounces] count the chains the engine's driver entered: one per
-   entry function (main, and SoftBound's global-metadata initializer),
-   plus one per re-entry after a builtin's comparator returns, a longjmp
-   moves to another frame, or a poll hook runs.
+   host-second.  A row times at least [iters] runs, and enough of them
+   to execute {!min_timed_cycles} simulated cycles, so that no row's
+   timing rests on a few milliseconds of host time.  Simulated cycle
+   counts are deterministic and golden-checked elsewhere; only the
+   fields the artifact declares as host timing vary from run to run,
+   and [experiments determinism vmspeed] compares everything except
+   those.  Each row also records the engine's closure dispatches per
+   simulated instruction, a host-work proxy that is exact where timings
+   are noisy: fewer than one means superinstructions ran several
+   instructions per dispatch.  Its [bounces] count the chains the
+   engine's driver entered: one per entry function (main, and
+   SoftBound's global-metadata initializer), plus one per re-entry after
+   a builtin's comparator returns, a longjmp moves to another frame, or
+   a poll hook runs.
 
    The recorded baseline below was measured with this same harness on
    the PR 4 engine (pre-decoded dispatch, word-granular memory — the
@@ -31,7 +34,9 @@ type row = {
   dispatches_per_inst : float;
       (** {!Interp.Vm.result.dispatches} over instructions — deterministic *)
   bounces : int;  (** {!Interp.Vm.result.bounces} of one run — deterministic *)
-  runs : int;  (** timed iterations behind [host_seconds] *)
+  runs : int;
+      (** timed iterations behind [host_seconds] — deterministic
+          ({!timed_runs}) *)
   host_seconds : float;
 }
 
@@ -103,6 +108,21 @@ let baseline_cps ~name ~scheme =
 
 let now () = Unix.gettimeofday ()
 
+(** Simulated cycles a row's timed runs add up to at least.  At 80 to
+    450 Mcycles per host second (release build) this is a window of
+    0.05 to 0.25 s, where a few milliseconds of host noise no longer
+    decide a row; a larger floor mostly lengthens the quick smoke run,
+    which times the same number of cycles in the dev profile. *)
+let min_timed_cycles = 20_000_000
+
+(** Timed runs of a row whose one run takes [sim_cycles]: at least
+    [iters], and enough for {!min_timed_cycles}.  A function of
+    simulated state alone, so the artifact's [runs] stays a
+    deterministic field. *)
+let timed_runs ~iters sim_cycles =
+  let c = Int.max 1 sim_cycles in
+  Int.max iters ((min_timed_cycles + c - 1) / c)
+
 let measure_one ~quick ~iters (w : Workloads.workload)
     ((sname, scheme) : string * Runner.scheme) : row =
   let m = Runner.compile_workload w in
@@ -112,20 +132,22 @@ let measure_one ~quick ~iters (w : Workloads.workload)
   let r0 = Runner.run ~argv scheme m in
   Runner.check_clean ~quick ~workload:w.Workloads.name ~scheme:sname
     r0.Interp.Vm.outcome;
+  let sim_cycles = r0.Interp.Vm.stats.Interp.State.cycles in
+  let runs = timed_runs ~iters sim_cycles in
   let t0 = now () in
-  for _ = 1 to iters do
+  for _ = 1 to runs do
     ignore (Runner.run ~argv scheme m)
   done;
   let t1 = now () in
   {
     name = w.Workloads.name;
     scheme = sname;
-    sim_cycles = r0.Interp.Vm.stats.Interp.State.cycles;
+    sim_cycles;
     dispatches_per_inst =
       float_of_int r0.Interp.Vm.dispatches
       /. float_of_int (max 1 r0.Interp.Vm.stats.Interp.State.insts);
     bounces = r0.Interp.Vm.bounces;
-    runs = iters;
+    runs;
     host_seconds = t1 -. t0;
   }
 

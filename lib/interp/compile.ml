@@ -13,8 +13,8 @@
    the callee's frame and enters its chain, a return pops and continues
    the caller where it left off, so the driver loop below regains
    control only when a return reaches a frame waiting in host code (a
-   qsort comparator's caller) or a longjmp moves control to another
-   frame.
+   qsort comparator's caller), a longjmp moves control to another
+   frame, or a call run by the fallback (below) pushes one.
 
    Superinstructions: the short runs of instructions that dominate the
    dynamic instruction stream of Figure 2 run as one closure (see
@@ -22,6 +22,23 @@
    tick, charges, cache accesses, checker events, obs records and traps
    in the original order, so a trap or [Step_limit] in any part ends
    the run exactly as the unfused chain would.
+
+   The fallback: only the shapes worth specialising get closures of
+   their own — pure-operand instructions and terminators, the call
+   path, and the superinstructions.  Every other instruction (a float
+   cast, a span or function-pointer check, an operand naming a global
+   or function the module never defines, a call with such an argument)
+   and every other terminator (a [switch], an impure branch or return,
+   [unreachable]) compiles to one closure that ticks, sets [fr_inst]
+   as the reference loop does, and runs the reference's own arm,
+   {!Vm.exec_inst} or {!Vm.exec_term}.  An instruction then continues
+   its chain if its frame is still on top just past it
+   ({!continue_at}); a terminator resumes the current frame where the
+   arm left it, unless a return reached a frame waiting in host code.
+   Anything else returns to the driver.  These shapes are a fraction of a
+   percent of Figure 2's instructions, and a second copy of their
+   semantics here would be one more place for the engines to drift
+   apart.
 
    Invariant: every simulated output — cycles, instruction counts,
    cache traffic, metadata probes, obs attribution, trap identity and
@@ -110,9 +127,9 @@ let[@inline] tick_fused ld fr idx =
 
 (* Pre-decode resolved every known [Glob]/[GlobEnd]/[Func] operand to an
    [ImmI]; a surviving name is unknown in this module and traps at
-   evaluation time (never earlier), exactly as {!State.eval} does.  The
-   globals and function tables are fixed after load, so compiling the
-   trap is sound. *)
+   evaluation time (never earlier).  Such an operand is not pure, so its
+   instruction runs the reference's own arm (the fallback), which
+   evaluates it with {!Vm.eval}. *)
 
 (* Every register index is validated against the function's register
    count here, at compile time, which makes the unchecked [ureg_*]
@@ -123,32 +140,6 @@ let vreg (f : Ir.func) (r : Ir.reg) : Ir.reg =
     invalid_arg
       (Printf.sprintf "Compile: register %d out of range in %s" r f.Ir.fname);
   r
-
-let ev_value (f : Ir.func) (o : Ir.operand) : frame -> value =
-  match o with
-  | Ir.Reg r ->
-      let r = vreg f r in
-      fun fr -> ureg_value fr r
-  | Ir.ImmI n ->
-      let v = VI n in
-      fun _ -> v
-  | Ir.ImmF x ->
-      let v = VF x in
-      fun _ -> v
-  | Ir.Glob g | Ir.GlobEnd g ->
-      fun _ -> raise (Trap (Runtime_error ("unknown global " ^ g)))
-  | Ir.Func fn ->
-      fun _ -> raise (Trap (Runtime_error ("unknown function " ^ fn)))
-
-let ev_int (f : Ir.func) (o : Ir.operand) : frame -> int =
-  match o with
-  | Ir.Reg r ->
-      let r = vreg f r in
-      fun fr -> ureg_int fr r
-  | Ir.ImmI n -> fun _ -> n
-  | o ->
-      let e = ev_value f o in
-      fun fr -> as_int (e fr)
 
 (** Operands whose evaluation can neither trap nor observe state other
     than the register file — the precondition for reordering or fusing
@@ -362,9 +353,14 @@ let[@inline] resume (c_funcs : func_code array) ld =
      fr.fr_inst)
     ld
 
-(** The first operand of [ops] that is not pure: an unresolved name,
-    whose evaluation always traps. *)
-let first_trapping ops = List.find_opt (fun o -> not (pure_operand_f o)) ops
+(** After a step that pushed no frame (a builtin, setjmp, longjmp, or
+    no call at all): continue with [next] iff [fr] is still on top at
+    [(blk, nexti)], the position just past the step.  A longjmp
+    elsewhere fails the test and returns to the driver; a longjmp that
+    lands exactly there — a setjmp recorded at [(blk, nexti)] — passes
+    it, and continuing inline is precisely the resume semantics. *)
+let[@inline] continue_at ld fr ~blk ~nexti (next : k) =
+  if ld.cur == fr && fr.fr_block = blk && fr.fr_inst = nexti then next ld
 
 (* ------------------------------------------------------------------ *)
 (* Instruction compilation                                              *)
@@ -374,6 +370,7 @@ let first_trapping ops = List.find_opt (fun o -> not (pure_operand_f o)) ops
     for the rest of the block. *)
 let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
     (next : k) (inst : Ir.inst) : k =
+  let nexti = idx + 1 in
   match inst with
   | Ir.Mov (r, _, o) when pure_operand o ->
       let r = vreg f r in
@@ -387,15 +384,6 @@ let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
         let fr = step ld idx in
         charge ld.st Cost.basic;
         ureg_set_float fr r x;
-        next ld
-  | Ir.Mov (r, _, o) ->
-      let r = vreg f r in
-      let e = ev_value f o in
-      fun ld ->
-        let fr = step ld idx in
-        let st = ld.st in
-        charge st Cost.basic;
-        ureg_set fr r (e fr);
         next ld
   | Ir.Bin (r, op, t, a, b)
     when plain_alu op t && pure_operand a && pure_operand b -> (
@@ -478,18 +466,6 @@ let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
         ureg_set_float fr r
           (Vm.exec_bin_float st op (fetchf fr sa ja) (fetchf fr sb jb));
         next ld
-  | Ir.Bin (r, op, t, a, b) ->
-      let r = vreg f r in
-      let ea = ev_value f a and eb = ev_value f b in
-      fun ld ->
-        let fr = step ld idx in
-        let st = ld.st in
-        (* mirror the decoding engine's right-to-left argument
-           evaluation, so a trapping operand charges identically *)
-        let vb = eb fr in
-        let va = ea fr in
-        ureg_set fr r (Vm.exec_bin st op t va vb);
-        next ld
   | Ir.Cmp (r, op, t, a, b)
     when int_type t && pure_operand a && pure_operand b -> (
       (* every integer width: compare the views [v land mask] *)
@@ -525,16 +501,6 @@ let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
         ureg_set_int fr r
           (Vm.exec_cmp_float st op (fetchf fr sa ja) (fetchf fr sb jb));
         next ld
-  | Ir.Cmp (r, op, t, a, b) ->
-      let r = vreg f r in
-      let ea = ev_value f a and eb = ev_value f b in
-      fun ld ->
-        let fr = step ld idx in
-        let st = ld.st in
-        let vb = eb fr in
-        let va = ea fr in
-        ureg_set fr r (Vm.exec_cmp st op t va vb);
-        next ld
   | Ir.Cast (r, to_, from_, o)
     when int_type to_ && int_type from_ && pure_operand o ->
       (* int-to-int cast is charge + renormalize *)
@@ -544,14 +510,6 @@ let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
       fun ld ->
         let fr = step ld idx in
         alu_h ld.st fr Cost.basic r sh mask (fetch fr s j);
-        next ld
-  | Ir.Cast (r, to_, from_, o) ->
-      let r = vreg f r in
-      let e = ev_value f o in
-      fun ld ->
-        let fr = step ld idx in
-        let st = ld.st in
-        ureg_set fr r (Vm.exec_cast st to_ from_ (e fr));
         next ld
   | Ir.Load (r, t, a) when int_type t && pure_operand a ->
       let r = vreg f r in
@@ -569,14 +527,6 @@ let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
         let st = ld.st in
         ureg_set_float fr r (Vm.do_load_float st t (fetch fr s j));
         next ld
-  | Ir.Load (r, t, a) ->
-      let r = vreg f r in
-      let ia = ev_int f a in
-      fun ld ->
-        let fr = step ld idx in
-        let st = ld.st in
-        ureg_set fr r (Vm.do_load st t (ia fr));
-        next ld
   | Ir.Store (t, a, v) when int_type t && pure_operand a && pure_operand v ->
       let sa, ja = pure_parts f a and sv, jv = pure_parts f v in
       let size = Ir.ity_size t and ptr = t = Ir.P in
@@ -592,35 +542,12 @@ let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
         let st = ld.st in
         Vm.do_store_float st t (fetch fr sa ja) (fetchf fr sv jv);
         next ld
-  | Ir.Store (t, a, v) ->
-      let ia = ev_int f a and ev = ev_value f v in
-      fun ld ->
-        let fr = step ld idx in
-        let st = ld.st in
-        let vv = ev fr in
-        let addr = ia fr in
-        Vm.do_store st t addr vv;
-        next ld
   | Ir.Gep (r, base, off, _) when pure_operand base && pure_operand off ->
       let r = vreg f r in
       let sb, jb = pure_parts f base and so, jo = pure_parts f off in
       fun ld ->
         let fr = step ld idx in
         ignore (gep_h ld.st fr r (fetch fr sb jb) (fetch fr so jo) : int);
-        next ld
-  | Ir.Gep (r, base, off, _) ->
-      let r = vreg f r in
-      let ib = ev_int f base and io = ev_int f off in
-      fun ld ->
-        let fr = step ld idx in
-        let st = ld.st in
-        charge st Cost.basic;
-        let b = ib fr in
-        let d = b + io fr in
-        (match st.cfg.checker with
-        | Some _ -> checker_event st (Ev_ptr_arith { src = b; dst = d })
-        | None -> ());
-        ureg_set_int fr r d;
         next ld
   | Ir.Slotaddr (r, s) ->
       let r = vreg f r in
@@ -648,64 +575,6 @@ let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
         sb_check ld.st ~site ~where ~ptr:(fetch fr sp jp) ~base:(fetch fr sb jb)
           ~bound:(fetch fr se je) ~size;
         next ld
-  | Ir.Check (p, b, e, size, site) ->
-      let ip = ev_int f p and ib = ev_int f b and ie = ev_int f e in
-      let where = f.Ir.fname in
-      fun ld ->
-        let fr = step ld idx in
-        let st = ld.st in
-        let bnd = ie fr in
-        let bas = ib fr in
-        let pv = ip fr in
-        sb_check st ~site ~where ~ptr:pv ~base:bas ~bound:bnd ~size;
-        next ld
-  | Ir.CheckSpan sp ->
-      let ifirst = ev_int f sp.Ir.sp_first in
-      let icount = ev_int f sp.Ir.sp_count in
-      let ibase = ev_int f sp.Ir.sp_base in
-      let ibound = ev_int f sp.Ir.sp_bound in
-      let stride = sp.Ir.sp_stride and width = sp.Ir.sp_width in
-      let site = sp.Ir.sp_site and sites = sp.Ir.sp_sites in
-      let where = f.Ir.fname in
-      fun ld ->
-        let fr = step ld idx in
-        let st = ld.st in
-        let bound = ibound fr in
-        let base = ibase fr in
-        let count = icount fr in
-        let first = ifirst fr in
-        sb_check_span st ~site ~sites ~where ~first ~count ~stride ~width
-          ~base ~bound;
-        next ld
-  | Ir.CheckFptr (p, b, e, expected_sig, site)
-    when pure_operand p && pure_operand b && pure_operand e ->
-      let sp, jp = pure_parts f p in
-      let sb, jb = pure_parts f b in
-      let se, je = pure_parts f e in
-      let fname = f.Ir.fname in
-      fun ld ->
-        let fr = step ld idx in
-        let st = ld.st in
-        st.stats.checks <- st.stats.checks + 1;
-        let cy0 = st.stats.cycles in
-        charge st Cost.check;
-        Vm.check_fptr ld ~fname ~site ~expected_sig ~cy0 (fetch fr sp jp)
-          (fetch fr sb jb) (fetch fr se je);
-        next ld
-  | Ir.CheckFptr (p, b, e, expected_sig, site) ->
-      let ip = ev_int f p and ib = ev_int f b and ie = ev_int f e in
-      let fname = f.Ir.fname in
-      fun ld ->
-        let fr = step ld idx in
-        let st = ld.st in
-        st.stats.checks <- st.stats.checks + 1;
-        let cy0 = st.stats.cycles in
-        charge st Cost.check;
-        let pv = ip fr in
-        let bv = ib fr in
-        let ev = ie fr in
-        Vm.check_fptr ld ~fname ~site ~expected_sig ~cy0 pv bv ev;
-        next ld
   | Ir.MetaLoad (rb, re, a, site) when pure_operand a ->
       let rb = vreg f rb and re = vreg f re in
       let sa, ja = pure_parts f a in
@@ -713,16 +582,6 @@ let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
         let fr = step ld idx in
         let st = ld.st in
         let b, e = meta_load ~site st (fetch fr sa ja) in
-        ureg_set_int fr rb b;
-        ureg_set_int fr re e;
-        next ld
-  | Ir.MetaLoad (rb, re, a, site) ->
-      let rb = vreg f rb and re = vreg f re in
-      let ia = ev_int f a in
-      fun ld ->
-        let fr = step ld idx in
-        let st = ld.st in
-        let b, e = meta_load ~site st (ia fr) in
         ureg_set_int fr rb b;
         ureg_set_int fr re e;
         next ld
@@ -736,40 +595,13 @@ let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
         let st = ld.st in
         meta_store ~site st (fetch fr sa ja) (fetch fr sb jb) (fetch fr se je);
         next ld
-  | Ir.MetaStore (a, b, e, site) ->
-      let ia = ev_int f a and ib = ev_int f b and ie = ev_int f e in
-      fun ld ->
-        let fr = step ld idx in
-        let st = ld.st in
-        let ev = ie fr in
-        let bv = ib fr in
-        let av = ia fr in
-        meta_store ~site st av bv ev;
-        next ld
-  | Ir.Call { args; _ } when first_trapping args <> None ->
-      (* arguments are evaluated before anything else of the call
-         happens, so the first unresolved name traps first *)
-      let e = ev_value f (Option.get (first_trapping args)) in
-      let nexti = idx + 1 in
-      fun ld ->
-        let fr = step ld idx in
-        fr.fr_inst <- nexti;
-        ignore (e fr)
-  | Ir.Call { rets; callee; args; _ } -> (
+  | Ir.Call { rets; callee; args; _ }
+    when List.for_all pure_operand_f args
+         && (match callee with Ir.Func _ -> true | c -> pure_operand c) -> (
       (* a return writes [rets] into this frame unchecked *)
       List.iter (fun r -> ignore (vreg f r)) rets;
       let ss = sources f args in
       let nargs = List.length args in
-      let nexti = idx + 1 in
-      (* after a call that pushed no frame (a builtin, setjmp, longjmp):
-         continue inline iff this very frame is still on top at the
-         position just past the call.  A longjmp elsewhere fails the
-         test and bounces to the driver; a longjmp that lands exactly at
-         [(blk, idx+1)] — a setjmp recorded there — passes it, and
-         continuing inline is precisely the resume semantics. *)
-      let finish ld fr =
-        if ld.cur == fr && fr.fr_block = blk && fr.fr_inst = nexti then next ld
-      in
       (* a module function: push its frame, copy the arguments into it
          and tail-call its entry — no value list, no driver round trip.
          An arity mismatch traps in [push_frame] before any argument
@@ -799,26 +631,35 @@ let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
                 let fr = step ld idx in
                 fr.fr_inst <- nexti;
                 Vm.dispatch_call ld t ~argvals:(source_values fr ss) ~rets;
-                finish ld fr)
+                continue_at ld fr ~blk ~nexti next)
       | op ->
-          let ic = ev_int f op in
+          let s, j = pure_parts f op in
           fun ld ->
             let fr = step ld idx in
             fr.fr_inst <- nexti;
-            let v = ic fr in
+            let v = fetch fr s j in
             match Vm.target_at ld v with
             | Some { tg_kind = Func i; _ } ->
                 call ld fr img.Vm.im_funcs.(i)
                   (Array.unsafe_get c_funcs i).params
             | Some t ->
                 Vm.dispatch_call ld t ~argvals:(source_values fr ss) ~rets;
-                finish ld fr
+                continue_at ld fr ~blk ~nexti next
             | None ->
                 raise
                   (Trap
                      (Runtime_error
                         (Printf.sprintf
                            "indirect call to non-function address 0x%x" v))))
+  | _ ->
+      (* every other shape runs the reference's own arm, with [fr_inst]
+         already past it, as the reference loop leaves it; a call there
+         that pushed a frame continues from the driver *)
+      fun ld ->
+        let fr = step ld idx in
+        fr.fr_inst <- nexti;
+        Vm.exec_inst ld fr inst;
+        continue_at ld fr ~blk ~nexti next
 
 (** Compile a terminator.  [entries.(t)] is the join-point array — the
     head closure of every block of this function, filled after all
@@ -828,10 +669,7 @@ let compile_inst img (c_funcs : func_code array) (f : Ir.func) ~blk ~idx
 let compile_term c_funcs (f : Ir.func) (entries : k array) (hops : int array)
     ~idx (term : Ir.terminator) : k =
   match term with
-  | Ir.TRet ops when first_trapping ops <> None ->
-      let e = ev_value f (Option.get (first_trapping ops)) in
-      fun ld -> ignore (e (step ld idx))
-  | Ir.TRet ops ->
+  | Ir.TRet ops when List.for_all pure_operand_f ops ->
       let ss = sources f ops in
       fun ld ->
         let fr = step ld idx in
@@ -854,33 +692,14 @@ let compile_term c_funcs (f : Ir.func) (entries : k array) (hops : int array)
         let fr = step ld idx in
         let c = fetch fr s j <> 0 in
         goto_h ld fr entries (if c then t1 else t2) (if c then h1 else h2)
-  | Ir.TBr (c, t1, t2) ->
-      let ic = ev_int f c in
+  | _ ->
+      (* every other terminator runs the reference's own arm, which
+         moves the frame's recorded position; continue there unless a
+         return reached a frame waiting in host code *)
       fun ld ->
         let fr = step ld idx in
-        let st = ld.st in
-        charge st Cost.basic;
-        let t = if ic fr <> 0 then t1 else t2 in
-        fr.fr_block <- t;
-        (Array.unsafe_get entries t) ld
-  | Ir.TSwitch (v, cases, default) ->
-      let iv = ev_int f v in
-      fun ld ->
-        let fr = step ld idx in
-        let st = ld.st in
-        charge st (Cost.basic * 2);
-        let x = iv fr in
-        let rec find = function
-          | [] -> default
-          | (k, t) :: tl -> if (k : int) = x then t else find tl
-        in
-        let t = find cases in
-        fr.fr_block <- t;
-        (Array.unsafe_get entries t) ld
-  | Ir.TUnreachable ->
-      fun ld ->
-        ignore (step ld idx : frame);
-        raise (Trap (Runtime_error "unreachable executed (missing return?)"))
+        Vm.exec_term ld fr term;
+        if ld.st.n_frames > ld.st.floor then resume c_funcs ld
 
 (* ------------------------------------------------------------------ *)
 (* Superinstructions                                                    *)

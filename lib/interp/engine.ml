@@ -1,8 +1,10 @@
 (* The execution engine: the threaded-code compiler ({!Compile}).  Every
    library, harness and daemon run goes through here.  The decode loop
    in {!Vm} ({!Vm.run}) is the readable opcode reference that the
-   cross-engine test suite checks this engine against; nothing else
-   runs it. *)
+   cross-engine test suite checks this engine against; only that suite
+   runs the loop itself, but the engine runs the loop's per-opcode arms
+   ({!Vm.exec_inst}, {!Vm.exec_term}) for every shape it does not
+   specialise. *)
 
 (** Run the loaded module's [main], keeping the loaded state open
     afterwards. *)

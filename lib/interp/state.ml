@@ -203,15 +203,6 @@ let[@inline] ureg_float fr r =
   if Bytes.unsafe_get fr.fr_isf r = '\001' then Array.unsafe_get fr.fr_fregs r
   else float_of_int (Array.unsafe_get fr.fr_iregs r)
 
-let[@inline] ureg_set fr r = function
-  | VI n ->
-      Bytes.unsafe_set fr.fr_isf r '\000';
-      Array.unsafe_set fr.fr_iregs r n
-  | VF f ->
-      Bytes.unsafe_set fr.fr_isf r '\001';
-      Array.unsafe_set fr.fr_fregs r f;
-      Array.unsafe_set fr.fr_iregs r (int_of_float f)
-
 let[@inline] ureg_set_int fr r n =
   Bytes.unsafe_set fr.fr_isf r '\000';
   Array.unsafe_set fr.fr_iregs r n

@@ -1157,9 +1157,9 @@ and dispatch_call ld (t : Builtins.target) ~argvals ~rets : unit =
 (* The step loop                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** The [CheckFptr] dynamic check after operand evaluation, shared by
-    both engines: function-pointer encoding check plus the optional
-    signature-hash comparison.  [cy0] is the cycle count before the
+(** The [CheckFptr] dynamic check after operand evaluation:
+    function-pointer encoding check plus the optional signature-hash
+    comparison.  [cy0] is the cycle count before the
     already-charged [Cost.check], for obs attribution. *)
 let check_fptr ld ~fname ~site ~expected_sig ~cy0 pv bv ev : unit =
   let st = ld.st in
@@ -1222,7 +1222,8 @@ let check_fptr ld ~fname ~site ~expected_sig ~cy0 pv bv ev : unit =
    arrays one instruction at a time.  Production runs use the
    threaded-code engine ({!Compile}); this loop is the readable opcode
    specification that the cross-engine test suite compares it with,
-   bit for bit. *)
+   bit for bit.  The engine also runs [exec_inst] and [exec_term]
+   itself, for every shape it has no specialised closure for. *)
 
 let exec_inst ld (fr : frame) (inst : Ir.inst) : unit =
   let st = ld.st in
@@ -1336,46 +1337,11 @@ let step_once ld : bool =
       true
   end
 
-(** Main execution loop.  Equivalent to [while step_once ld do () done]
-    but with the top frame's instruction array hoisted: the inner loop
-    runs the current basic block straight-line and drops back to the
-    dispatcher on any control transfer (a call pushes a frame, a
-    terminator rewrites [fr_block], a return pops), so the hoisted
-    [insts]/[n] can never go stale.  Step accounting is performed by the
-    same counters in the same order as {!step_once}. *)
+(** Main execution loop: step until no frames remain. *)
 let run_until_done ld : int =
-  let st = ld.st in
-  let max_steps = st.cfg.max_steps in
-  let poll = st.cfg.poll in
   try
-    let live = ref true in
-    while !live do
-      if st.n_frames = 0 then live := false
-      else begin
-          let fr = top st in
-          let insts = Array.unsafe_get fr.fr_code fr.fr_block in
-          let n = Array.length insts in
-          let straight = ref true in
-          while !straight do
-            st.steps <- st.steps + 1;
-            if st.steps > max_steps then raise (Trap Step_limit);
-            (match poll with
-            | Some p when st.steps land poll_mask = 0 -> p ()
-            | _ -> ());
-            st.stats.insts <- st.stats.insts + 1;
-            let k = fr.fr_inst in
-            if k < n then begin
-              let i = Array.unsafe_get insts k in
-              fr.fr_inst <- k + 1;
-              (match i with Ir.Call _ -> straight := false | _ -> ());
-              exec_inst ld fr i
-            end
-            else begin
-              straight := false;
-              exec_term ld fr (Array.unsafe_get fr.fr_terms fr.fr_block)
-            end
-          done
-      end
+    while step_once ld do
+      ()
     done;
     0
   with Program_exit n -> n

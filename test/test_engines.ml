@@ -53,7 +53,8 @@ let run_both ?opts ?checker m =
   in
   (Vm.run ~cfg:(fresh ()) m, Interp.Engine.run ~cfg:(fresh ()) m)
 
-let check_same label ?opts ?checker m =
+(* the engine's result, once it agrees with the reference's *)
+let same_result label ?opts ?checker m =
   let d, c = run_both ?opts ?checker m in
   let fd = fingerprint d and fc = fingerprint c in
   if fd <> fc then
@@ -62,7 +63,11 @@ let check_same label ?opts ?checker m =
       (St.string_of_outcome d.Vm.outcome)
       d.Vm.stdout_text
       (St.string_of_outcome c.Vm.outcome)
-      c.Vm.stdout_text
+      c.Vm.stdout_text;
+  c
+
+let check_same label ?opts ?checker m =
+  ignore (same_result label ?opts ?checker m : Vm.result)
 
 (* hand-written programs covering shapes the generator rarely stresses:
    setjmp/longjmp unwinding, function pointers, varargs printf, a
@@ -379,6 +384,32 @@ int main(int argc, char **argv) {
   return (int)(s & 63);
 }|}
 
+(* The shapes the engine has no closure of its own for, which run the
+   reference's arm: a [switch], a double-to-int cast, an indirect call
+   (a [CheckFptr] under full checking) and a loop whose checks widen to
+   one [CheckSpan] before it. *)
+let fallback_shapes =
+  {|long twice(long v) { return 2 * v; }
+long inc(long v) { return v + 1; }
+int main(int argc, char **argv) {
+  long a[8];
+  long (*fs[2])(long);
+  double d = 2.75;
+  long s = 0;
+  int i;
+  fs[0] = twice;
+  fs[1] = inc;
+  for (i = 0; i < 8; i = i + 1) a[i] = i;
+  for (i = 0; i < 6; i = i + 1) {
+    switch (a[i] & 3) {
+    case 0: s = s + 1; break;
+    case 1: s = s + (long)(d * a[i]); break;
+    default: s = s + fs[i & 1](a[i]);
+    }
+  }
+  return (int)(s & 63);
+}|}
+
 (* The simulated fingerprint plus the tail of the event trace, which a
    trap dump prints. *)
 let traced_fingerprint (r : Vm.result) =
@@ -420,6 +451,85 @@ let step_sweep label ?opts argv src =
       Alcotest.failf "%s: re-entry at step %d changes the run: %s" label n
         (St.string_of_outcome r.Vm.outcome)
   done
+
+(* Operands that name a global or function the module declares but
+   never defines: pre-decode leaves the name in place, and evaluating it
+   traps.  Each program reaches a different operand position, so each
+   runs a different arm of the reference inside the engine's fallback.
+   Two exceptions: a call to an undefined function traps in the
+   engine's own call arm, and [switch ((long)&g)] traps at its cast,
+   before the [switch], as [return (long)&g] does.  Each is run
+   unprotected, under full checking and store-only: both engines agree,
+   and the outcome and cycles are pinned. *)
+let unresolved_configs =
+  [
+    ("unprotected", None);
+    ("full/shadow", Some Softbound.Config.default);
+    ("store-only", Some Softbound.Config.store_only);
+  ]
+
+let unknown_g cycles =
+  List.map (fun c -> ("runtime error: unknown global g", c)) cycles
+
+let unresolved_names =
+  [
+    ( "load",
+      "extern int g;\nint main(void) { return g; }",
+      unknown_g [ 32; 36; 36 ] );
+    ( "store",
+      "extern int g;\nint main(void) { g = 3; return 0; }",
+      unknown_g [ 32; 36; 36 ] );
+    ( "gep",
+      "extern long g[8];\n\
+       int main(void) { long *p = &g[2]; return p == 0; }",
+      unknown_g [ 33; 37; 37 ] );
+    ( "branch",
+      "extern int g;\nint main(void) { if (&g) return 1; return 0; }",
+      unknown_g [ 33; 37; 37 ] );
+    ( "switch",
+      "extern int g;\n\
+       int main(void) {\n\
+      \  switch ((long)&g) { case 0: return 1; default: return 2; }\n\
+       }",
+      unknown_g [ 32; 36; 36 ] );
+    ( "cast",
+      "extern int g;\nlong main(void) { return (long)&g; }",
+      unknown_g [ 32; 36; 36 ] );
+    ( "pointer store",
+      "extern int g;\nint *q;\nint main(void) { q = &g; return 0; }",
+      unknown_g [ 32; 36; 36 ] );
+    ( "pointer return",
+      "extern int g;\n\
+       int *addr(int n) { if (n > 0) return addr(n - 1); return &g; }\n\
+       int main(void) { return addr(2) == 0; }",
+      unknown_g [ 47; 51; 51 ] );
+    ( "call argument",
+      "extern int g;\n\
+       long id(int *p, int n) { if (n > 0) return id(p, n - 1); return p == 0; }\n\
+       int main(void) { return (int)id(&g, 1); }",
+      unknown_g [ 32; 36; 36 ] );
+    ( "undefined callee",
+      "int foo(int);\nint main(void) { return foo(1); }",
+      [
+        ("runtime error: call to undefined function foo", 32);
+        ("runtime error: call to undefined function _sb_foo", 36);
+        ("runtime error: call to undefined function _sb_foo", 36);
+      ] );
+  ]
+
+let test_unresolved_names () =
+  List.iter
+    (fun (name, src, expected) ->
+      let m = Softbound.compile src in
+      List.iter2
+        (fun (tag, opts) want ->
+          let label = Printf.sprintf "%s [%s]" name tag in
+          let r = same_result label ?opts m in
+          Alcotest.(check (pair string int))
+            label want
+            (St.string_of_outcome r.Vm.outcome, r.Vm.stats.St.cycles))
+        unresolved_configs expected)
+    unresolved_names
 
 (* The step counts at which the poll hook runs, on one engine. *)
 let poll_steps run_main m =
@@ -590,8 +700,13 @@ let suite =
         step_sweep "full" ~opts:Softbound.Config.default [] fused_shapes;
         step_sweep "unprotected, wild load" [ "x" ] fused_shapes;
         step_sweep "full, wild load" ~opts:Softbound.Config.default [ "x" ]
-          fused_shapes);
+          fused_shapes;
+        step_sweep "fallback, unprotected" [] fallback_shapes;
+        step_sweep "fallback, full" ~opts:Softbound.Config.default []
+          fallback_shapes);
     Alcotest.test_case "tick: the poll hook runs on the same steps" `Quick
       test_poll_steps;
     test_alu_widths;
+    Alcotest.test_case "fallback: unresolved names trap alike, pinned"
+      `Quick test_unresolved_names;
   ]
